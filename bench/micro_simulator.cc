@@ -90,8 +90,7 @@ struct SimFixture
     }
 };
 
-/** Which simulation tier the fixture exercises. */
-enum class Engine { Dense, Sparse, Compiled, Jit };
+using sim::Engine;
 
 /** The jit fixtures block acquire() until the kernel is terminal
  *  (ready or failed): the prewarm run below then guarantees the timed
@@ -112,9 +111,7 @@ BM_Simulate(benchmark::State &state, const std::string &name,
         return;
     }
     sim::SimOptions opts;
-    opts.sparse = engine != Engine::Dense;
-    opts.compiled = engine == Engine::Compiled || engine == Engine::Jit;
-    opts.jit = engine == Engine::Jit;
+    opts.engine = engine;
     if (engine == Engine::Jit) {
         // Compile eagerly, and pay for it (plus the dlopen) once in an
         // untimed prewarm run; the timed loop below is then all

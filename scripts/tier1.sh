@@ -57,8 +57,9 @@ echo "== tier-1: robustness + sparse-simulator tests under ASan+UBSan =="
 # fast path's flat hot-state (epoch-stamped arrays, build-time memory
 # plans, persistent forward queues) is exactly the kind of manually
 # indexed bookkeeping where an off-by-one reads out of bounds instead
-# of failing a test. It runs in both loop modes (test_sim_sparse and
-# its _dense ctest variant, which flips the DSA_SIM_SPARSE default).
+# of failing a test. It runs in both loop modes: test_sim_sparse, and
+# its _dense ctest variant (DSA_SIM_ENGINE=dense), which the
+# test_sim_sparse regex also matches.
 # test_sim_compiled joins it: the compiled tier's compute plans and
 # period-replay programs are arrays of raw pointers and arena offsets
 # rebuilt on every reconfigure — exactly where a stale pointer or

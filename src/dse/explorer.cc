@@ -1,7 +1,6 @@
 #include "dse/explorer.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -19,7 +18,6 @@
 #include "model/perf_model.h"
 #include "model/regression.h"
 #include "sim/jit/jit_runtime.h"
-#include "sim/sim_batch.h"
 
 namespace dsa::dse {
 
@@ -1312,20 +1310,9 @@ Explorer::runLoop(DseRunState &st)
 void
 Explorer::validateBest(DseResult &result)
 {
-    // Compile/schedule every workload first, then run all the
-    // simulations as one batch: per-workload {dense, sparse, compiled,
-    // jit} job quadruples sharing one simulateBatch arena, so
-    // ring-buffer and compute-plan allocations are paid against a
-    // single high-water mark instead of once per engine per workload.
-    struct Pending
-    {
-        const workloads::Workload *w;
-        dfg::DecoupledProgram prog;
-        mapper::Schedule sched;
-        std::array<sim::MemImage, 4> imgs; // dense,sparse,compiled,jit
-    };
-    std::vector<std::unique_ptr<Pending>> pending;
-
+    // Every engine on every workload, each run timed on its own and
+    // checked against the dense oracle run of the same workload.
+    using sim::Engine;
     auto features = compiler::HwFeatures::fromAdg(result.best);
     for (const auto *w : workloads_) {
         auto golden = workloads::runGolden(*w);
@@ -1335,77 +1322,48 @@ Explorer::validateBest(DseResult &result)
             compiler::lowerKernel(w->kernel, placement, features, {}, 1);
         if (!lowered.ok)
             continue;
-        auto p = std::make_unique<Pending>();
-        p->w = w;
-        p->prog = lowered.version.program;
-        p->sched = mapper::scheduleProgram(
-            p->prog, result.best,
+        const auto &prog = lowered.version.program;
+        auto sched = mapper::scheduleProgram(
+            prog, result.best,
             {.maxIters = opts_.initSchedIters, .seed = opts_.seed});
-        if (!p->sched.cost.legal())
+        if (!sched.cost.legal())
             continue;
-        for (auto &img : p->imgs)
-            img = sim::MemImage::build(w->kernel, golden.initial,
-                                       placement);
-        pending.push_back(std::move(p));
-    }
 
-    std::vector<sim::SimJob> jobs;
-    jobs.reserve(pending.size() * 4);
-    for (auto &p : pending) {
-        for (int e = 0; e < 4; ++e) {
-            sim::SimJob job;
-            job.prog = &p->prog;
-            job.sched = &p->sched;
-            job.adg = &result.best;
-            job.mem = &p->imgs[static_cast<size_t>(e)];
-            job.opts = opts_.sim;
-            job.opts.sparse = e != 0;
-            job.opts.compiled = e >= 2;
-            job.opts.jit = e == 3;
-            job.opts.checkSparse = false;
-            job.opts.checkCompiled = false;
-            job.opts.checkJit = false;
-            if (e == 3) {
-                // Validation runs are short: compile eagerly so the
-                // native path is actually exercised (and its object
-                // lands in the shared cache for the next run).
-                job.opts.jitHotCycles = 0;
+        sim::SimResult denseRes;
+        sim::MemImage denseImg;
+        double denseMs = 0.0;
+        for (Engine e : {Engine::Dense, Engine::Sparse, Engine::Compiled,
+                         Engine::Jit}) {
+            auto img =
+                sim::MemImage::build(w->kernel, golden.initial, placement);
+            sim::SimOptions so = opts_.sim;
+            so.engine = e;
+            so.checkAgainst.reset();
+            // Validation runs are short: compile eagerly so the native
+            // path is actually exercised (and its object lands in the
+            // shared cache for the next run).
+            so.jitHotCycles = 0;
+            auto t0 = std::chrono::steady_clock::now();
+            auto res = sim::simulate(prog, sched, result.best, img, so);
+            double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+            if (e == Engine::Dense) {
+                denseRes = std::move(res);
+                denseImg = std::move(img);
+                denseMs = ms;
+                continue;
             }
-            jobs.push_back(job);
+            std::string diff =
+                sim::firstDivergence(denseRes, res, denseImg, img);
+            if (!diff.empty() && result.status.ok())
+                result.status = Status::internal(
+                    std::string(sim::engineName(e)) +
+                    "/dense simulator divergence on workload '" +
+                    w->name + "' of the best design: " + diff);
+            if (e == Engine::Jit)
+                result.simSpeedups[w->name] = ms > 0 ? denseMs / ms : 0.0;
         }
-    }
-    auto batch = sim::simulateBatch(jobs);
-
-    for (size_t i = 0; i < pending.size(); ++i) {
-        const auto &p = *pending[i];
-        const auto &dense = batch.results[i * 4];
-        auto sameAsDense = [&](const sim::SimResult &r, int img) {
-            return dense.ok == r.ok &&
-                   dense.status.code() == r.status.code() &&
-                   dense.error == r.error && dense.cycles == r.cycles &&
-                   dense.peFires == r.peFires &&
-                   dense.memBytes == r.memBytes &&
-                   p.imgs[0].main.bytes() ==
-                       p.imgs[static_cast<size_t>(img)].main.bytes() &&
-                   p.imgs[0].spad.bytes() ==
-                       p.imgs[static_cast<size_t>(img)].spad.bytes();
-        };
-        const char *bad = nullptr;
-        if (!sameAsDense(batch.results[i * 4 + 1], 1))
-            bad = "sparse";
-        else if (!sameAsDense(batch.results[i * 4 + 2], 2))
-            bad = "compiled";
-        else if (!sameAsDense(batch.results[i * 4 + 3], 3))
-            bad = "jit";
-        if (bad && result.status.ok())
-            result.status = Status::internal(
-                std::string(bad) +
-                "/dense simulator divergence on workload '" +
-                p.w->name + "' of the best design");
-        double denseMs = batch.jobMs[i * 4];
-        double fastMs = batch.jobMs[i * 4 + 3];
-        result.simSpeedups[p.w->name] =
-            fastMs > 0 ? denseMs / fastMs : 0.0;
     }
 }
 

@@ -282,20 +282,19 @@ struct DseOptions
     /// @{
     /**
      * After the exploration loop, run the cycle-level simulator on
-     * the best design for every workload four times — the dense
-     * oracle loop, the event-driven sparse loop, the compiled
-     * steady-state engine, and the jit (runtime code generation)
-     * engine — as one simulateBatch() over a shared arena,
-     * cross-check the four results bit-exactly, and record the
-     * per-workload dense/jit wall-clock speedup in
-     * DseResult::simSpeedups. A divergence surfaces as an Internal
-     * DseResult::status. Off by default (it adds full simulation
-     * passes to the run). Not serialized into checkpoints.
+     * the best design for every workload once per sim::Engine (dense,
+     * sparse, compiled, jit), check each faster engine against the
+     * dense run with sim::firstDivergence, and record the per-workload
+     * dense/jit wall-clock speedup in DseResult::simSpeedups. A
+     * divergence surfaces as an Internal DseResult::status naming the
+     * engine, the workload and the differing field. Off by default (it
+     * adds full simulation passes to the run). Not serialized into
+     * checkpoints.
      */
     bool simValidateBest = false;
-    /** Simulator knobs for the validation runs (the sparse /
-     *  checkSparse fields are overridden per run). Not serialized
-     *  into checkpoints. */
+    /** Simulator knobs for the validation runs (engine, checkAgainst
+     *  and jitHotCycles are overridden per run). Not serialized into
+     *  checkpoints. */
     sim::SimOptions sim;
     /// @}
 };
@@ -578,9 +577,8 @@ class Explorer
   private:
     /** Main exploration loop, shared by run() and resume(). */
     DseResult runLoop(DseRunState &st);
-    /** Post-run dense/sparse/compiled simulator cross-check of the
-     *  best design, batched through simulateBatch()
-     *  (DseOptions::simValidateBest). */
+    /** Post-run cross-check of every simulator engine on the best
+     *  design (DseOptions::simValidateBest). */
     void validateBest(DseResult &result);
     /** Write a checkpoint of @p st (warn, don't fail, on error). */
     void writeCheckpoint(DseRunState &st);

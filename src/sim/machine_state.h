@@ -1,17 +1,15 @@
 /**
  * @file
  * Internal simulation state shared by the simulator core
- * (simulator.cc), the compiled steady-state tier (compute_plan.cc),
- * and the batched multi-design driver (sim_batch.cc). Everything here
- * is an implementation detail — the public API stays in simulator.h /
- * sim_batch.h.
+ * (simulator.cc) and the compiled steady-state tier (compute_plan.cc).
+ * Everything here is an implementation detail — the public API stays
+ * in simulator.h.
  *
  * The hot containers are preallocated ring buffers carved out of a
  * SimArena: a routed-path Pipe is a fixed-capacity (time, value) ring
  * and an input port's element buffer is a fixed-capacity value ring,
  * so the steady-state loops never touch the allocator and never pay
- * deque chunk arithmetic. A batch of machines can share one arena
- * (reset between builds) to amortize the allocations across designs.
+ * deque chunk arithmetic.
  */
 
 #ifndef DSA_SIM_MACHINE_STATE_H
@@ -37,11 +35,7 @@ namespace dsa::sim {
 
 /**
  * Bump allocator backing one machine's ring buffers and compute-plan
- * micro-op arrays. Chunks are retained across reset(), so building N
- * machines back-to-back against the same arena (the SimBatch pattern)
- * allocates only on the high-water mark. At most one live Machine may
- * use an arena at a time; reset() invalidates everything previously
- * handed out.
+ * micro-op arrays, freed wholesale with the machine.
  */
 class SimArena
 {
@@ -76,25 +70,6 @@ class SimArena
         Chunk &c = chunks_.back();
         c.used = bytes;
         return c.data.get();
-    }
-
-    /** Recycle all chunks (capacity kept). */
-    void
-    reset()
-    {
-        for (Chunk &c : chunks_)
-            c.used = 0;
-        cur_ = 0;
-    }
-
-    /** Total bytes reserved (diagnostics). */
-    size_t
-    footprint() const
-    {
-        size_t total = 0;
-        for (const Chunk &c : chunks_)
-            total += c.size;
-        return total;
     }
 
   private:
@@ -777,18 +752,6 @@ genericFire(RegionSim &rs, InstSim &is, int64_t now, bool &activity,
 }
 
 } // namespace detail
-
-/**
- * Internal simulate entry point that can borrow an external arena for
- * the machine's ring/plan allocations (SimBatch uses this to share one
- * arena across a whole batch of designs). @p arena may be null; when
- * given, the caller must keep it alive for the duration of the call
- * and must not run two machines against it concurrently.
- */
-SimResult simulateShared(const dfg::DecoupledProgram &prog,
-                         const mapper::Schedule &sched, const adg::Adg &adg,
-                         MemImage &mem, const SimOptions &opts,
-                         SimArena *arena);
 
 } // namespace dsa::sim
 

@@ -12,6 +12,7 @@
 #include "adg/fingerprint.h"
 #include "base/hashing.h"
 #include "base/logging.h"
+#include "base/strings.h"
 #include "sim/compute_plan.h"
 #include "sim/jit/jit_cache.h"
 #include "sim/jit/jit_emit.h"
@@ -62,12 +63,9 @@ class Machine
 {
   public:
     Machine(const dfg::DecoupledProgram &prog, const mapper::Schedule &sched,
-            const Adg &adg, MemImage &mem, const SimOptions &opts,
-            SimArena *arena = nullptr)
-        : prog_(prog), sched_(sched), adg_(adg), mem_(mem), opts_(opts),
-          arena_(arena ? arena : &ownArena_)
+            const Adg &adg, MemImage &mem, const SimOptions &opts)
+        : prog_(prog), sched_(sched), adg_(adg), mem_(mem), opts_(opts)
     {
-        arena_->reset();
         build();
     }
 
@@ -195,10 +193,9 @@ class Machine
     std::vector<int> activeRegions_;
     bool activeDirty_ = true;
 
-    /** Ring/plan storage: external (batched) or machine-owned. */
-    SimArena *arena_ = nullptr;
-    SimArena ownArena_;
-    /** Per-region compiled compute plans (sparse+compiled mode). */
+    /** Ring/plan storage. */
+    SimArena arena_;
+    /** Per-region compiled compute plans (Compiled and Jit engines). */
     std::vector<RegionPlan> plans_;
     bool compiled_ = false;
     /** DSA_SIM_TRACE read once at build. */
@@ -583,10 +580,11 @@ Machine::build()
     trace_ = std::getenv("DSA_SIM_TRACE") != nullptr;
 
     // Compiled steady-state tier: lower each region's dataflow into a
-    // flat micro-op plan (only meaningful under the event-driven loop;
-    // the dense oracle never consults plans).
-    compiled_ = opts_.sparse && opts_.compiled;
-    jitWanted_ = compiled_ && opts_.jit &&
+    // flat micro-op plan (the dense and sparse engines never consult
+    // plans).
+    compiled_ = opts_.engine == Engine::Compiled ||
+                opts_.engine == Engine::Jit;
+    jitWanted_ = opts_.engine == Engine::Jit &&
                  jit::JitRuntime::hostSupported();
     if (jitWanted_)
         jitDir_ = opts_.jitCacheDir.empty() ? jit::defaultCacheDir()
@@ -595,7 +593,7 @@ Machine::build()
         plans_.resize(regions_.size());
         for (size_t r = 0; r < regions_.size(); ++r)
             plans_[r] = detail::buildRegionPlan(
-                regions_[r], peFiredCycle_.data(), *arena_);
+                regions_[r], peFiredCycle_.data(), arena_);
         buildReplayInfo();
     }
 }
@@ -1751,7 +1749,7 @@ Machine::buildRegion(int r)
         Pipe *p = rs.pipes.back().get();
         p->latency = std::max(1, latency);
         p->capacity = p->latency + 8;
-        p->allocate(*arena_);
+        p->allocate(arena_);
         return p;
     };
 
@@ -1765,7 +1763,7 @@ Machine::buildRegion(int r)
             if (reg.serialized)
                 ps.minPopInterval =
                     std::max(1, reg.serialDependenceLatency);
-            ps.allocate(*arena_);
+            ps.allocate(arena_);
             continue;
         }
         // Instruction or output port: wire operand pipes.
@@ -2468,7 +2466,7 @@ Machine::run()
             }
         }
     }
-    return opts_.sparse ? runSparse() : runDense();
+    return opts_.engine == Engine::Dense ? runDense() : runSparse();
 }
 
 SimResult
@@ -2869,198 +2867,115 @@ Machine::stallDiagnostic(int64_t now, int64_t lastProgress) const
     return os.str();
 }
 
-/** First field that differs between two runs ("" when bit-identical). */
-std::string
-firstDivergence(const SimResult &dense, const SimResult &sparse,
-                const MemImage &denseMem, const MemImage &sparseMem)
-{
-    auto num = [](int64_t v) { return std::to_string(v); };
-    if (dense.ok != sparse.ok)
-        return "ok: dense=" + num(dense.ok) + " sparse=" + num(sparse.ok);
-    if (dense.status.code() != sparse.status.code())
-        return "status: dense=" + dense.status.toString() +
-               " sparse=" + sparse.status.toString();
-    if (dense.error != sparse.error)
-        return "error text: dense=\"" + dense.error + "\" sparse=\"" +
-               sparse.error + "\"";
-    if (dense.cycles != sparse.cycles)
-        return "cycles: dense=" + num(dense.cycles) +
-               " sparse=" + num(sparse.cycles);
-    if (dense.regions.size() != sparse.regions.size())
-        return "region count";
-    for (size_t r = 0; r < dense.regions.size(); ++r) {
-        const RegionSimStats &a = dense.regions[r];
-        const RegionSimStats &b = sparse.regions[r];
-        if (a.fires != b.fires || a.endCycle != b.endCycle ||
-            a.complete != b.complete || a.state != b.state)
-            return "region " + std::to_string(r) + " stats: dense " +
-                   a.state + "/fires=" + num(a.fires) +
-                   "/end=" + num(a.endCycle) + ", sparse " + b.state +
-                   "/fires=" + num(b.fires) + "/end=" + num(b.endCycle);
-    }
-    if (dense.peFires != sparse.peFires)
-        return "peFires map";
-    if (dense.memBytes != sparse.memBytes)
-        return "memBytes map";
-    if (denseMem.main.bytes() != sparseMem.main.bytes())
-        return "main memory contents";
-    if (denseMem.spad.bytes() != sparseMem.spad.bytes())
-        return "scratchpad contents";
-    return "";
-}
-
 } // namespace
 
-bool
-sparseDefault()
+const char *
+engineName(Engine e)
 {
-    static const bool sparse = [] {
-        const char *env = std::getenv("DSA_SIM_SPARSE");
-        return !(env && std::strcmp(env, "0") == 0);
-    }();
-    return sparse;
-}
-
-bool
-compiledDefault()
-{
-    static const bool compiled = [] {
-        const char *env = std::getenv("DSA_SIM_COMPILED");
-        return !(env && std::strcmp(env, "0") == 0);
-    }();
-    return compiled;
-}
-
-bool
-jitDefault()
-{
-    static const bool jit = [] {
-        const char *env = std::getenv("DSA_SIM_JIT");
-        return !(env && std::strcmp(env, "0") == 0);
-    }();
-    return jit;
-}
-
-int64_t
-jitHotCyclesDefault()
-{
-    static const int64_t hot = [] {
-        const char *env = std::getenv("DSA_SIM_JIT_HOT");
-        if (env && *env) {
-            char *end = nullptr;
-            long long v = std::strtoll(env, &end, 10);
-            if (end && *end == '\0' && v >= 0)
-                return static_cast<int64_t>(v);
-        }
-        return static_cast<int64_t>(65536);
-    }();
-    return hot;
-}
-
-SimResult
-simulateShared(const dfg::DecoupledProgram &prog,
-               const mapper::Schedule &sched, const Adg &adg, MemImage &mem,
-               const SimOptions &opts, SimArena *arena)
-{
-    if (opts.checkJit) {
-        // Oracle cross-check: the non-jit reference runs on a
-        // throwaway copy of the memory image (and may itself honor
-        // checkCompiled/checkSparse, chaining down to the dense
-        // oracle), the jit-enabled engine on the real one, and any
-        // divergence in result or memory contents turns into an
-        // Internal error.
-        MemImage refMem = mem;
-        SimOptions refOpts = opts;
-        refOpts.jit = false;
-        refOpts.checkJit = false;
-        SimResult refRes =
-            simulateShared(prog, sched, adg, refMem, refOpts, nullptr);
-
-        SimOptions jOpts = opts;
-        jOpts.sparse = true;
-        jOpts.compiled = true;
-        jOpts.jit = true;
-        jOpts.checkSparse = false;
-        jOpts.checkCompiled = false;
-        jOpts.checkJit = false;
-        Machine jm(prog, sched, adg, mem, jOpts, arena);
-        SimResult jRes = jm.run();
-
-        std::string diff = firstDivergence(refRes, jRes, refMem, mem);
-        if (!diff.empty()) {
-            jRes.ok = false;
-            jRes.error =
-                "jit/interpreted simulator divergence: " + diff;
-            jRes.status = Status::internal(jRes.error);
-        }
-        return jRes;
+    switch (e) {
+    case Engine::Dense:
+        return "dense";
+    case Engine::Sparse:
+        return "sparse";
+    case Engine::Compiled:
+        return "compiled";
+    case Engine::Jit:
+        return "jit";
     }
-    if (opts.checkCompiled) {
-        // Oracle cross-check: the interpreted reference runs on a
-        // throwaway copy of the memory image (and may itself honor
-        // checkSparse, chaining back to the dense oracle), the
-        // compiled engine on the real one, and any divergence in
-        // result or memory contents turns into an Internal error.
-        MemImage refMem = mem;
-        SimOptions refOpts = opts;
-        refOpts.compiled = false;
-        refOpts.checkCompiled = false;
-        SimResult refRes =
-            simulateShared(prog, sched, adg, refMem, refOpts, nullptr);
+    DSA_PANIC("bad engine ", static_cast<int>(e));
+}
 
-        SimOptions cOpts = opts;
-        cOpts.sparse = true;
-        cOpts.compiled = true;
-        cOpts.checkSparse = false;
-        cOpts.checkCompiled = false;
-        Machine cm(prog, sched, adg, mem, cOpts, arena);
-        SimResult cRes = cm.run();
-
-        std::string diff = firstDivergence(refRes, cRes, refMem, mem);
-        if (!diff.empty()) {
-            cRes.ok = false;
-            cRes.error =
-                "compiled/interpreted simulator divergence: " + diff;
-            cRes.status = Status::internal(cRes.error);
-        }
-        return cRes;
+Result<Engine>
+parseEngine(const std::string &name)
+{
+    std::vector<std::string> names;
+    for (Engine e :
+         {Engine::Dense, Engine::Sparse, Engine::Compiled, Engine::Jit}) {
+        if (name == engineName(e))
+            return e;
+        names.push_back(engineName(e));
     }
-    if (opts.checkSparse) {
-        // Oracle cross-check: dense runs on a throwaway copy of the
-        // memory image, sparse (with whatever compiled setting the
-        // caller chose — the production engine) on the real one.
-        MemImage denseMem = mem;
-        SimOptions denseOpts = opts;
-        denseOpts.sparse = false;
-        denseOpts.checkSparse = false;
-        Machine dm(prog, sched, adg, denseMem, denseOpts);
-        SimResult denseRes = dm.run();
+    return Status::invalidArgument("unknown simulator engine '" + name +
+                                   "'" + suggestName(name, names));
+}
 
-        SimOptions sparseOpts = opts;
-        sparseOpts.sparse = true;
-        sparseOpts.checkSparse = false;
-        Machine sm(prog, sched, adg, mem, sparseOpts, arena);
-        SimResult sparseRes = sm.run();
+Engine
+defaultEngine()
+{
+    static const Engine engine = [] {
+        const char *env = std::getenv("DSA_SIM_ENGINE");
+        if (!env || !*env)
+            return Engine::Jit;
+        Result<Engine> e = parseEngine(env);
+        if (!e.ok())
+            DSA_FATAL("DSA_SIM_ENGINE: ", e.status().message());
+        return *e;
+    }();
+    return engine;
+}
 
-        std::string diff =
-            firstDivergence(denseRes, sparseRes, denseMem, mem);
-        if (!diff.empty()) {
-            sparseRes.ok = false;
-            sparseRes.error =
-                "sparse/dense simulator divergence: " + diff;
-            sparseRes.status = Status::internal(sparseRes.error);
-        }
-        return sparseRes;
+std::string
+firstDivergence(const SimResult &ref, const SimResult &got,
+                const MemImage &refMem, const MemImage &gotMem)
+{
+    auto num = [](int64_t v) { return std::to_string(v); };
+    if (ref.ok != got.ok)
+        return "ok: ref=" + num(ref.ok) + " got=" + num(got.ok);
+    if (ref.status.code() != got.status.code())
+        return "status: ref=" + ref.status.toString() +
+               " got=" + got.status.toString();
+    if (ref.error != got.error)
+        return "error text: ref=\"" + ref.error + "\" got=\"" +
+               got.error + "\"";
+    if (ref.cycles != got.cycles)
+        return "cycles: ref=" + num(ref.cycles) + " got=" + num(got.cycles);
+    if (ref.regions.size() != got.regions.size())
+        return "region count";
+    for (size_t r = 0; r < ref.regions.size(); ++r) {
+        const RegionSimStats &a = ref.regions[r];
+        const RegionSimStats &b = got.regions[r];
+        if (a.fires != b.fires || a.endCycle != b.endCycle ||
+            a.complete != b.complete || a.state != b.state)
+            return "region " + std::to_string(r) + " stats: ref " +
+                   a.state + "/fires=" + num(a.fires) +
+                   "/end=" + num(a.endCycle) + ", got " + b.state +
+                   "/fires=" + num(b.fires) + "/end=" + num(b.endCycle);
     }
-    Machine m(prog, sched, adg, mem, opts, arena);
-    return m.run();
+    if (ref.peFires != got.peFires)
+        return "peFires map";
+    if (ref.memBytes != got.memBytes)
+        return "memBytes map";
+    if (refMem.main.bytes() != gotMem.main.bytes())
+        return "main memory contents";
+    if (refMem.spad.bytes() != gotMem.spad.bytes())
+        return "scratchpad contents";
+    return "";
 }
 
 SimResult
 simulate(const dfg::DecoupledProgram &prog, const mapper::Schedule &sched,
          const Adg &adg, MemImage &mem, const SimOptions &opts)
 {
-    return simulateShared(prog, sched, adg, mem, opts, nullptr);
+    if (!opts.checkAgainst)
+        return Machine(prog, sched, adg, mem, opts).run();
+    // Oracle cross-check: the reference engine runs on a throwaway copy
+    // of the memory image, the selected engine on the real one, and
+    // any divergence in result or memory contents turns into an
+    // Internal error.
+    MemImage refMem = mem;
+    SimOptions refOpts = opts;
+    refOpts.engine = *opts.checkAgainst;
+    SimResult refRes = Machine(prog, sched, adg, refMem, refOpts).run();
+    SimResult res = Machine(prog, sched, adg, mem, opts).run();
+    std::string diff = firstDivergence(refRes, res, refMem, mem);
+    if (!diff.empty()) {
+        res.ok = false;
+        res.error = std::string(engineName(opts.engine)) + "/" +
+                    engineName(*opts.checkAgainst) +
+                    " simulator divergence: " + diff;
+        res.status = Status::internal(res.error);
+    }
+    return res;
 }
 
 } // namespace dsa::sim

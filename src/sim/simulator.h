@@ -20,6 +20,7 @@
 #define DSA_SIM_SIMULATOR_H
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,31 +34,62 @@
 namespace dsa::sim {
 
 /**
- * Default for SimOptions::sparse: true unless the environment variable
- * DSA_SIM_SPARSE is set to "0" (read once per process). CI uses the
- * override to run the whole behavioral suite against the dense oracle
- * loop so that path cannot rot.
+ * Simulator engines, slowest to fastest. Each produces a bit-identical
+ * SimResult and byte-identical MemImage to the one before it, on every
+ * path including aborts (enforced by tests/test_sim_{sparse,compiled,
+ * jit}.cc); only wall-clock time and the SimResult engine accounting
+ * differ. The slower engines stay as the oracles the faster ones are
+ * checked against.
  */
-bool sparseDefault();
+enum class Engine
+{
+    /** The original time-stepped loop: every component every cycle. */
+    Dense,
+    /**
+     * Event-driven loop: tick only regions/streams/forwards with live
+     * work, and when a whole cycle produces no activity and no state
+     * transition, jump time straight to the next event (stream
+     * throttles, pipe arrivals, command-issue and reconfiguration
+     * deadlines, quiesce windows, the progress-watchdog horizon).
+     */
+    Sparse,
+    /**
+     * Sparse plus compiled steady state: at sim-build time each
+     * region's dataflow is lowered to a flattened compute plan, and
+     * whenever the machine is in steady state (no controller
+     * movement, no region lifecycle transition) whole cycles run as
+     * straight-line plan execution or as replay of a recorded
+     * steady-state period. Any reconfiguration, drain, stall, or
+     * lifecycle event falls back to the interpreted tick.
+     */
+    Compiled,
+    /**
+     * Compiled plus runtime code generation: an armed period program
+     * is lowered to C++, compiled to a shared object on a background
+     * thread (interpreted replay serves until it is ready), dlopen()ed,
+     * and whole replay chunks then run natively. Objects are
+     * content-addressed and cached on disk (sim/jit/jit_cache.h), so
+     * repeated runs and DSE worker pools compile each kernel shape
+     * once. Degrades silently to Compiled when the host has no
+     * compiler, compilation fails, or a fault site fires.
+     */
+    Jit,
+};
+
+/** Lower-case engine name: "dense", "sparse", "compiled" or "jit". */
+const char *engineName(Engine e);
+
+/** Parse an engineName(); InvalidArgument listing the accepted names
+ *  (with a did-you-mean suggestion) otherwise. */
+Result<Engine> parseEngine(const std::string &name);
 
 /**
- * Default for SimOptions::compiled: true unless the environment
- * variable DSA_SIM_COMPILED is set to "0" (read once per process).
- * The override pins the event-driven loop to its fully interpreted
- * tick — useful for bisecting a suspected compiled-tier bug.
+ * Default for SimOptions::engine: Jit, unless the environment variable
+ * DSA_SIM_ENGINE names another engine (read once per process). CI uses
+ * it to run whole behavioural suites on a slower engine so those paths
+ * cannot rot. An unrecognised value is a fatal configuration error.
  */
-bool compiledDefault();
-
-/**
- * Default for SimOptions::jit: true unless the environment variable
- * DSA_SIM_JIT is set to "0" (read once per process). The override
- * pins steady-state replay to the interpreted loop — for bisection,
- * and for the `test_sim*_nojit` CI variants.
- */
-bool jitDefault();
-
-/** Default for SimOptions::jitHotCycles ($DSA_SIM_JIT_HOT override). */
-int64_t jitHotCyclesDefault();
+Engine defaultEngine();
 
 /** Simulation knobs. */
 struct SimOptions
@@ -80,93 +112,31 @@ struct SimOptions
     /**
      * Cooperative wall-clock cap (default: unlimited), polled every
      * few thousand cycles; on expiry the run aborts with
-     * DeadlineExceeded and partial stats.
+     * DeadlineExceeded and partial stats. Which wall cycle expiry is
+     * noticed on is nondeterministic, so this is the one abort path
+     * on which two engines may legitimately disagree.
      */
     Deadline deadline;
+    /** Engine that runs the simulation (see defaultEngine()). */
+    Engine engine = defaultEngine();
     /**
-     * Event-driven fast path: tick only regions/streams/forwards with
-     * live work, and when a whole cycle produces no activity and no
-     * state transition, jump time straight to the next event (stream
-     * throttles, pipe arrivals, command-issue and reconfiguration
-     * deadlines, quiesce windows, the progress-watchdog horizon)
-     * instead of burning empty iterations. Produces bit-identical
-     * SimResult and byte-identical MemImage to the dense loop on every
-     * path, including aborts (enforced by tests/test_sim_sparse.cc);
-     * the only intentional divergence is *which wall cycle* a
-     * wall-clock deadline is noticed on, which is nondeterministic in
-     * either mode. Default-on (see sparseDefault()).
+     * Oracle cross-check: also run this reference engine on a copy of
+     * the memory image, compare the two SimResults bit-exactly and
+     * both address spaces byte-exactly, and turn the first divergence
+     * into an Internal error naming the field. The returned result and
+     * image are `engine`'s. Do not combine with a limited deadline.
      */
-    bool sparse = sparseDefault();
-    /**
-     * Cross-check mode: run the dense oracle on a copy of the memory
-     * image and the sparse loop on the real one, compare SimResult
-     * bit-exactly and both address spaces byte-exactly, and return an
-     * Internal error describing the first divergence (the sparse
-     * result otherwise). Do not combine with a limited deadline — the
-     * two runs may legitimately notice wall-clock expiry at different
-     * cycles.
-     */
-    bool checkSparse = false;
-    /**
-     * Compiled steady-state tier (requires `sparse`): at sim-build
-     * time each region's dataflow is lowered to a flattened compute
-     * plan — a fixed array of micro-ops with resolved operand pipes
-     * and pre-dispatched opcode functions — and whenever the machine
-     * is in steady state (no controller movement, no region lifecycle
-     * transition) whole cycles run as straight-line plan execution
-     * with the sequencer and waiting regions provably inert. Any
-     * reconfiguration, drain, stall, or lifecycle event falls back to
-     * the interpreted tick for that cycle. Bit-identical SimResult
-     * and MemImage to the interpreted engines on every path
-     * (enforced by tests/test_sim_compiled.cc). Default-on (see
-     * compiledDefault()).
-     */
-    bool compiled = compiledDefault();
-    /**
-     * Cross-check mode for the compiled tier: run the interpreted
-     * reference (which itself still honors checkSparse, chaining to
-     * the dense oracle) on a copy of the memory image and the
-     * compiled engine on the real one, compare SimResult bit-exactly
-     * and both address spaces byte-exactly, and return an Internal
-     * error describing the first divergence. Same deadline caveat as
-     * checkSparse.
-     */
-    bool checkCompiled = false;
-    /**
-     * JIT tier (requires `sparse` + `compiled`): when a region's
-     * steady-state period program is armed, it is additionally lowered
-     * to generated C++, compiled to a shared object on a background
-     * thread (the interpreted replay loop serves until it is ready),
-     * dlopen()ed, and whole replay chunks then run through the native
-     * kernel. Objects are content-addressed and cached on disk (see
-     * sim/jit/jit_cache.h) so repeated runs — and DSE worker pools
-     * sharing one cache directory — compile each kernel shape once.
-     * Degrades silently to the interpreted replay tier when the host
-     * has no compiler, compilation fails, or a fault site fires;
-     * results are bit-identical either way (enforced by
-     * tests/test_sim_jit.cc). Default-on (see jitDefault()).
-     */
-    bool jit = jitDefault();
-    /**
-     * Cross-check mode for the jit tier: run the non-jit reference
-     * (which itself still honors checkCompiled/checkSparse, chaining
-     * down to the dense oracle) on a copy of the memory image and the
-     * jit-enabled engine on the real one, compare SimResult
-     * bit-exactly and both address spaces byte-exactly, and return an
-     * Internal error describing the first divergence. Same deadline
-     * caveat as checkSparse.
-     */
-    bool checkJit = false;
+    std::optional<Engine> checkAgainst;
     /** JIT object-cache directory ("" = $DSA_SIM_JIT_DIR, else a
      *  per-uid default under $TMPDIR). */
     std::string jitCacheDir;
     /**
-     * Compile threshold: invoke the compiler only once a machine has
-     * replayed at least this many cycles (cache probes still happen
-     * immediately, so previously compiled kernels load regardless).
-     * 0 compiles eagerly at arm. Default 65536 ($DSA_SIM_JIT_HOT).
+     * Jit compile threshold: invoke the compiler only once a machine
+     * has replayed at least this many cycles (cache probes still
+     * happen immediately, so previously compiled kernels load
+     * regardless). 0 compiles eagerly at arm.
      */
-    int64_t jitHotCycles = jitHotCyclesDefault();
+    int64_t jitHotCycles = 65536;
 };
 
 /** Per-region outcome. */
@@ -219,6 +189,16 @@ struct SimResult
 SimResult simulate(const dfg::DecoupledProgram &prog,
                    const mapper::Schedule &sched, const adg::Adg &adg,
                    MemImage &mem, const SimOptions &opts = {});
+
+/**
+ * First field that differs between a reference run and a checked run,
+ * named with both values where they are short ("" when bit-identical).
+ * Covers everything except the engine accounting counters: status,
+ * error text, cycles, every region's stats, the PE/memory maps, and
+ * both address spaces of the two memory images.
+ */
+std::string firstDivergence(const SimResult &ref, const SimResult &got,
+                            const MemImage &refMem, const MemImage &gotMem);
 
 } // namespace dsa::sim
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "adg/prebuilt.h"
 #include "compiler/compile.h"
 #include "mapper/scheduler.h"
@@ -325,6 +327,73 @@ TEST(Sim, TraceEnvDoesNotChangeResult)
     auto a = runKernel(k, st, adg::buildSoftbrain());
     ASSERT_TRUE(a.ok);
     EXPECT_EQ(a.out.data("c")[3], 8u);
+}
+
+TEST(SimEngine, NamesRoundTrip)
+{
+    for (Engine e :
+         {Engine::Dense, Engine::Sparse, Engine::Compiled, Engine::Jit}) {
+        auto parsed = parseEngine(engineName(e));
+        ASSERT_TRUE(parsed.ok()) << engineName(e);
+        EXPECT_EQ(*parsed, e);
+    }
+}
+
+TEST(SimEngine, UnknownNameRejectedWithAcceptedNames)
+{
+    // Boolean-looking values are not engines: the old per-tier
+    // variables silently ignored everything but "0".
+    for (const char *bad : {"false", "0", "", "Jit", "compile"}) {
+        auto parsed = parseEngine(bad);
+        ASSERT_FALSE(parsed.ok()) << bad;
+        EXPECT_EQ(parsed.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(parsed.status().message().find(
+                      "valid: dense, sparse, compiled, jit"),
+                  std::string::npos)
+            << parsed.status().message();
+    }
+    EXPECT_NE(parseEngine("compile").status().message().find(
+                  "did you mean 'compiled'?"),
+              std::string::npos);
+}
+
+TEST(SimEngine, UnknownEnvironmentEngineIsFatal)
+{
+    // defaultEngine() reads DSA_SIM_ENGINE once per process, so the
+    // check runs in a freshly exec'ed child.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ::setenv("DSA_SIM_ENGINE", "false", 1);
+            SimOptions opts;
+            (void)opts;
+        },
+        ::testing::ExitedWithCode(1),
+        "DSA_SIM_ENGINE: unknown simulator engine 'false'.*"
+        "valid: dense, sparse, compiled, jit");
+}
+
+TEST(SimEngine, FirstDivergenceReportsRegionStats)
+{
+    SimResult ref;
+    ref.ok = true;
+    ref.cycles = 120;
+    ref.regions.resize(2);
+    for (RegionSimStats &r : ref.regions) {
+        r.fires = 16;
+        r.endCycle = 120;
+        r.complete = true;
+        r.state = "complete";
+    }
+    MemImage mem;
+    EXPECT_EQ(firstDivergence(ref, ref, mem, mem), "");
+
+    // Everything else equal: only region 1 fired once more.
+    SimResult got = ref;
+    got.regions[1].fires = 17;
+    std::string diff = firstDivergence(ref, got, mem, mem);
+    EXPECT_NE(diff.find("region 1 stats"), std::string::npos) << diff;
+    EXPECT_NE(diff.find("fires=17"), std::string::npos) << diff;
 }
 
 } // namespace

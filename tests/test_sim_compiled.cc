@@ -1,8 +1,8 @@
 /**
  * @file
  * Compiled-vs-dense simulator equivalence: the compiled steady-state
- * engine (SimOptions::compiled — per-region compute plans plus the
- * period-replay fast path) must produce a bit-identical SimResult and
+ * engine (sim::Engine::Compiled — per-region compute plans plus the
+ * period-replay fast path — and Jit, which builds on it) must produce a bit-identical SimResult and
  * a byte-identical MemImage to the dense oracle loop on every
  * workload, on randomly mutated accelerators, across steady-state /
  * non-steady transitions, and on every abort path. These tests are
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -21,7 +22,6 @@
 #include "compiler/compile.h"
 #include "dse/explorer.h"
 #include "mapper/scheduler.h"
-#include "sim/sim_batch.h"
 #include "sim/simulator.h"
 #include "workloads/workload.h"
 
@@ -99,6 +99,14 @@ expectEngineAccounting(const sim::SimResult &res, const std::string &label)
     EXPECT_GE(res.cyclesReplayed, 0);
 }
 
+/** The compiled side of each comparison: the default engine (Jit, or
+ *  Compiled under DSA_SIM_ENGINE=compiled), never below Compiled. */
+sim::Engine
+compiledEngine(const sim::SimOptions &base)
+{
+    return std::max(base.engine, sim::Engine::Compiled);
+}
+
 /**
  * Compile + schedule @p w on @p hw, then simulate the same scheduled
  * program twice — dense oracle and compiled engine — on independent
@@ -130,17 +138,11 @@ runBothModes(const workloads::Workload &w, const adg::Adg &hw,
         sim::MemImage::build(w.kernel, golden.initial, placement);
 
     sim::SimOptions denseOpts = base;
-    denseOpts.sparse = false;
-    denseOpts.compiled = false;
-    denseOpts.checkSparse = false;
-    denseOpts.checkCompiled = false;
+    denseOpts.engine = sim::Engine::Dense;
     auto denseRes = sim::simulate(prog, sched, hw, denseImg, denseOpts);
 
     sim::SimOptions compiledOpts = base;
-    compiledOpts.sparse = true;
-    compiledOpts.compiled = true;
-    compiledOpts.checkSparse = false;
-    compiledOpts.checkCompiled = false;
+    compiledOpts.engine = compiledEngine(base);
     auto compiledRes =
         sim::simulate(prog, sched, hw, compiledImg, compiledOpts);
 
@@ -213,8 +215,7 @@ TEST(SimCompiled, SteadyStateKernelActuallyReplays)
     ASSERT_TRUE(sched.cost.legal());
     auto img = sim::MemImage::build(w.kernel, golden.initial, placement);
     sim::SimOptions opts;
-    opts.sparse = true;
-    opts.compiled = true;
+    opts.engine = compiledEngine(opts);
     auto res = sim::simulate(lowered.version.program, sched, hw, img,
                              opts);
     ASSERT_TRUE(res.ok) << res.error;
@@ -354,14 +355,12 @@ runAbortCase(const SimSetup &s, const dfg::DecoupledProgram &prog,
     auto compiledImg = sim::MemImage::build(s.k, s.initial, s.placement);
 
     sim::SimOptions denseOpts = base;
-    denseOpts.sparse = false;
-    denseOpts.compiled = false;
+    denseOpts.engine = sim::Engine::Dense;
     auto denseRes =
         sim::simulate(prog, s.sched, s.hw, denseImg, denseOpts);
 
     sim::SimOptions compiledOpts = base;
-    compiledOpts.sparse = true;
-    compiledOpts.compiled = true;
+    compiledOpts.engine = compiledEngine(base);
     auto compiledRes =
         sim::simulate(prog, s.sched, s.hw, compiledImg, compiledOpts);
 
@@ -428,7 +427,7 @@ TEST(SimCompiled, ExpiredDeadlineAbortIdentical)
 }
 
 // ---------------------------------------------------------------------
-// The checkCompiled cross-check knob
+// The checkAgainst = Sparse cross-check
 // ---------------------------------------------------------------------
 
 TEST(SimCompiled, CheckCompiledModePassesOnHealthyRun)
@@ -436,7 +435,8 @@ TEST(SimCompiled, CheckCompiledModePassesOnHealthyRun)
     auto s = makeSimSetup();
     auto img = sim::MemImage::build(s.k, s.initial, s.placement);
     sim::SimOptions opts;
-    opts.checkCompiled = true;
+    opts.engine = sim::Engine::Compiled;
+    opts.checkAgainst = sim::Engine::Sparse;
     auto res = sim::simulate(s.prog, s.sched, s.hw, img, opts);
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_TRUE(res.status.ok());
@@ -456,77 +456,12 @@ TEST(SimCompiled, CheckCompiledCoversAbortPaths)
     auto img = sim::MemImage::build(s.k, s.initial, s.placement);
     sim::SimOptions opts;
     opts.progressWindow = 2'000;
-    opts.checkCompiled = true;
+    opts.engine = sim::Engine::Compiled;
+    opts.checkAgainst = sim::Engine::Sparse;
     auto res = sim::simulate(broken, s.sched, s.hw, img, opts);
     // Divergence would surface as Internal; agreement keeps the real
     // abort reason.
     EXPECT_EQ(res.status.code(), StatusCode::Deadlock) << res.error;
-}
-
-// ---------------------------------------------------------------------
-// Batched multi-design simulation
-// ---------------------------------------------------------------------
-
-TEST(SimCompiled, BatchMatchesIndividualRuns)
-{
-    // simulateBatch shares one arena across jobs; results and memory
-    // images must nevertheless be bit-identical to one simulate() call
-    // per job, including across engine configurations in one batch.
-    struct Prepared
-    {
-        const workloads::Workload *w;
-        workloads::GoldenRun golden;
-        compiler::Placement placement;
-        dfg::DecoupledProgram prog;
-        mapper::Schedule sched;
-        sim::MemImage soloImg;
-        sim::MemImage batchImg;
-        sim::SimOptions opts;
-        sim::SimResult solo;
-    };
-    std::vector<std::unique_ptr<Prepared>> prep;
-    adg::Adg hw = adg::buildDseInitial();
-    auto features = compiler::HwFeatures::fromAdg(hw);
-    int e = 0;
-    for (const char *name : {"mm", "fir", "histogram"}) {
-        const auto &w = workloads::workload(name);
-        auto p = std::make_unique<Prepared>();
-        p->w = &w;
-        p->golden = workloads::runGolden(w);
-        p->placement =
-            compiler::Placement::autoLayout(w.kernel, features);
-        auto lowered = compiler::lowerKernel(w.kernel, p->placement,
-                                             features, {}, 1);
-        ASSERT_TRUE(lowered.ok) << name;
-        p->prog = lowered.version.program;
-        p->sched = mapper::scheduleProgram(p->prog, hw,
-                                           {.maxIters = 400, .seed = 7});
-        ASSERT_TRUE(p->sched.cost.legal()) << name;
-        p->soloImg = sim::MemImage::build(w.kernel, p->golden.initial,
-                                          p->placement);
-        p->batchImg = sim::MemImage::build(w.kernel, p->golden.initial,
-                                           p->placement);
-        // Rotate engines across jobs so one batch mixes all three.
-        p->opts.sparse = e != 0;
-        p->opts.compiled = e == 2;
-        e = (e + 1) % 3;
-        p->solo = sim::simulate(p->prog, p->sched, hw, p->soloImg,
-                                p->opts);
-        prep.push_back(std::move(p));
-    }
-
-    std::vector<sim::SimJob> jobs;
-    for (auto &p : prep)
-        jobs.push_back({&p->prog, &p->sched, &hw, &p->batchImg,
-                        p->opts});
-    auto batch = sim::simulateBatch(jobs);
-    ASSERT_EQ(batch.results.size(), prep.size());
-    ASSERT_EQ(batch.jobMs.size(), prep.size());
-    EXPECT_GT(batch.arenaBytes, 0u);
-    for (size_t i = 0; i < prep.size(); ++i)
-        expectIdentical(prep[i]->solo, batch.results[i],
-                        prep[i]->soloImg, prep[i]->batchImg,
-                        std::string("batch job ") + prep[i]->w->name);
 }
 
 } // namespace

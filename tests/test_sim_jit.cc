@@ -1,7 +1,7 @@
 /**
  * @file
  * JIT-tier simulator tests: the runtime-code-generation engine
- * (SimOptions::jit — the armed period program lowered to C++, compiled
+ * (sim::Engine::Jit — the armed period program lowered to C++, compiled
  * into a fingerprint-manifested shared object, replay chunks executed
  * natively) must produce a bit-identical SimResult and byte-identical
  * MemImage to the dense oracle on every workload, and must *degrade*
@@ -219,17 +219,13 @@ runOnce(const SimSetup &s, const sim::SimOptions &opts,
     return sim::simulate(s.prog, s.sched, s.hw, img, opts);
 }
 
-/** Jit-tier options: compile eagerly into @p cacheDir, all
- *  cross-checks off (the tests compare engines themselves). */
+/** Jit-engine options: compile eagerly into @p cacheDir, no
+ *  cross-check (the tests compare engines themselves). */
 sim::SimOptions
 jitOpts(const std::string &cacheDir, sim::SimOptions base = {})
 {
-    base.sparse = true;
-    base.compiled = true;
-    base.jit = true;
-    base.checkSparse = false;
-    base.checkCompiled = false;
-    base.checkJit = false;
+    base.engine = sim::Engine::Jit;
+    base.checkAgainst.reset();
     base.jitCacheDir = cacheDir;
     base.jitHotCycles = 0; // compile immediately, not at a threshold
     return base;
@@ -238,12 +234,8 @@ jitOpts(const std::string &cacheDir, sim::SimOptions base = {})
 sim::SimOptions
 denseOpts(sim::SimOptions base = {})
 {
-    base.sparse = false;
-    base.compiled = false;
-    base.jit = false;
-    base.checkSparse = false;
-    base.checkCompiled = false;
-    base.checkJit = false;
+    base.engine = sim::Engine::Dense;
+    base.checkAgainst.reset();
     return base;
 }
 
@@ -335,8 +327,8 @@ TEST(SimJit, SteadyStateKernelActuallyRunsNative)
 
 TEST(SimJit, CheckJitCrossCheckPassesOnFig10Targets)
 {
-    // The in-simulator cross-check (SimOptions::checkJit) replays the
-    // run on a shadow image with the jit tier disabled and demands
+    // The in-simulator cross-check (checkAgainst = Compiled) replays
+    // the run on a shadow image with the jit tier disabled and demands
     // byte identity; here it must pass across the Fig. 10 targets.
     std::string dir = freshDir("check");
     sim::SimOptions base;
@@ -348,13 +340,47 @@ TEST(SimJit, CheckJitCrossCheckPassesOnFig10Targets)
         if (!s.ready)
             continue;
         auto opts = jitOpts(dir, base);
-        opts.checkJit = true;
+        opts.checkAgainst = sim::Engine::Compiled;
         sim::MemImage img;
         auto res = runOnce(s, opts, img);
         EXPECT_TRUE(res.ok) << w.name << ": " << res.error;
         ++covered;
     }
     EXPECT_GE(covered, 3);
+    rmTree(dir);
+}
+
+TEST(SimJit, EveryCheckedEnginePairMatchesUncheckedRun)
+{
+    // checkAgainst runs the reference engine on a shadow image; with
+    // every engine pair agreeing, a checked run must be ok and return
+    // exactly what the unchecked engine returns on its own.
+    const sim::Engine engines[] = {sim::Engine::Dense, sim::Engine::Sparse,
+                                   sim::Engine::Compiled,
+                                   sim::Engine::Jit};
+    std::string dir = freshDir("pairs");
+    for (const char *name : {"mm", "fir"}) {
+        const auto &w = workloads::workload(name);
+        auto s = prepare(w, buildTarget(w.fig10Target), 400);
+        ASSERT_TRUE(s.ready) << name;
+        for (sim::Engine e : engines) {
+            auto opts = jitOpts(dir);
+            opts.engine = e;
+            sim::MemImage plainImg;
+            auto plain = runOnce(s, opts, plainImg);
+            ASSERT_TRUE(plain.ok) << name << ": " << plain.error;
+            for (sim::Engine ref : engines) {
+                std::string label = std::string(name) + " " +
+                                    sim::engineName(e) + " checked against " +
+                                    sim::engineName(ref);
+                opts.checkAgainst = ref;
+                sim::MemImage checkedImg;
+                auto checked = runOnce(s, opts, checkedImg);
+                EXPECT_TRUE(checked.ok) << label << ": " << checked.error;
+                expectIdentical(plain, checked, plainImg, checkedImg, label);
+            }
+        }
+    }
     rmTree(dir);
 }
 
@@ -714,7 +740,6 @@ runJitDse(int workers, const std::string &cacheDir)
     o.workers = workers;
     o.simValidateBest = true;
     o.sim.jitCacheDir = cacheDir;
-    o.sim.jitHotCycles = 0;
     dse::Explorer ex(set, o);
     return ex.run(adg::buildDseInitial());
 }
@@ -769,15 +794,7 @@ jitSimChildMain(const std::string &cacheDir)
         return 2;
     auto img = sim::MemImage::build(w.kernel, golden.initial, placement);
 
-    sim::SimOptions opts;
-    opts.sparse = true;
-    opts.compiled = true;
-    opts.jit = true;
-    opts.checkSparse = false;
-    opts.checkCompiled = false;
-    opts.checkJit = false;
-    opts.jitCacheDir = cacheDir;
-    opts.jitHotCycles = 0;
+    sim::SimOptions opts = jitOpts(cacheDir);
     auto res =
         sim::simulate(lowered.version.program, sched, hw, img, opts);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Sparse-vs-dense simulator equivalence: the event-driven fast path
- * (SimOptions::sparse) must produce a bit-identical SimResult and a
+ * (sim::Engine::Sparse and the engines built on it) must produce a bit-identical SimResult and a
  * byte-identical MemImage to the dense oracle loop on every workload,
  * on randomly mutated accelerators, and on every abort path (cycle
  * limit, deadlock watchdog, wall-clock deadline). These tests are the
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -76,6 +77,14 @@ expectIdentical(const sim::SimResult &dense, const sim::SimResult &sparse,
     EXPECT_EQ(denseMem.spad.bytes(), sparseMem.spad.bytes());
 }
 
+/** The event-driven side of each comparison: the default engine, or
+ *  Sparse when DSA_SIM_ENGINE pins the default to Dense. */
+sim::Engine
+fastEngine(const sim::SimOptions &base)
+{
+    return std::max(base.engine, sim::Engine::Sparse);
+}
+
 /**
  * Compile + schedule @p w on @p hw, then simulate the same scheduled
  * program twice — dense oracle and sparse fast path — on independent
@@ -107,13 +116,11 @@ runBothModes(const workloads::Workload &w, const adg::Adg &hw,
         sim::MemImage::build(w.kernel, golden.initial, placement);
 
     sim::SimOptions denseOpts = base;
-    denseOpts.sparse = false;
-    denseOpts.checkSparse = false;
+    denseOpts.engine = sim::Engine::Dense;
     auto denseRes = sim::simulate(prog, sched, hw, denseImg, denseOpts);
 
     sim::SimOptions sparseOpts = base;
-    sparseOpts.sparse = true;
-    sparseOpts.checkSparse = false;
+    sparseOpts.engine = fastEngine(base);
     auto sparseRes =
         sim::simulate(prog, sched, hw, sparseImg, sparseOpts);
 
@@ -257,12 +264,12 @@ runAbortCase(const SimSetup &s, const dfg::DecoupledProgram &prog,
     auto sparseImg = sim::MemImage::build(s.k, s.initial, s.placement);
 
     sim::SimOptions denseOpts = base;
-    denseOpts.sparse = false;
+    denseOpts.engine = sim::Engine::Dense;
     auto denseRes =
         sim::simulate(prog, s.sched, s.hw, denseImg, denseOpts);
 
     sim::SimOptions sparseOpts = base;
-    sparseOpts.sparse = true;
+    sparseOpts.engine = fastEngine(base);
     auto sparseRes =
         sim::simulate(prog, s.sched, s.hw, sparseImg, sparseOpts);
 
@@ -340,7 +347,7 @@ TEST(SimSparse, ExpiredDeadlineAbortIdentical)
 }
 
 // ---------------------------------------------------------------------
-// The checkSparse cross-check knob
+// The checkAgainst = Dense cross-check
 // ---------------------------------------------------------------------
 
 TEST(SimSparse, CheckSparseModePassesOnHealthyRun)
@@ -348,7 +355,8 @@ TEST(SimSparse, CheckSparseModePassesOnHealthyRun)
     auto s = makeSimSetup();
     auto img = sim::MemImage::build(s.k, s.initial, s.placement);
     sim::SimOptions opts;
-    opts.checkSparse = true;
+    opts.engine = sim::Engine::Sparse;
+    opts.checkAgainst = sim::Engine::Dense;
     auto res = sim::simulate(s.prog, s.sched, s.hw, img, opts);
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_TRUE(res.status.ok());
@@ -367,7 +375,8 @@ TEST(SimSparse, CheckSparseCoversAbortPaths)
     auto img = sim::MemImage::build(s.k, s.initial, s.placement);
     sim::SimOptions opts;
     opts.progressWindow = 2'000;
-    opts.checkSparse = true;
+    opts.engine = sim::Engine::Sparse;
+    opts.checkAgainst = sim::Engine::Dense;
     auto res = sim::simulate(broken, s.sched, s.hw, img, opts);
     // Divergence would surface as Internal; agreement keeps the real
     // abort reason.

@@ -641,19 +641,13 @@ usage()
         "usage: dsagen <command> [...]\n"
         "  list-workloads | list-targets | show-adg <target>\n"
         "  compile <workload> <target> [unroll]\n"
-        "  run <workload> <target> [unroll] [--dense-sim]\n"
-        "      [--check-sparse] [--check-compiled] [--sim-stats]\n"
-        "      --dense-sim        use the dense oracle simulator loop\n"
-        "                         (DSA_SIM_SPARSE=0 flips the default)\n"
-        "      --check-sparse     run both loops and cross-check them\n"
-        "      --compiled-sim     force the compiled steady-state tier\n"
-        "      --no-compiled-sim  interpreted event-driven loop only\n"
-        "                         (DSA_SIM_COMPILED=0 flips the default)\n"
-        "      --check-compiled   cross-check compiled vs interpreted\n"
-        "      --no-jit-sim       disable runtime code generation for\n"
-        "                         steady-state replay (DSA_SIM_JIT=0\n"
-        "                         flips the default)\n"
-        "      --check-jit        cross-check jit vs interpreted replay\n"
+        "  run <workload> <target> [unroll] [--sim-engine <engine>]\n"
+        "      [--check-sim <engine>] [--sim-stats]\n"
+        "      engines, slowest to fastest: dense, sparse, compiled, jit\n"
+        "      --sim-engine <e>   simulator engine (default jit;\n"
+        "                         DSA_SIM_ENGINE flips the default)\n"
+        "      --check-sim <e>    also run reference engine e on a copy\n"
+        "                         of memory; fail on any divergence\n"
         "      --sim-stats        per-engine wall-cycle breakdown\n"
         "                         (compiled / replayed / jit-native /\n"
         "                         interpreted / skipped) + jit object\n"
@@ -685,9 +679,9 @@ usage()
         "      --sched-stats            print scheduler/routing counters\n"
         "                               (route cache, A*, shared trees,\n"
         "                               landmark cache) after the run\n"
-        "      --validate-sim           batch-simulate the best design\n"
-        "                               dense/sparse/compiled/jit and\n"
-        "                               cross-check the four bit-exactly\n"
+        "      --validate-sim           simulate the best design on every\n"
+        "                               engine, check each against dense\n"
+        "                               and report dense/jit speedups\n"
         "      --pareto                 multi-objective search: keep a\n"
         "                               (perf, area, power) Pareto front\n"
         "                               and accept by hypervolume gain\n"
@@ -743,26 +737,22 @@ try {
         sim::SimOptions simOpts;
         for (int i = 4; i < argc; ++i) {
             std::string a = argv[i];
-            if (a == "--dense-sim")
-                simOpts.sparse = false;
-            else if (a == "--check-sparse")
-                simOpts.checkSparse = true;
-            else if (a == "--compiled-sim")
-                simOpts.compiled = true;
-            else if (a == "--no-compiled-sim")
-                simOpts.compiled = false;
-            else if (a == "--check-compiled")
-                simOpts.checkCompiled = true;
-            else if (a == "--jit-sim")
-                simOpts.jit = true;
-            else if (a == "--no-jit-sim")
-                simOpts.jit = false;
-            else if (a == "--check-jit")
-                simOpts.checkJit = true;
-            else if (a == "--sim-stats")
+            if (a == "--sim-engine" || a == "--check-sim") {
+                if (i + 1 >= argc)
+                    throw StatusException(Status::invalidArgument(
+                        a + " needs an engine name"));
+                Result<sim::Engine> e = sim::parseEngine(argv[++i]);
+                if (!e.ok())
+                    throw StatusException(e.status());
+                if (a == "--sim-engine")
+                    simOpts.engine = *e;
+                else
+                    simOpts.checkAgainst = *e;
+            } else if (a == "--sim-stats") {
                 simStats = true;
-            else
+            } else {
                 unroll = std::atoi(a.c_str());
+            }
         }
         return cmdRun(argv[2], argv[3], unroll, simOpts, simStats);
     }
