@@ -139,9 +139,7 @@ main(int argc, char **argv)
         base.candidateBatch = batch;
 
         dse::DseOptions cold = base;
-        cold.evalCache = false;
-        cold.compileCache = false;
-        cold.costMemo = false;
+        cold.memoize = false;
         cold.dedupBatch = false;
 
         // The cold cached run checkpoints so its eval cache persists;

@@ -36,7 +36,9 @@ echo "== tier-1: concurrency + incremental-scheduler tests under ThreadSanitizer
 # fixed-order reduction, and the shared landmark table is read
 # concurrently by every chain — the chains=1 bit-identity and
 # thread-count determinism guarantees hold only if none of that
-# per-chain state leaks across threads.
+# per-chain state leaks across threads. The scheduler regexes also
+# match the *_nocache ctest names, which re-run just the suites'
+# checkIncremental/checkRoutes oracle tests.
 cmake -B build-tsan -S . -DDSA_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j "$JOBS" \

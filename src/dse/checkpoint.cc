@@ -161,9 +161,7 @@ optionsToJson(const DseOptions &o)
             Value::number(static_cast<int64_t>(o.checkpointEvery)));
     doc.set("wallBudgetMs", Value::number(o.wallBudgetMs));
     doc.set("candidateTimeMs", Value::number(o.candidateTimeMs));
-    doc.set("evalCache", Value::boolean(o.evalCache));
-    doc.set("compileCache", Value::boolean(o.compileCache));
-    doc.set("costMemo", Value::boolean(o.costMemo));
+    doc.set("memoize", Value::boolean(o.memoize));
     doc.set("dedupBatch", Value::boolean(o.dedupBatch));
     doc.set("checkCostOracle", Value::boolean(o.checkCostOracle));
     doc.set("pareto", Value::boolean(o.pareto));
@@ -662,11 +660,12 @@ optionsFromJson(Reader &rd, const Value &doc)
     o.candidateTimeMs = rd.getInt(doc, "candidateTimeMs", "options");
     // Memoization toggles postdate the first version-1 checkpoints;
     // missing fields fall back to the defaults (results are identical
-    // with the caches on or off, so the fallback is safe).
-    o.evalCache = rd.getBoolOr(doc, "evalCache", o.evalCache, "options");
-    o.compileCache =
-        rd.getBoolOr(doc, "compileCache", o.compileCache, "options");
-    o.costMemo = rd.getBoolOr(doc, "costMemo", o.costMemo, "options");
+    // with the caches on or off, so the fallback is safe). Files
+    // written before `memoize` carry three per-layer switches that
+    // every caller set together; the first of them stands for all.
+    o.memoize = rd.getBoolOr(
+        doc, "memoize",
+        rd.getBoolOr(doc, "evalCache", o.memoize, "options"), "options");
     o.dedupBatch = rd.getBoolOr(doc, "dedupBatch", o.dedupBatch, "options");
     o.checkCostOracle =
         rd.getBoolOr(doc, "checkCostOracle", o.checkCostOracle, "options");

@@ -65,7 +65,7 @@ Explorer::Explorer(std::vector<const workloads::Workload *> wls,
     if (opts_.schedChains > 1)
         chainPool_ = std::make_unique<ThreadPool>(
             std::min(opts_.schedChains, ThreadPool::hardwareThreads()));
-    if (opts_.compileCache)
+    if (opts_.memoize)
         compileCache_ = std::make_unique<compiler::CompileCache>();
 
     // Everything evaluateDesign reads besides (design, repair cache,
@@ -123,13 +123,13 @@ Explorer::priceFabric(const Adg &adg, bool tryIncremental)
 {
     const auto &model = model::AreaPowerModel::instance();
     model::ComponentCost cost;
-    if (!opts_.costMemo)
+    if (!opts_.memoize)
         cost = model.fabric(adg);
     else if (tryIncremental && pricer_.bound())
         cost = pricer_.price(adg);
     else
         cost = model::fabricMemo(model, adg, costMemo_);
-    if (opts_.checkCostOracle && opts_.costMemo) {
+    if (opts_.checkCostOracle && opts_.memoize) {
         model::ComponentCost oracle = model.fabric(adg);
         DSA_ASSERT(cost.areaMm2 == oracle.areaMm2 &&
                        cost.powerMw == oracle.powerMw,
@@ -345,13 +345,9 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
     // every task schedules onto the same fabric, so hoisting the
     // shared table keeps pool workers off the cache mutex (and off
     // the per-construction fingerprint hash).
-    std::shared_ptr<const mapper::LandmarkTable> sharedLandmarks;
-    {
-        mapper::SchedOptions defaults;
-        if (defaults.routeFastPath)
-            sharedLandmarks = mapper::landmarksFor(
-                adg, defaults.routeBaseCost, defaults.routePePassCost);
-    }
+    std::shared_ptr<const mapper::LandmarkTable> sharedLandmarks =
+        mapper::landmarksFor(adg, mapper::SchedOptions::routeBaseCost,
+                             mapper::SchedOptions::routePePassCost);
 
     pool_->parallelFor(tasks.size(), [&](size_t t) {
         const Task &task = tasks[t];
@@ -845,7 +841,7 @@ Explorer::run(const Adg &initial, std::shared_ptr<EvalCache> warmCache)
     DseRunState st;
     st.rng = Rng(opts_.seed);
     st.current = initial;
-    if (opts_.evalCache)
+    if (opts_.memoize)
         st.evalCache =
             warmCache ? std::move(warmCache) : std::make_shared<EvalCache>();
     // Warm before the very first evaluation: entries other processes
@@ -921,7 +917,7 @@ DseResult
 Explorer::resume(DseRunState state)
 {
     try {
-        if (opts_.evalCache && !state.evalCache)
+        if (opts_.memoize && !state.evalCache)
             state.evalCache = std::make_shared<EvalCache>();
         if (state.evalCache)
             warmFromStore(*state.evalCache);
@@ -957,9 +953,9 @@ Explorer::runLoop(DseRunState &st)
 
     // Resume of a pre-cache checkpoint (or a run() that raced an
     // option change): make sure the cache exists iff enabled.
-    if (opts_.evalCache && !st.evalCache)
+    if (opts_.memoize && !st.evalCache)
         st.evalCache = std::make_shared<EvalCache>();
-    EvalCache *evalCache = opts_.evalCache ? st.evalCache.get() : nullptr;
+    EvalCache *evalCache = opts_.memoize ? st.evalCache.get() : nullptr;
 
     if (opts_.workers > 0 && !workerPool_) {
         WorkerPoolOptions wo;
@@ -991,7 +987,7 @@ Explorer::runLoop(DseRunState &st)
 
     // The incremental pricer is parent-relative: (re)bind it to the
     // design the batch mutates from, here and on every accepted step.
-    if (opts_.costMemo)
+    if (opts_.memoize)
         pricer_.bind(st.current, model::AreaPowerModel::instance(),
                      costMemo_);
 
@@ -1264,7 +1260,7 @@ Explorer::runLoop(DseRunState &st)
             st.current = std::move(c.adg);
             st.schedules = std::move(c.cache);
             st.curObj = c.objective;
-            if (opts_.costMemo)
+            if (opts_.memoize)
                 pricer_.bind(st.current,
                              model::AreaPowerModel::instance(), costMemo_);
             if (c.objective > result.bestObjective) {

@@ -236,34 +236,31 @@ struct DseOptions
     /// @}
 
     /// @name Evaluation memoization
-    /// All four fast paths preserve bit-identical exploration results
-    /// (same best design, objective trajectory, checkpoints, and
-    /// resume behaviour); the flags exist for benchmarking the caches
-    /// against the always-recompute baseline and for the equivalence
-    /// tests that enforce that guarantee.
+    /// Both switches preserve bit-identical exploration results (same
+    /// best design, objective trajectory, checkpoints, and resume
+    /// behaviour); turning them off gives the always-recompute
+    /// reference that benchmarks and the equivalence tests compare
+    /// the memoized run against.
     /// @{
     /**
-     * Memoize whole evaluateDesign outcomes by (canonical ADG
-     * fingerprint, labeling hash, evaluation-context hash); revisited
-     * designs replay the stored per-task outcomes instead of
-     * re-running compile + schedule + estimate. Persisted through
-     * checkpoints so a resumed run does not re-pay warm-up.
+     * Memoize evaluation work at three levels:
+     *  - whole evaluateDesign outcomes, keyed by (canonical ADG
+     *    fingerprint, labeling hash, evaluation-context hash):
+     *    revisited designs replay the stored per-task outcomes instead
+     *    of re-running compile + schedule + estimate. Persisted through
+     *    checkpoints (DseRunState::evalCache) so a resumed run does not
+     *    re-pay warm-up;
+     *  - Placement::autoLayout and lowerKernel results, shared across
+     *    candidates keyed by (HwFeatures fingerprint, kernel, unroll),
+     *    since most mutations do not change HwFeatures. Process-local
+     *    (rebuilt on demand after resume);
+     *  - per-component area/power by parameter signature, pricing
+     *    mutated candidates against the parent design instead of
+     *    walking + re-predicting the whole fabric. Totals re-sum in
+     *    the oracle's exact order, so they are bit-identical to
+     *    fabric().
      */
-    bool evalCache = true;
-    /**
-     * Share Placement::autoLayout and lowerKernel results across
-     * candidates keyed by (HwFeatures fingerprint, kernel, unroll) —
-     * most mutations do not change HwFeatures. Process-local (not
-     * checkpointed; rebuilt on demand after resume).
-     */
-    bool compileCache = true;
-    /**
-     * Memoize per-component area/power by parameter signature and
-     * price mutated candidates against the parent design instead of
-     * walking + re-predicting the whole fabric. Totals re-sum in the
-     * oracle's exact order, so they are bit-identical to fabric().
-     */
-    bool costMemo = true;
+    bool memoize = true;
     /**
      * Collapse batch mutants with identical (structural, labeling)
      * keys to one evaluation; duplicates copy the leader's outcome.
@@ -452,7 +449,7 @@ struct DseRunState
     ParetoFront front;
     DseResult result;          ///< best-so-far + trace, grown in place
     /**
-     * Design-level evaluation cache (null when DseOptions::evalCache
+     * Design-level evaluation cache (null when DseOptions::memoize
      * is off). Entries are pure functions of their key, so the cache
      * never influences results — only how often they are recomputed —
      * but it *is* part of the checkpoint so resume keeps its warm-up.
@@ -478,7 +475,7 @@ class Explorer
      * a deterministic replay of a completed exploration then hits on
      * every evaluation and skips all compile + schedule work, without
      * changing a single bit of the produced trace. Ignored when
-     * DseOptions::evalCache is off.
+     * DseOptions::memoize is off.
      */
     DseResult run(const adg::Adg &initial,
                   std::shared_ptr<EvalCache> warmCache = nullptr);
@@ -612,9 +609,9 @@ class Explorer
     mutable std::mutex schedStatsMu_;
     /** Context-hash component covering workloads + eval options. */
     uint64_t workloadSig_ = 0;
-    /** Placement/lowering cache (null when opts_.compileCache off). */
+    /** Placement/lowering cache (null when opts_.memoize is off). */
     std::unique_ptr<compiler::CompileCache> compileCache_;
-    /** Per-component cost flyweight table (used when opts_.costMemo). */
+    /** Per-component cost flyweight table (used when opts_.memoize). */
     model::ComponentCostMemo costMemo_;
     /** Parent-relative fabric pricer, rebound on every accepted step. */
     model::IncrementalFabricCost pricer_;

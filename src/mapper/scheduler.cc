@@ -1,7 +1,6 @@
 #include "mapper/scheduler.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <queue>
 #include <set>
 
@@ -26,16 +25,6 @@ using dfg::StreamKind;
 using dfg::Vertex;
 using dfg::VertexId;
 using dfg::VertexKind;
-
-bool
-routeFastPathDefault()
-{
-    static const bool on = [] {
-        const char *env = std::getenv("DSA_SCHED_ROUTECACHE");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
-    return on;
-}
 
 void
 SchedStats::merge(const SchedStats &o)
@@ -80,11 +69,10 @@ SpatialScheduler::SpatialScheduler(const dfg::DecoupledProgram &prog,
         }
     }
     buildStaticTables();
-    if (opts_.routeFastPath)
-        landmarks_ = opts_.landmarks
-            ? opts_.landmarks
-            : landmarksFor(adg_, opts_.routeBaseCost,
-                           opts_.routePePassCost);
+    landmarks_ = opts_.landmarks
+        ? opts_.landmarks
+        : landmarksFor(adg_, SchedOptions::routeBaseCost,
+                       SchedOptions::routePePassCost);
 }
 
 void
@@ -351,7 +339,22 @@ struct HeapAfter
     }
 };
 
+/** Distance of a node no search has reached. */
+constexpr double kInf = 1e18;
+
 } // namespace
+
+inline double
+SpatialScheduler::edgeCost(int group, EdgeId e, const ValueKey &value) const
+{
+    int used = tracker_.distinctOnEdge(group, e);
+    if (used == 0)
+        return SchedOptions::routeBaseCost;
+    return tracker_.valueOnEdge(group, e, value)
+        ? SchedOptions::routeReuseCost
+        : SchedOptions::routeBaseCost +
+              SchedOptions::routeCongestSlope * used;
+}
 
 Route
 SpatialScheduler::dijkstra(const Schedule &s, NodeId from, NodeId to,
@@ -363,12 +366,10 @@ SpatialScheduler::dijkstra(const Schedule &s, NodeId from, NodeId to,
     if (!opts_.incremental)
         tracker_.rebuild(s);
     ++stats_.routeCalls;
-    if (!opts_.routeFastPath)
-        return searchDijkstra(from, to, dynFlow, value, group);
 
-    // Fast path: exact route cache, then landmark-guided A*. The
-    // tracker's content hash pins the group's entire edge-usage state,
-    // so a matching entry would be recomputed identically; it returns
+    // First layer: the exact route cache. The tracker's content hash
+    // pins the group's entire edge-usage state, so a matching entry
+    // would be recomputed identically; the hash returns
     // to prior values when the state does (probe place/unplace round
     // trips, stalled annealing), which is where the hits come from.
     uint64_t stateHash = tracker_.routeStateHash(group);
@@ -393,7 +394,8 @@ SpatialScheduler::dijkstra(const Schedule &s, NodeId from, NodeId to,
                 buildSsspTree(from, dynFlow, value, group, &se);
             else
                 ++stats_.ssspHits;
-            out = backtrackTree(se, from, to);
+            if (se.dist[to] < kInf)
+                out = backtrack(se.via.data(), from, to);
         } else {
             se.key = skey;
             se.stateHash = stateHash;
@@ -443,7 +445,6 @@ SpatialScheduler::searchDijkstra(NodeId from, NodeId to, bool dynFlow,
     // switches (and delay elements for static flows) as intermediates.
     // dist_/via_ are epoch-stamped: a slot is live only if its stamp
     // matches the current epoch, so no O(nodes) clear per call.
-    const double kInf = 1e18;
     if (++dijkstraEpoch_ == 0) {
         std::fill(nodeStamp_.begin(), nodeStamp_.end(), 0);
         dijkstraEpoch_ = 1;
@@ -476,15 +477,10 @@ SpatialScheduler::searchDijkstra(NodeId from, NodeId to, bool dynFlow,
             // the historical liveness check too.
             if (m != to && !(nodeFlags_[m] & passMask))
                 continue;
-            double c = opts_.routeBaseCost;
-            int used = tracker_.distinctOnEdge(group, e);
-            if (used > 0)
-                c = tracker_.valueOnEdge(group, e, value)
-                    ? opts_.routeReuseCost
-                    : opts_.routeBaseCost + opts_.routeCongestSlope * used;
+            double c = edgeCost(group, e, value);
             // Passing through a PE burns an instruction slot.
             if (m != to && (nodeFlags_[m] & kIsPe))
-                c += opts_.routePePassCost;
+                c += SchedOptions::routePePassCost;
             touch(m);
             if (dist_[n] + c < dist_[m]) {
                 dist_[m] = dist_[n] + c;
@@ -496,7 +492,7 @@ SpatialScheduler::searchDijkstra(NodeId from, NodeId to, bool dynFlow,
     }
     if (nodeStamp_[to] != dijkstraEpoch_ || dist_[to] >= kInf)
         return {};
-    return backtrack(from, to);
+    return backtrack(via_.data(), from, to);
 }
 
 Route
@@ -521,7 +517,6 @@ SpatialScheduler::searchAstar(NodeId from, NodeId to, bool dynFlow,
     // reuse discount prices an edge below the static metric), so a
     // popped node reopens when its g later improves — handled by the
     // same lazy re-push discipline Dijkstra already uses.
-    const double kInf = 1e18;
     const double kCut = LandmarkTable::kUnreach / 2;
     const LandmarkTable &lm = *landmarks_;
 
@@ -532,10 +527,11 @@ SpatialScheduler::searchAstar(NodeId from, NodeId to, bool dynFlow,
     // needs neither correction — it already prices both.
     double corr = 0.0;
     if (!exactH) {
-        corr = (nodeFlags_[to] & kIsPe) ? opts_.routePePassCost : 0.0;
-        corr +=
-            std::max(0.0, (opts_.routeBaseCost - opts_.routeReuseCost) *
-                              tracker_.edgesCarrying(group, value));
+        corr = (nodeFlags_[to] & kIsPe) ? SchedOptions::routePePassCost
+                                        : 0.0;
+        corr += std::max(0.0, (SchedOptions::routeBaseCost -
+                               SchedOptions::routeReuseCost) *
+                                  tracker_.edgesCarrying(group, value));
         // A value already spread across many edges discounts the bound
         // to zero at every reachable node; A* would just be Dijkstra
         // paying a landmark scan per touch, so run the real thing
@@ -591,14 +587,9 @@ SpatialScheduler::searchAstar(NodeId from, NodeId to, bool dynFlow,
             NodeId m = edgeDst_[e];
             if (m != to && !(nodeFlags_[m] & passMask))
                 continue;
-            double c = opts_.routeBaseCost;
-            int used = tracker_.distinctOnEdge(group, e);
-            if (used > 0)
-                c = tracker_.valueOnEdge(group, e, value)
-                    ? opts_.routeReuseCost
-                    : opts_.routeBaseCost + opts_.routeCongestSlope * used;
+            double c = edgeCost(group, e, value);
             if (m != to && (nodeFlags_[m] & kIsPe))
-                c += opts_.routePePassCost;
+                c += SchedOptions::routePePassCost;
             touch(m);
             if (hVal_[m] >= kCut)
                 continue;
@@ -628,7 +619,7 @@ SpatialScheduler::searchAstar(NodeId from, NodeId to, bool dynFlow,
     }
     if (nodeStamp_[to] != dijkstraEpoch_ || dist_[to] >= kInf)
         return {};
-    return backtrack(from, to);
+    return backtrack(via_.data(), from, to);
 }
 
 void
@@ -651,7 +642,6 @@ SpatialScheduler::buildSsspTree(NodeId from, bool dynFlow,
     //    switches/PEs) are relaxed into — they are legal targets —
     //    but never expanded, exactly like the targeted runs.
     ++stats_.ssspBuilds;
-    const double kInf = 1e18;
     if (++dijkstraEpoch_ == 0) {
         std::fill(nodeStamp_.begin(), nodeStamp_.end(), 0);
         dijkstraEpoch_ = 1;
@@ -682,14 +672,9 @@ SpatialScheduler::buildSsspTree(NodeId from, bool dynFlow,
             NodeId m = edgeDst_[e];
             if (!(nodeFlags_[m] & kAlive))
                 continue;
-            double c = opts_.routeBaseCost;
-            int used = tracker_.distinctOnEdge(group, e);
-            if (used > 0)
-                c = tracker_.valueOnEdge(group, e, value)
-                    ? opts_.routeReuseCost
-                    : opts_.routeBaseCost + opts_.routeCongestSlope * used;
+            double c = edgeCost(group, e, value);
             if (nodeFlags_[m] & kIsPe)
-                c += opts_.routePePassCost;
+                c += SchedOptions::routePePassCost;
             touch(m);
             if (dist_[n] + c < dist_[m]) {
                 dist_[m] = dist_[n] + c;
@@ -711,29 +696,6 @@ SpatialScheduler::buildSsspTree(NodeId from, bool dynFlow,
     entry->full = true;
 }
 
-Route
-SpatialScheduler::backtrackTree(const SsspEntry &entry, NodeId from,
-                                NodeId to) const
-{
-    if (entry.dist[to] >= 1e18)
-        return {};
-    size_t len = 0;
-    for (NodeId cur = to; cur != from;) {
-        EdgeId e = entry.via[cur];
-        DSA_ASSERT(e != adg::kInvalidEdge, "broken sssp backtrack");
-        ++len;
-        cur = edgeSrc_[e];
-    }
-    Route route(len);
-    NodeId cur = to;
-    for (size_t i = len; i-- > 0;) {
-        EdgeId e = entry.via[cur];
-        route[i] = e;
-        cur = edgeSrc_[e];
-    }
-    return route;
-}
-
 void
 SpatialScheduler::buildReverseDist(NodeId to, bool dynFlow,
                                    const ValueKey &value, int group,
@@ -751,7 +713,6 @@ SpatialScheduler::buildReverseDist(NodeId to, bool dynFlow,
     // unreachable, making it both an admissible heuristic and an exact
     // unreachability oracle for searchAstar.
     ++stats_.revBuilds;
-    const double kInf = 1e18;
     entry->dist.assign(nodeStamp_.size(), kInf);
     auto &dist = entry->dist;
     const uint8_t passMask = dynFlow ? kPassDyn : kPassStatic;
@@ -772,14 +733,9 @@ SpatialScheduler::buildReverseDist(NodeId to, bool dynFlow,
             NodeId u = edgeSrc_[e];
             if (!(nodeFlags_[u] & kAlive))
                 continue;
-            double c = opts_.routeBaseCost;
-            int used = tracker_.distinctOnEdge(group, e);
-            if (used > 0)
-                c = tracker_.valueOnEdge(group, e, value)
-                    ? opts_.routeReuseCost
-                    : opts_.routeBaseCost + opts_.routeCongestSlope * used;
+            double c = edgeCost(group, e, value);
             if (m != to && (nodeFlags_[m] & kIsPe))
-                c += opts_.routePePassCost;
+                c += SchedOptions::routePePassCost;
             double nd = dist[m] + c;
             if (nd < dist[u]) {
                 dist[u] = nd;
@@ -803,19 +759,19 @@ SpatialScheduler::SsspKeyHash::operator()(const SsspKey &k) const
 }
 
 Route
-SpatialScheduler::backtrack(NodeId from, NodeId to) const
+SpatialScheduler::backtrack(const EdgeId *via, NodeId from, NodeId to) const
 {
     size_t len = 0;
     for (NodeId cur = to; cur != from;) {
-        EdgeId e = via_[cur];
-        DSA_ASSERT(e != adg::kInvalidEdge, "broken dijkstra backtrack");
+        EdgeId e = via[cur];
+        DSA_ASSERT(e != adg::kInvalidEdge, "broken route backtrack");
         ++len;
         cur = edgeSrc_[e];
     }
     Route route(len);
     NodeId cur = to;
     for (size_t i = len; i-- > 0;) {
-        EdgeId e = via_[cur];
+        EdgeId e = via[cur];
         route[i] = e;
         cur = edgeSrc_[e];
     }
@@ -1592,10 +1548,11 @@ SpatialScheduler::fillUnplaced(Schedule &s)
             int tried = 0;
             // Probe-scan memo: the annealer's rip-up / refill loop
             // revisits the same states constantly once near-converged,
-            // and the scan is a pure function of the placement state,
-            // so an exact-state repeat can reuse the previous winner.
-            // The membership check makes a (astronomically unlikely)
-            // hash collision degrade to a full scan, never a bogus
+            // and a repeated state deterministically reuses the last
+            // winner instead of scanning a fresh shuffle (search
+            // policy, not an exact cache; see probeMemo_). The
+            // membership check makes a (astronomically unlikely) hash
+            // collision degrade to a full scan, never a bogus
             // placement.
             size_t slotIdx =
                 static_cast<size_t>(&slot - slots_.data());
@@ -1615,7 +1572,7 @@ SpatialScheduler::fillUnplaced(Schedule &s)
                         bestNode = cand;
                     }
                     // Cap the candidate scan to bound iteration time.
-                    if (++tried >= opts_.candidateScanCap)
+                    if (++tried >= SchedOptions::candidateScanCap)
                         break;
                 }
             } else {
@@ -1627,7 +1584,7 @@ SpatialScheduler::fillUnplaced(Schedule &s)
                         bestCost = cost;
                         bestNode = cand;
                     }
-                    if (++tried >= opts_.candidateScanCap)
+                    if (++tried >= SchedOptions::candidateScanCap)
                         break;
                 }
             }

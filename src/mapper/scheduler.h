@@ -48,14 +48,6 @@ namespace dsa::mapper {
 class LandmarkTable;
 
 /**
- * Default for SchedOptions::routeFastPath: on, unless the environment
- * sets DSA_SCHED_ROUTECACHE=0 (read once per process). The ctest
- * `*_nocache` variants run the scheduler suites with the fast path
- * disabled so the plain-Dijkstra fallback stays exercised.
- */
-bool routeFastPathDefault();
-
-/**
  * Counters from one scheduler run (or one DSE's worth of runs; the
  * struct is additive via merge()). Exposed through `--sched-stats`.
  */
@@ -63,9 +55,12 @@ struct SchedStats
 {
     /** Route requests entering the dispatcher. */
     uint64_t routeCalls = 0;
-    /** Plain Dijkstra searches (fast path off, or checkRoutes oracle). */
+    /**
+     * Plain Dijkstra searches: the checkRoutes oracle, plus A* misses
+     * whose reuse discount zeroes every landmark bound.
+     */
     uint64_t dijkstraSearches = 0;
-    /** Landmark-guided A* searches (fast path, cache miss). */
+    /** A* searches, landmark- or reverse-distance-guided (cache miss). */
     uint64_t astarSearches = 0;
     /** Heap pops expanded across both search kinds. */
     uint64_t nodesExpanded = 0;
@@ -93,7 +88,11 @@ struct SchedStats
     void merge(const SchedStats &o);
 };
 
-/** Scheduler knobs. */
+/**
+ * Scheduler knobs. The greedy-fill and routing costs are constants,
+ * not fields: no caller ever set them, and the landmark tables are
+ * keyed on the two that shape the static metric.
+ */
 struct SchedOptions
 {
     /** Outer unmap/re-place iterations (the paper uses 200 in DSE). */
@@ -107,18 +106,25 @@ struct SchedOptions
      */
     bool allowShared = true;
 
-    /// @name Greedy-fill / routing cost knobs (ablation sweeps)
+    /// @name Greedy-fill / routing costs
     /// @{
     /** Candidates probed per unplaced slot before settling. */
-    int candidateScanCap = 24;
+    static constexpr int candidateScanCap = 24;
     /** Dijkstra cost of re-traversing an edge this value already uses. */
-    double routeReuseCost = 0.01;
+    static constexpr double routeReuseCost = 0.01;
     /** Dijkstra base cost of an unused edge. */
-    double routeBaseCost = 1.0;
+    static constexpr double routeBaseCost = 1.0;
     /** Congestion slope: edge cost = base + slope * values-on-edge. */
-    double routeCongestSlope = 3.0;
+    static constexpr double routeCongestSlope = 3.0;
     /** Extra cost for tunneling through a PE (burns a Pass slot). */
-    double routePePassCost = 2.0;
+    static constexpr double routePePassCost = 2.0;
+    /**
+     * Routing always runs the exact pipeline (route cache, shared SSSP
+     * trees, reverse-distance tables, landmark A*); checkRoutes proves
+     * it equal to plain Dijkstra. Kept so callers that hoist the
+     * landmark table behind this test still compile.
+     */
+    static constexpr bool routeFastPath = true;
     /// @}
 
     /// @name Incremental-evaluation controls
@@ -137,18 +143,12 @@ struct SchedOptions
     bool checkIncremental = false;
     /// @}
 
-    /// @name Routing fast path & parallel annealing chains
+    /// @name Route checking & parallel annealing chains
     /// @{
     /**
-     * Route with landmark-guided A* + the exact route cache instead
-     * of plain Dijkstra. Produced schedules are bit-identical either
-     * way (test-enforced); off exists to exercise the fallback and to
-     * isolate the fast path when benchmarking.
-     */
-    bool routeFastPath = routeFastPathDefault();
-    /**
-     * Debug oracle: re-run plain Dijkstra for every route the fast
-     * path produces (cache hit or A*) and assert exact equality.
+     * Debug oracle: re-run plain Dijkstra for every route the routing
+     * pipeline produces (cache hit, SSSP backtrack or A*) and assert
+     * exact equality.
      */
     bool checkRoutes = false;
     /**
@@ -268,10 +268,9 @@ class SpatialScheduler
     /**
      * Content hash of everything a candidate scan for slot @p slotIdx
      * can read: every region's placements and routes plus the special
-     * routes. Both scan modes (probe deltas and full re-evaluation)
-     * are pure functions of that state, so an equal key means the
-     * scan would pick the same winner again — the basis of the
-     * probe-scan memo in fillUnplaced.
+     * routes. It keys the probe-scan memo in fillUnplaced. The key is
+     * independent of the scan mode (probe deltas or full
+     * re-evaluation): both price candidates identically.
      */
     uint64_t placementHash(const Schedule &s, size_t slotIdx) const;
     /** Slots implicated in overuse/violations (targeted rip-up). */
@@ -288,15 +287,23 @@ class SpatialScheduler
     void setForwardRoute(Schedule &s, int fi, Route route) const;
     /// @}
 
-    /// @name Routing (dispatcher + the two search implementations)
+    /// @name Routing (dispatcher + the search implementations)
     /// @{
     /**
-     * Route one value: reference-mode tracker rebuild, then either
-     * the fast path (route cache -> landmark A*) or plain Dijkstra.
-     * Both produce the same canonical route for the same usage state.
+     * Route one value: reference-mode tracker rebuild, then the route
+     * cache, shared SSSP trees, reverse-distance tables and A*. Every
+     * layer returns the canonical route plain Dijkstra would for the
+     * same usage state (checkRoutes asserts it).
      */
     Route dijkstra(const Schedule &s, adg::NodeId from, adg::NodeId to,
                    bool dynFlow, const ValueKey &value, int group) const;
+    /**
+     * Base, reuse or congestion cost of edge @p e for @p value under
+     * the group's usage state. Callers add the PE pass surcharge
+     * themselves: which endpoint is waived differs per search.
+     */
+    double edgeCost(int group, adg::EdgeId e, const ValueKey &value) const;
+    /** The checkRoutes oracle, and searchAstar's fallback. */
     Route searchDijkstra(adg::NodeId from, adg::NodeId to, bool dynFlow,
                          const ValueKey &value, int group) const;
     /**
@@ -310,8 +317,12 @@ class SpatialScheduler
     Route searchAstar(adg::NodeId from, adg::NodeId to, bool dynFlow,
                       const ValueKey &value, int group,
                       const double *exactH = nullptr) const;
-    /** Backtrack via_[] from @p to into a Route (exact-sized). */
-    Route backtrack(adg::NodeId from, adg::NodeId to) const;
+    /**
+     * Walk the via array @p via (via_ or an SSSP tree) back from
+     * @p to into an exact-sized Route; @p to must be reachable.
+     */
+    Route backtrack(const adg::EdgeId *via, adg::NodeId from,
+                    adg::NodeId to) const;
 
     /**
      * Shared-source SSSP trees: the greedy candidate scan routes the
@@ -360,9 +371,6 @@ class SpatialScheduler
     void buildSsspTree(adg::NodeId from, bool dynFlow,
                        const ValueKey &value, int group,
                        SsspEntry *entry) const;
-    /** Backtrack @p entry's via tree; empty when @p to unreachable. */
-    Route backtrackTree(const SsspEntry &entry, adg::NodeId from,
-                        adg::NodeId to) const;
 
     /**
      * Target-rooted mirror of the SSSP layer: the candidate scan also
@@ -474,19 +482,23 @@ class SpatialScheduler
     static constexpr uint8_t kPeStatic = 16;  ///< static-scheduled PE
     static constexpr uint8_t kAlive = 32;     ///< any alive node
 
-    /// @name Routing fast path
+    /// @name Routing state & the probe-scan memo
     /// @{
     std::shared_ptr<const LandmarkTable> landmarks_;
     mutable RouteCache routeCache_;
     mutable std::vector<SsspEntry> sssp_;
     mutable std::vector<RevEntry> rev_;
     /**
-     * Probe-scan memo: placementHash -> the candidate the scan chose
-     * (kept for the scheduler's lifetime; the annealer's rip-up /
-     * refill loop revisits the same states constantly once the
-     * schedule is near-converged). Mode-independent by construction
-     * (see placementHash), so the incremental/reference and
-     * fast-path on/off equivalences are preserved.
+     * Probe-scan memo: placementHash -> the candidate the last scan
+     * of that state chose (kept for the scheduler's lifetime; the
+     * annealer's rip-up / refill loop revisits the same states
+     * constantly once the schedule is near-converged). A repeat
+     * deterministically reuses that winner. It is part of the search
+     * policy, not a cache: a fresh scan would probe the first
+     * candidateScanCap entries of a new rng shuffle and could pick
+     * another node. The key and both scan modes are mode-independent
+     * (see placementHash), so the incremental/reference equivalence
+     * holds.
      */
     mutable std::unordered_map<uint64_t, adg::NodeId> probeMemo_;
     mutable SchedStats stats_;

@@ -245,9 +245,7 @@ TEST(EvalCache, CachedAndUncachedRunsBitIdentical)
 {
     auto cached = tinyOpts();
     auto uncached = tinyOpts();
-    uncached.evalCache = false;
-    uncached.compileCache = false;
-    uncached.costMemo = false;
+    uncached.memoize = false;
     uncached.dedupBatch = false;
     cached.candidateBatch = uncached.candidateBatch = 2;
     cached.threads = uncached.threads = 2;
@@ -307,9 +305,7 @@ TEST(EvalCache, CheckpointStateIdenticalCachedVsUncached)
     cached.checkpointEvery = 1;
     auto uncached = cached;
     uncached.checkpointPath = tmpPath("uncached");
-    uncached.evalCache = false;
-    uncached.compileCache = false;
-    uncached.costMemo = false;
+    uncached.memoize = false;
     uncached.dedupBatch = false;
 
     Explorer a(workloads::suiteWorkloads("PolyBench"), cached);
@@ -385,6 +381,60 @@ TEST(EvalCache, CrashResumeKeepsWarmCacheAndBitIdentity)
               res.cacheStats.evalEntries - restored);
 
     std::remove(refOpts.checkpointPath.c_str());
+    std::remove(crashOpts.checkpointPath.c_str());
+}
+
+TEST(EvalCache, PerLayerSwitchCheckpointResumesUnmemoized)
+{
+    // Checkpoints written before DseOptions::memoize carry three
+    // per-layer switches instead. All off must load as memoize off and
+    // resume exactly where the uninterrupted run ends.
+    auto set = workloads::suiteWorkloads("PolyBench");
+    auto refOpts = tinyOpts();
+    Explorer ref(set, refOpts);
+    auto refRes = ref.run(adg::buildDseInitial());
+
+    auto crashOpts = refOpts;
+    crashOpts.memoize = false;
+    crashOpts.checkpointPath = tmpPath("per-layer");
+    crashOpts.checkpointEvery = 1;
+    crashOpts.haltAfterCheckpoints = 1;
+    Explorer crash(set, crashOpts);
+    ASSERT_EQ(crash.run(adg::buildDseInitial()).stopReason, "halted");
+    auto loaded = loadCheckpoint(crashOpts.checkpointPath);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+
+    // Re-spell the options the way those files did.
+    const DseCheckpoint &ck = loaded.value();
+    json::Value doc = checkpointToJson(ck.workloadNames, ck.options, ck.state);
+    json::Value old = json::Value::object();
+    for (const auto &[key, v] : doc.members()) {
+        if (key != "options") {
+            old.set(key, v);
+            continue;
+        }
+        json::Value opts = json::Value::object();
+        for (const auto &[k, ov] : v.members())
+            if (k != "memoize")
+                opts.set(k, ov);
+        for (const char *k : {"evalCache", "compileCache", "costMemo"})
+            opts.set(k, json::Value::boolean(false));
+        old.set(key, std::move(opts));
+    }
+    auto legacy = checkpointFromJson(old);
+    ASSERT_TRUE(legacy.ok()) << legacy.status().toString();
+    DseCheckpoint lk = std::move(legacy.value());
+    EXPECT_FALSE(lk.options.memoize);
+
+    Explorer resumed(set, lk.options);
+    auto res = resumed.resume(std::move(lk.state));
+    expectSameHistory(refRes, res);
+    EXPECT_DOUBLE_EQ(refRes.bestObjective, res.bestObjective);
+    EXPECT_EQ(refRes.best.toText(), res.best.toText());
+    EXPECT_EQ(res.cacheStats.evalEntries, 0u);
+    EXPECT_EQ(res.cacheStats.placementHits + res.cacheStats.placementMisses,
+              0u);
+    // The resumed run keeps checkpointing to the same file.
     std::remove(crashOpts.checkpointPath.c_str());
 }
 

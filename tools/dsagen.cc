@@ -20,6 +20,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -442,50 +443,64 @@ cmdDse(int argc, char **argv)
     // Cache toggles: -1 = not given, 0/1 = forced. Tracked separately
     // so a resumed run only overrides what the user actually asked
     // for (the caches never change results, so overriding is safe).
-    int evalCacheArg = -1, compileCacheArg = -1, costMemoArg = -1,
-        dedupArg = -1, checkOracleArg = -1;
+    int memoizeArg = -1, dedupArg = -1, checkOracleArg = -1;
     bool schedStatsArg = false;
+    static const std::vector<std::string> kFlags = {
+        "--resume", "--checkpoint", "--checkpoint-every",
+        "--wall-budget-ms", "--candidate-time-ms", "--threads",
+        "--sched-chains", "--sched-stats", "--workers",
+        "--worker-timeout-ms", "--cache-store", "--validate-sim",
+        "--pareto", "--front-size", "--power-weight", "--no-structured",
+        "--no-dedup", "--no-caches", "--check-cost-oracle"};
     for (int i = 0; i < argc; ++i) {
         std::string a = argv[i];
-        auto intArg = [&](const char *what) -> int64_t {
+        auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                DSA_FATAL("flag ", what, " needs a value");
-            return std::atoll(argv[++i]);
+                throw StatusException(
+                    Status::invalidArgument("flag " + a + " needs a value"));
+            return argv[++i];
+        };
+        auto badNumber = [&](const std::string &v) {
+            return StatusException(Status::invalidArgument(
+                "flag " + a + " needs a number, got '" + v + "'"));
+        };
+        auto intArg = [&]() -> int64_t {
+            std::string v = value();
+            char *end = nullptr;
+            errno = 0;
+            long long n = std::strtoll(v.c_str(), &end, 10);
+            if (v.empty() || *end != '\0' || errno == ERANGE)
+                throw badNumber(v);
+            return n;
         };
         if (a == "--resume") {
-            if (i + 1 >= argc)
-                DSA_FATAL("flag --resume needs a checkpoint path");
-            resumePath = argv[++i];
+            resumePath = value();
         } else if (a == "--checkpoint") {
-            if (i + 1 >= argc)
-                DSA_FATAL("flag --checkpoint needs a path");
-            flags.checkpointPath = argv[++i];
+            flags.checkpointPath = value();
         } else if (a == "--checkpoint-every") {
             flags.checkpointEvery =
-                std::max<int>(1, static_cast<int>(intArg(a.c_str())));
+                std::max<int>(1, static_cast<int>(intArg()));
         } else if (a == "--wall-budget-ms") {
-            flags.wallBudgetMs = intArg(a.c_str());
+            flags.wallBudgetMs = intArg();
         } else if (a == "--candidate-time-ms") {
-            flags.candidateTimeMs = intArg(a.c_str());
+            flags.candidateTimeMs = intArg();
         } else if (a == "--threads") {
-            threadsArg = static_cast<int>(intArg(a.c_str()));
+            threadsArg = static_cast<int>(intArg());
         } else if (a == "--sched-chains") {
             // Search-shaping: changes which schedule wins, so fresh
             // runs only (a resumed run keeps the checkpoint's value).
             flags.schedChains =
-                std::max<int>(1, static_cast<int>(intArg(a.c_str())));
+                std::max<int>(1, static_cast<int>(intArg()));
         } else if (a == "--sched-stats") {
             schedStatsArg = true;
         } else if (a == "--workers") {
             workersArg =
-                std::max<int>(0, static_cast<int>(intArg(a.c_str())));
+                std::max<int>(0, static_cast<int>(intArg()));
         } else if (a == "--worker-timeout-ms") {
-            workerTimeoutArg = std::max<int64_t>(0, intArg(a.c_str()));
+            workerTimeoutArg = std::max<int64_t>(0, intArg());
         } else if (a == "--cache-store") {
-            if (i + 1 >= argc)
-                DSA_FATAL("flag --cache-store needs a directory");
             cacheStoreGiven = true;
-            cacheStoreArg = argv[++i];
+            cacheStoreArg = value();
         } else if (a == "--validate-sim") {
             flags.simValidateBest = true;
         } else if (a == "--pareto") {
@@ -495,38 +510,31 @@ cmdDse(int argc, char **argv)
             flags.pareto = true;
         } else if (a == "--front-size") {
             flags.paretoFrontSize =
-                std::max<int>(2, static_cast<int>(intArg(a.c_str())));
+                std::max<int>(2, static_cast<int>(intArg()));
         } else if (a == "--power-weight") {
-            if (i + 1 >= argc)
-                DSA_FATAL("flag --power-weight needs a value");
-            flags.powerObjectiveWeight = std::atof(argv[++i]);
+            std::string v = value();
+            char *end = nullptr;
+            flags.powerObjectiveWeight = std::strtod(v.c_str(), &end);
+            if (v.empty() || *end != '\0')
+                throw badNumber(v);
         } else if (a == "--no-structured") {
             flags.structuredMoves = false;
-        } else if (a == "--no-eval-cache") {
-            evalCacheArg = 0;
-        } else if (a == "--no-compile-cache") {
-            compileCacheArg = 0;
-        } else if (a == "--no-cost-memo") {
-            costMemoArg = 0;
         } else if (a == "--no-dedup") {
             dedupArg = 0;
         } else if (a == "--no-caches") {
-            evalCacheArg = compileCacheArg = costMemoArg = dedupArg = 0;
+            memoizeArg = dedupArg = 0;
         } else if (a == "--check-cost-oracle") {
             checkOracleArg = 1;
         } else if (!a.empty() && a[0] == '-') {
-            DSA_FATAL("unknown dse flag '", a, "'");
+            throw StatusException(Status::invalidArgument(
+                "unknown dse flag '" + a + "'" + suggestName(a, kFlags)));
         } else {
             pos.push_back(a);
         }
     }
     auto applyCacheFlags = [&](dse::DseOptions &o) {
-        if (evalCacheArg >= 0)
-            o.evalCache = evalCacheArg != 0;
-        if (compileCacheArg >= 0)
-            o.compileCache = compileCacheArg != 0;
-        if (costMemoArg >= 0)
-            o.costMemo = costMemoArg != 0;
+        if (memoizeArg >= 0)
+            o.memoize = memoizeArg != 0;
         if (dedupArg >= 0)
             o.dedupBatch = dedupArg != 0;
         if (checkOracleArg >= 0)
@@ -692,11 +700,10 @@ usage()
         "      --no-structured          drop the structured subgraph\n"
         "                               mutations (tile grow/shrink,\n"
         "                               region clone, fabric rewire)\n"
-        "      --no-eval-cache          disable design-level eval cache\n"
-        "      --no-compile-cache       disable placement/lowering cache\n"
-        "      --no-cost-memo           disable area/power memoization\n"
         "      --no-dedup               disable batch deduplication\n"
-        "      --no-caches              all four of the above\n"
+        "      --no-caches              recompute everything: no eval\n"
+        "                               cache, compile cache, cost memo\n"
+        "                               or batch deduplication\n"
         "      --check-cost-oracle      verify memoized costs against\n"
         "                               the full model on every query\n"
         "  dse --resume <checkpoint> [--threads <n>] [--validate-sim]\n"
