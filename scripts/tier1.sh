@@ -50,7 +50,7 @@ TSAN_OPTIONS="halt_on_error=1" \
           -R 'test_concurrency|test_base|test_scheduler_incremental|test_scheduler_parallel|test_dse_cache|test_dse_pareto|test_robustness'
 
 echo
-echo "== tier-1: robustness + sparse-simulator tests under ASan+UBSan =="
+echo "== tier-1: robustness, sparse-simulator and scheduler tests under ASan+UBSan =="
 # The crash-safety paths (checkpoint serialization, watchdog aborts,
 # exception propagation out of pool workers) juggle partially-built
 # state by design; run them with address + undefined-behavior checking
@@ -72,13 +72,21 @@ echo "== tier-1: robustness + sparse-simulator tests under ASan+UBSan =="
 # use-after-free only ASan can see. The generated kernels themselves
 # are compiled by the system compiler without instrumentation; the
 # instrumented host still checks every byte the kernel hands back.
+# The scheduler suites join as well: the probe path reads flat tables
+# hand-indexed by offset (per-region operand-slot route lengths,
+# timing plans, SSSP trees relaxed in place), where an off-by-one
+# reads a neighbouring slot instead of failing an oracle. Their
+# checkIncremental/checkRoutes runs drive those tables through
+# thousands of place/unplace states, and the regexes also match the
+# *_nocache ctest names.
 cmake -B build-asan -S . -DDSA_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness \
-      test_sim_sparse test_sim_compiled test_sim_jit
+      test_sim_sparse test_sim_compiled test_sim_jit \
+      test_scheduler_incremental test_scheduler_parallel
 ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure \
-          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit'
+          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental|test_scheduler_parallel'
 
 echo
 echo "tier-1 OK"

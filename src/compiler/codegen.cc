@@ -14,8 +14,8 @@ namespace {
 
 /** Render one stream command in stream-dataflow intrinsic style. */
 std::string
-streamCommand(const Region &reg, const Stream &st,
-              const mapper::RegionSchedule &rs, const adg::Adg &adg)
+streamCommand(const Stream &st, const mapper::RegionSchedule &rs,
+              const adg::Adg &adg)
 {
     std::ostringstream os;
     auto portName = [&](dfg::VertexId v) {
@@ -101,7 +101,7 @@ emitControlProgram(const dfg::DecoupledProgram &prog,
         const Region &reg = prog.regions[r];
         std::string pad(static_cast<size_t>(indent), ' ');
         for (const Stream &st : reg.streams) {
-            os << pad << streamCommand(reg, st, sched.regions[r], adg)
+            os << pad << streamCommand(st, sched.regions[r], adg)
                << "\n";
             ++cs.streamCommands;
         }

@@ -429,8 +429,9 @@ TEST(Lowering, AllWorkloadsLowerAtUnroll1)
     for (const auto &w : workloads::allWorkloads()) {
         auto r = lower(c, w.kernel);
         EXPECT_TRUE(r.ok) << w.name << ": " << r.error;
-        if (r.ok)
+        if (r.ok) {
             EXPECT_TRUE(r.version.program.validate().empty()) << w.name;
+        }
     }
 }
 

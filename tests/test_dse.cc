@@ -245,9 +245,11 @@ TEST(Explorer, HistoryRecordsBudgetRespected)
     opts.areaBudgetMm2 = 2.0;
     Explorer ex(workloads::suiteWorkloads("PolyBench"), opts);
     auto res = ex.run(adg::buildDseInitial());
-    for (const auto &h : res.history)
-        if (h.accepted)
+    for (const auto &h : res.history) {
+        if (h.accepted) {
             EXPECT_LE(h.areaMm2, opts.areaBudgetMm2 * 1.05);
+        }
+    }
 }
 
 TEST(Explorer, RepairAndRemapBothLegalButRepairNoWorse)

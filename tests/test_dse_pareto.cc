@@ -119,11 +119,14 @@ TEST(Pareto, ArchiveInvariantsUnderDeterministicStream)
         lastHv = f.hypervolume();
         // Bounded and mutually non-dominated at every step.
         ASSERT_LE(f.size(), 6u);
-        for (size_t a = 0; a < f.size(); ++a)
-            for (size_t b = 0; b < f.size(); ++b)
-                if (a != b)
+        for (size_t a = 0; a < f.size(); ++a) {
+            for (size_t b = 0; b < f.size(); ++b) {
+                if (a != b) {
                     ASSERT_FALSE(
                         dominates(f.points()[a], f.points()[b]));
+                }
+            }
+        }
     }
     EXPECT_GT(f.size(), 1u);
 }

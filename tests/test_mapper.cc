@@ -117,8 +117,9 @@ TEST(Scheduler, StreamsBindCompatibleMemories)
         adg::NodeId m = rs.streamMap[st.id];
         ASSERT_NE(m, adg::kInvalidNode);
         const auto &mem = hw.node(m).mem();
-        if (st.needsAtomic())
+        if (st.needsAtomic()) {
             EXPECT_TRUE(mem.atomicUpdate);
+        }
         EXPECT_EQ(st.space == dfg::MemSpace::Main,
                   mem.kind == adg::MemKind::Main);
     }
@@ -217,9 +218,11 @@ TEST(Repair, EvictsMappingsOnCapabilityLoss)
         << "overuse=" << repaired.cost.overuse
         << " unplaced=" << repaired.cost.unplaced;
     // The join unit moved off the downgraded PE.
-    for (const auto &vx : prog.regions[0].dfg.vertices())
-        if (vx.kind == dfg::VertexKind::Instruction && vx.ctrl.active())
+    for (const auto &vx : prog.regions[0].dfg.vertices()) {
+        if (vx.kind == dfg::VertexKind::Instruction && vx.ctrl.active()) {
             EXPECT_NE(repaired.regions[0].vertexMap[vx.id], joinPe);
+        }
+    }
 }
 
 TEST(Repair, FasterThanFullRemap)

@@ -45,6 +45,32 @@ targetFor(const std::string &workload)
     return adg::buildSoftbrain();
 }
 
+/**
+ * One scheduling case: a workload at an unroll factor on its Fig. 10
+ * target, or on the DSE's initial fabric (`adg::buildDseInitial()`),
+ * with an annealing budget.
+ */
+struct Case
+{
+    const char *workload;
+    int maxIters;
+    int unroll = 1;
+    bool dseFabric = false;
+};
+
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.workload << " unroll " << c.unroll
+        << (c.dseFabric ? " on the DSE fabric" : "");
+}
+
+adg::Adg
+fabricFor(const Case &c)
+{
+    return c.dseFabric ? adg::buildDseInitial() : targetFor(c.workload);
+}
+
 /** Bit-for-bit schedule equality, with readable failure context. */
 void
 expectIdentical(const Schedule &a, const Schedule &b,
@@ -76,14 +102,15 @@ expectIdentical(const Schedule &a, const Schedule &b,
  * and delta cost == oracle cost, so any drift in the incremental
  * bookkeeping aborts the test with the first divergent field.
  */
-class CheckedRun : public ::testing::TestWithParam<const char *> {};
+class CheckedRun : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CheckedRun, TrackerAndDeltasMatchOracleEveryStep)
 {
-    adg::Adg hw = targetFor(GetParam());
-    auto prog = lowerOn(hw, GetParam());
+    const Case &c = GetParam();
+    adg::Adg hw = fabricFor(c);
+    auto prog = lowerOn(hw, c.workload, c.unroll);
     auto sched = scheduleProgram(prog, hw,
-                                 {.maxIters = 25,
+                                 {.maxIters = c.maxIters,
                                   .seed = 7,
                                   .checkIncremental = true});
     // Reaching here means every cross-check passed; sanity-check that
@@ -92,33 +119,40 @@ TEST_P(CheckedRun, TrackerAndDeltasMatchOracleEveryStep)
     EXPECT_EQ(sched.cost.unplaced, 0) << "workload should fully place";
 }
 
+// md at unroll 4 on the DSE fabric: a MachSuite schedule of the size
+// the exploration evaluates, at a small budget.
 INSTANTIATE_TEST_SUITE_P(Workloads, CheckedRun,
-                         ::testing::Values("crs", "classifier",
-                                           "histogram"));
+                         ::testing::Values(Case{"crs", 25},
+                                           Case{"classifier", 25},
+                                           Case{"histogram", 25},
+                                           Case{"md", 12, 4, true}));
 
 /**
  * Bit-identical equivalence: the incremental fast path and the
  * recompute-everything reference mode must make the same decisions —
  * same routes, same placements, same cost — for the same seed.
  */
-class Equivalence : public ::testing::TestWithParam<const char *> {};
+class Equivalence : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Equivalence, IncrementalMatchesReferenceBitForBit)
 {
-    adg::Adg hw = targetFor(GetParam());
-    auto prog = lowerOn(hw, GetParam());
-    SchedOptions fast{.maxIters = 60, .seed = 13};
+    const Case &c = GetParam();
+    adg::Adg hw = fabricFor(c);
+    auto prog = lowerOn(hw, c.workload, c.unroll);
+    SchedOptions fast{.maxIters = c.maxIters, .seed = 13};
     SchedOptions ref = fast;
     ref.incremental = false;
     auto a = scheduleProgram(prog, hw, fast);
     auto b = scheduleProgram(prog, hw, ref);
     expectIdentical(a, b, std::string("incremental-vs-reference on ") +
-                              GetParam());
+                              c.workload);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, Equivalence,
-                         ::testing::Values("crs", "mm", "classifier",
-                                           "histogram"));
+                         ::testing::Values(Case{"crs", 60}, Case{"mm", 60},
+                                           Case{"classifier", 60},
+                                           Case{"histogram", 60},
+                                           Case{"md", 12, 4, true}));
 
 TEST(Equivalence, RepairPathMatchesReferenceBitForBit)
 {

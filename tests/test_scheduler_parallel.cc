@@ -128,7 +128,9 @@ TEST(CheckedRoutesLayers, TreeAndReverseLayersAnswerRoutes)
  * explorer does (kill a used node), repair from the stale schedule —
  * the checkRoutes oracle must hold through the seeded/evict repair
  * path on the mutant (whose landmark table is a fresh entry, not the
- * parent's).
+ * parent's), and so must the checkIncremental oracle: the seed passes
+ * through stripDead, eviction and the bindTo rebuild of the tracker
+ * and route-length table.
  */
 TEST(Mutation, RepairOnMutatedFabricStaysExact)
 {
@@ -144,7 +146,8 @@ TEST(Mutation, RepairOnMutatedFabricStaysExact)
     hw.removeNode(victim);
 
     SchedOptions opts{.maxIters = 80, .seed = 17};
-    opts.checkRoutes = true; // oracle on the mutated fabric
+    opts.checkRoutes = true; // oracles on the mutated fabric
+    opts.checkIncremental = true;
     SpatialScheduler sch(prog, hw, opts);
     sch.run(&sched);
     EXPECT_GT(sch.stats().astarSearches, 0u);
