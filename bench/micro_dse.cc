@@ -279,7 +279,7 @@ main(int argc, char **argv)
                 return 1;
             }
             const dse::DseCacheStats &wcs = wt.res.cacheStats;
-            const dse::DseWorkerStats &wws = wt.res.workerStats;
+            const dse::WorkerPoolStats &wws = wt.res.workerStats;
             std::printf("  workers=%d: %.1fs, %.2f candidates/s, "
                         "eval %.0f%% hit, store %llu loaded / %llu "
                         "appended\n",

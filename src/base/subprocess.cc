@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/files.h"
 #include "base/logging.h"
 
 extern char **environ;
@@ -34,21 +35,6 @@ void ignoreSigpipeOnce()
     // coordinator with SIGPIPE.
     static std::once_flag once;
     std::call_once(once, [] { ::signal(SIGPIPE, SIG_IGN); });
-}
-
-Status writeAll(int fd, const char *data, size_t len, const char *site)
-{
-    size_t off = 0;
-    while (off < len) {
-        ssize_t n = ::write(fd, data + off, len - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return errnoStatus(site, errno);
-        }
-        off += static_cast<size_t>(n);
-    }
-    return Status();
 }
 
 /** Read exactly @p len bytes, polling so the deadline can interrupt. */
@@ -91,12 +77,6 @@ Status readAll(int fd, char *data, size_t len, const Deadline &deadline,
 
 } // namespace
 
-Status errnoStatus(const char *site, int err)
-{
-    return Status::internal(std::string(site) + ": " + std::strerror(err) +
-                            " (errno " + std::to_string(err) + ")");
-}
-
 Status writeFrameFd(int fd, const std::string &payload)
 {
     ignoreSigpipeOnce();
@@ -114,7 +94,7 @@ Status writeFrameFd(int fd, const std::string &payload)
                         static_cast<char>((len >> 24) & 0xff)};
     buf.append(lenBytes, sizeof(lenBytes));
     buf.append(payload);
-    return writeAll(fd, buf.data(), buf.size(), "subprocess.write");
+    return writeAll(fd, buf, "subprocess.write");
 }
 
 Result<std::string> readFrameFd(int fd, const Deadline &deadline)

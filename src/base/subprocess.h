@@ -22,9 +22,6 @@
 
 namespace dsa {
 
-/** Structured Status for a failed syscall: site, strerror text, errno. */
-Status errnoStatus(const char *site, int err);
-
 /** Write one `DSAF` frame to @p fd (used by workers on their own pipe). */
 Status writeFrameFd(int fd, const std::string &payload);
 

@@ -5,21 +5,19 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <map>
 #include <vector>
 
 #include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "base/fault.h"
+#include "base/files.h"
 #include "base/hashing.h"
 #include "base/json.h"
 #include "base/logging.h"
-#include "base/subprocess.h"
 #include "dse/checkpoint.h"
 
 namespace dsa::dse {
@@ -32,6 +30,8 @@ constexpr char kRecordMagic[4] = {'D', 'S', 'E', 'C'};
 constexpr size_t kRecordHeader = 4 + 4 + 8;
 constexpr uint32_t kMaxRecordBytes = 64u << 20;
 constexpr uint64_t kChecksumSeed = 0x647361636163ull; // "dsacac"
+/** maybeCompact() merges the store past this many segment files. */
+constexpr size_t kCompactSegments = 8;
 
 void putU32(std::string &buf, uint32_t v)
 {
@@ -91,45 +91,6 @@ Result<std::vector<std::string>> listSegments(const std::string &dir)
     // Sorted so every process scans segments in the same order.
     std::sort(names.begin(), names.end());
     return names;
-}
-
-Result<std::string> readFile(const std::string &path)
-{
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return errnoStatus("store.open", errno);
-    std::string data;
-    char buf[1 << 16];
-    for (;;) {
-        ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            int err = errno;
-            ::close(fd);
-            return errnoStatus("store.read", err);
-        }
-        if (n == 0)
-            break;
-        data.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return data;
-}
-
-Status writeAllFd(int fd, const char *data, size_t len, const char *site)
-{
-    size_t off = 0;
-    while (off < len) {
-        ssize_t n = ::write(fd, data + off, len - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return errnoStatus(site, errno);
-        }
-        off += static_cast<size_t>(n);
-    }
-    return Status();
 }
 
 std::string serializeRecord(const EvalKey &key, const EvalCacheEntry &entry)
@@ -202,10 +163,7 @@ void scanSegment(const std::string &name, const std::string &data,
 
 } // namespace
 
-CacheStore::CacheStore(std::string dir, CacheStoreOptions opts)
-    : dir_(std::move(dir)), opts_(opts)
-{
-}
+CacheStore::CacheStore(std::string dir) : dir_(std::move(dir)) {}
 
 CacheStore::~CacheStore()
 {
@@ -214,24 +172,7 @@ CacheStore::~CacheStore()
 
 Status CacheStore::open()
 {
-    // mkdir -p: create each path component, tolerating ones that exist.
-    std::string partial;
-    for (size_t i = 0; i <= dir_.size(); ++i) {
-        if (i < dir_.size() && dir_[i] != '/') {
-            partial.push_back(dir_[i]);
-            continue;
-        }
-        if (!partial.empty() && partial != "." &&
-            ::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST)
-            return errnoStatus("store.mkdir", errno);
-        if (i < dir_.size())
-            partial.push_back('/');
-    }
-    struct stat st;
-    if (::stat(dir_.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
-        return Status::invalidArgument("cache store path '" + dir_ +
-                                       "' is not a directory");
-    return Status();
+    return makeDirs(dir_);
 }
 
 Status CacheStore::loadInto(EvalCache &cache)
@@ -307,7 +248,7 @@ Status CacheStore::append(const EvalKey &key, const EvalCacheEntry &entry)
                  segPath_, "'");
         len = kRecordHeader + (len - kRecordHeader) / 2;
     }
-    s = writeAllFd(segFd_, rec.data(), len, "store.append");
+    s = writeAll(segFd_, std::string_view(rec).substr(0, len), "store.append");
     if (!s.ok())
         return s;
     ++stats_.appends;
@@ -327,104 +268,24 @@ void CacheStore::flush()
     segPath_.clear();
 }
 
-Result<bool> CacheStore::acquireLease()
-{
-    std::string lease = dir_ + "/compact.lease";
-    std::string body = "pid " + std::to_string(::getpid()) + "\n";
-    int fd = ::open(lease.c_str(),
-                    O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-    if (fd >= 0) {
-        (void)writeAllFd(fd, body.data(), body.size(), "store.lease");
-        ::close(fd);
-        return true;
-    }
-    if (errno != EEXIST)
-        return errnoStatus("store.lease-open", errno);
-    // Someone holds the lease. Stale if its owner is gone or it has
-    // outlived the staleness bound (a wedged owner).
-    bool stale = false;
-    auto held = readFile(lease);
-    if (held.ok()) {
-        pid_t owner = 0;
-        if (std::sscanf(held->c_str(), "pid %d", &owner) == 1 &&
-            owner > 0 && ::kill(owner, 0) != 0 && errno == ESRCH)
-            stale = true;
-    } else {
-        stale = true; // vanished or unreadable: contend for it
-    }
-    struct stat st;
-    if (!stale && ::stat(lease.c_str(), &st) == 0) {
-        int64_t ageMs =
-            (static_cast<int64_t>(::time(nullptr)) - st.st_mtime) * 1000;
-        if (ageMs > opts_.leaseStaleMs)
-            stale = true;
-    }
-    if (!stale)
-        return false;
-    // Take over by renaming a fully written replacement over the stale
-    // file. unlink-then-create would race concurrent takeovers (one
-    // contender can unlink another's *fresh* lease); rename is atomic,
-    // so the file always holds exactly one pid, and re-reading it
-    // tells every contender whether it actually won.
-    std::string mine = lease + "." + std::to_string(::getpid());
-    int tfd = ::open(mine.c_str(),
-                     O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (tfd < 0)
-        return errnoStatus("store.lease-open", errno);
-    Status ws = writeAllFd(tfd, body.data(), body.size(), "store.lease");
-    ::close(tfd);
-    if (!ws.ok()) {
-        ::unlink(mine.c_str());
-        return ws;
-    }
-    if (::rename(mine.c_str(), lease.c_str()) != 0) {
-        int err = errno;
-        ::unlink(mine.c_str());
-        return errnoStatus("store.lease-rename", err);
-    }
-    if (!leaseOwned())
-        return false; // lost the takeover race to another process
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.leaseTakeovers;
-    DSA_WARN("cache store: took over stale compaction lease '", lease, "'");
-    return true;
-}
-
-bool CacheStore::leaseOwned() const
-{
-    auto body = readFile(dir_ + "/compact.lease");
-    pid_t owner = 0;
-    return body.ok() && std::sscanf(body->c_str(), "pid %d", &owner) == 1 &&
-           owner == ::getpid();
-}
-
-void CacheStore::releaseLease()
-{
-    // Never unlink a lease another process renamed over ours (it would
-    // hand a third contender a free takeover mid-compaction).
-    if (leaseOwned())
-        ::unlink((dir_ + "/compact.lease").c_str());
-}
-
 Result<bool> CacheStore::compact()
 {
-    auto lease = acquireLease();
-    if (!lease.ok() || !*lease)
-        return lease;
+    // Held until we return. Another live compactor makes us decline;
+    // a dead one released it when the kernel reaped it.
+    FileLock lease;
+    auto got = lease.tryLock(dir_ + "/compact.lease");
+    if (!got.ok() || !*got)
+        return got;
 
     // Our own write segment must be complete on disk before the merge
     // reads it (and we want its records in the merged file).
     flush();
 
     auto names = listSegments(dir_);
-    if (!names.ok()) {
-        releaseLease();
+    if (!names.ok())
         return names.status();
-    }
-    if (names->size() < 2) {
-        releaseLease();
+    if (names->size() < 2)
         return true; // nothing to merge
-    }
 
     // Dedup by key: entries are pure functions of the key, so any
     // duplicate's payload is interchangeable (last one wins).
@@ -440,44 +301,19 @@ Result<bool> CacheStore::compact()
             });
         }
     }
+    std::string bytes;
+    for (const auto &[key, rec] : merged)
+        bytes += rec;
 
+    // The merged segment is durable under its name (directory synced)
+    // before any old segment is unlinked, so a crash mid-compaction
+    // leaves the old segments, the merged one, or both (duplicates are
+    // harmless) — never a record in neither.
     std::string mergedPath = dir_ + "/seg-" + std::to_string(::getpid()) +
                              "-merge.dsec";
-    std::string tmp = mergedPath + ".tmp";
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                    0644);
-    if (fd < 0) {
-        int err = errno;
-        releaseLease();
-        return errnoStatus("store.compact-open", err);
-    }
-    for (const auto &[key, rec] : merged) {
-        Status s = writeAllFd(fd, rec.data(), rec.size(), "store.compact");
-        if (!s.ok()) {
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            releaseLease();
-            return s;
-        }
-    }
-    // Same durability order as checkpoints: data, then rename, so a
-    // crash mid-compaction leaves either the old segments or a full
-    // merged one — never a half-written "merged" file under a valid
-    // name.
-    if (::fsync(fd) != 0 || ::close(fd) != 0 ||
-        ::rename(tmp.c_str(), mergedPath.c_str()) != 0) {
-        int err = errno;
-        ::unlink(tmp.c_str());
-        releaseLease();
-        return errnoStatus("store.compact-finish", err);
-    }
-    // The lease can have been taken over mid-merge (a contender judged
-    // us wedged past leaseStaleMs). The merge itself was additive —
-    // our pid-unique merged segment is just more valid records — but
-    // the destructive step below must then be skipped, or two
-    // compactors unlink each other's segments.
-    if (!leaseOwned())
-        return false;
+    Status s = writeFileAtomic(mergedPath, bytes);
+    if (!s.ok())
+        return s;
     pid_t self = ::getpid();
     std::string active;
     {
@@ -501,7 +337,6 @@ Result<bool> CacheStore::compact()
         }
         ::unlink(path.c_str());
     }
-    releaseLease();
     std::lock_guard<std::mutex> lock(mu_);
     stats_.liveSegmentsSkipped += liveSkipped;
     ++stats_.compactions;
@@ -510,11 +345,8 @@ Result<bool> CacheStore::compact()
 
 void CacheStore::maybeCompact()
 {
-    if (opts_.compactSegments <= 0)
-        return;
     auto names = listSegments(dir_);
-    if (!names.ok() ||
-        names->size() <= static_cast<size_t>(opts_.compactSegments))
+    if (!names.ok() || names->size() <= kCompactSegments)
         return;
     auto done = compact();
     if (!done.ok())

@@ -20,17 +20,17 @@
  * warmth, never correctness and never a crash.
  *
  * The one multi-writer operation — compacting segments into one — is
- * serialized by a lease file (`compact.lease`, O_EXCL-created, holding
- * the owner pid). A lease whose owner is dead, or older than
- * CacheStoreOptions::leaseStaleMs, is stale and is taken over by
- * rename()-ing a replacement over it and re-reading the file to see
- * which contender actually won. Compaction preserves the writers-
- * never-touch-each-other's-segments invariant by only unlinking
- * segments whose owner process is gone (or its own closed ones): a
- * live writer may append to its segment after the merge snapshotted
- * it, so such segments are merged but left in place (counted in
- * CacheStoreStats::liveSegmentsSkipped) for a later compaction to
- * retire once their owner exits.
+ * serialized by a lease: a FileLock (base/files.h) on `compact.lease`.
+ * The kernel drops it when its holder exits or is killed, so a dead
+ * compactor never blocks the next one, and while a live holder has it
+ * compact() declines without error. The merged segment is published
+ * with writeFileAtomic before any old segment is unlinked. Compaction
+ * preserves the writers-never-touch-each-other's-segments invariant by
+ * only unlinking segments whose owner process is gone (or its own
+ * closed ones): a live writer may append to its segment after the
+ * merge snapshotted it, so such segments are merged but left in place
+ * (counted in CacheStoreStats::liveSegmentsSkipped) for a later
+ * compaction to retire once their owner exits.
  */
 
 #ifndef DSA_DSE_CACHE_STORE_H
@@ -45,17 +45,6 @@
 
 namespace dsa::dse {
 
-struct CacheStoreOptions
-{
-    /** Compact (merge + dedup segments) past this many segment files;
-     *  0 disables the maybeCompact() trigger. */
-    int compactSegments = 8;
-    /** A compaction lease older than this is stale and taken over even
-     *  if its owner pid is still alive (a wedged owner must not block
-     *  compaction forever). */
-    int64_t leaseStaleMs = 60000;
-};
-
 /** Store activity counters (feed DseCacheStats::store*). */
 struct CacheStoreStats
 {
@@ -64,7 +53,6 @@ struct CacheStoreStats
     uint64_t recordsQuarantined = 0; ///< torn/corrupt records skipped
     uint64_t appends = 0;            ///< records this process wrote
     uint64_t compactions = 0;        ///< successful compact() runs
-    uint64_t leaseTakeovers = 0;     ///< stale leases broken
     /** Segments merged but not unlinked because their owner process is
      *  still alive (it may append after the merge snapshot). */
     uint64_t liveSegmentsSkipped = 0;
@@ -73,7 +61,7 @@ struct CacheStoreStats
 class CacheStore
 {
   public:
-    explicit CacheStore(std::string dir, CacheStoreOptions opts = {});
+    explicit CacheStore(std::string dir);
     ~CacheStore(); ///< flushes the write segment
 
     CacheStore(const CacheStore &) = delete;
@@ -99,25 +87,20 @@ class CacheStore
 
     /**
      * Merge every segment into one (deduplicated by key) under the
-     * compaction lease. Returns false — not an error — when another
-     * live process holds the lease.
+     * compaction lease. Returns false — not an error — when a live
+     * holder has the lease.
      */
     Result<bool> compact();
 
-    /** compact() iff the segment count exceeds the configured bound. */
+    /** compact() iff the store holds more than eight segment files. */
     void maybeCompact();
 
     CacheStoreStats stats() const;
 
   private:
     Status ensureSegmentLocked();
-    Result<bool> acquireLease();
-    void releaseLease();
-    /** True when compact.lease currently names this process. */
-    bool leaseOwned() const;
 
     std::string dir_;
-    CacheStoreOptions opts_;
     mutable std::mutex mu_;
     CacheStoreStats stats_;
     int segFd_ = -1;

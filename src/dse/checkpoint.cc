@@ -1,17 +1,9 @@
 #include "dse/checkpoint.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include "base/fault.h"
-#include "base/subprocess.h"
+#include "base/files.h"
 
 namespace dsa::dse {
 
@@ -1027,78 +1019,17 @@ saveCheckpoint(const std::vector<std::string> &workloadNames,
 {
     std::string text = checkpointToJson(workloadNames, opts, state).dump();
     text += '\n';
-    std::string tmp = path + ".tmp";
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                    0644);
-    if (fd < 0)
-        return errnoStatus("checkpoint.open", errno);
-    size_t off = 0;
-    while (off < text.size()) {
-        ssize_t n = ::write(fd, text.data() + off, text.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            int err = errno;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            return errnoStatus("checkpoint.write", err);
-        }
-        off += static_cast<size_t>(n);
-    }
-    if (fault::shouldFire("checkpoint.tear")) {
-        // Simulated power loss mid-save: leave a torn temp file behind
-        // and bail before the rename — the previous checkpoint must
-        // stay loadable.
-        (void)::ftruncate(fd, static_cast<off_t>(text.size() / 2));
-        ::close(fd);
-        return Status::dataLoss("fault-injected torn write to '" + tmp + "'");
-    }
-    // The rename-is-atomic trick only yields a durable checkpoint if
-    // the temp file's *data* reaches disk before the rename does:
-    // otherwise a power loss can promote a zero-length temp file into
-    // a "valid" checkpoint.
-    if (::fsync(fd) != 0) {
-        int err = errno;
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return errnoStatus("checkpoint.fsync", err);
-    }
-    if (::close(fd) != 0)
-        return errnoStatus("checkpoint.close", errno);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        int err = errno;
-        std::remove(tmp.c_str());
-        return errnoStatus("checkpoint.rename", err);
-    }
-    // And the rename itself lives in the directory, which has its own
-    // write-back cache; fsync it so the new name survives power loss.
-    size_t slash = path.find_last_of('/');
-    std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-    if (dir.empty())
-        dir = "/";
-    int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dfd < 0)
-        return errnoStatus("checkpoint.dir-open", errno);
-    if (::fsync(dfd) != 0) {
-        int err = errno;
-        ::close(dfd);
-        return errnoStatus("checkpoint.dir-fsync", err);
-    }
-    ::close(dfd);
-    return Status();
+    return writeFileAtomic(path, text, "checkpoint.tear");
 }
 
 Result<DseCheckpoint>
 loadCheckpoint(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return Status::notFound("cannot open checkpoint '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad())
-        return Status::dataLoss("error reading checkpoint '" + path + "'");
-    auto parsed = json::parse(buf.str());
+    auto text = readFile(path);
+    if (!text.ok())
+        return Status(text.status().code(),
+                      "checkpoint: " + text.status().message());
+    auto parsed = json::parse(*text);
     if (!parsed.ok())
         return Status::dataLoss("checkpoint '" + path +
                                 "' is corrupt: " + parsed.status().message());

@@ -11,8 +11,9 @@
  * position. Doubles are written with 17 significant digits and int64s
  * as raw decimal text, so every number round-trips exactly.
  *
- * Writes are atomic (write `<path>.tmp`, then rename): a crash — even
- * kill -9 — mid-write leaves the previous checkpoint intact. Loads
+ * Writes are atomic (base/files.h writeFileAtomic: `<path>.tmp`,
+ * fsync, rename, directory fsync): a crash — even kill -9 — mid-write
+ * leaves the previous checkpoint intact. Loads
  * never crash: truncated or corrupt files come back as a structured
  * Status (DataLoss / InvalidArgument) naming what was wrong.
  */
@@ -90,8 +91,8 @@ Result<EvalStoreRecord> evalEntryFromJson(const json::Value &doc);
 Result<DseCheckpoint> checkpointFromJson(const json::Value &doc);
 
 /**
- * Atomically write a checkpoint file: serialize to `<path>.tmp`, then
- * rename over @p path so readers never observe a torn file.
+ * Atomically write a checkpoint file (writeFileAtomic, fault site
+ * `checkpoint.tear`) so readers never observe a torn file.
  */
 Status saveCheckpoint(const std::vector<std::string> &workloadNames,
                       const DseOptions &opts, const DseRunState &state,

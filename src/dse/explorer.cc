@@ -35,13 +35,7 @@ namespace {
 void
 mergeWorkerStats(const WorkerPoolStats &ws, DseResult &r)
 {
-    r.workerStats.spawned = ws.spawned;
-    r.workerStats.dispatched = ws.dispatched;
-    r.workerStats.redispatched = ws.redispatched;
-    r.workerStats.restarts = ws.restarts;
-    r.workerStats.degraded = ws.degraded;
-    r.workerStats.deaths = ws.deaths;
-    r.workerStats.timeouts = ws.timeouts;
+    r.workerStats = ws;
     if (r.status.ok() && !ws.firstError.ok())
         r.status = ws.firstError;
 }

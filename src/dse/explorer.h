@@ -352,17 +352,22 @@ struct DseCacheStats
 
 /**
  * Worker-pool activity of one run (DseOptions::workers > 0; all zero
- * otherwise). Observability only — never part of the resumable state.
+ * otherwise), kept by WorkerPool and copied into DseResult::workerStats.
+ * Observability only — never part of the resumable state.
  */
-struct DseWorkerStats
+struct WorkerPoolStats
 {
     uint64_t spawned = 0;      ///< worker processes started (incl. restarts)
-    uint64_t dispatched = 0;   ///< shards sent to workers
-    uint64_t redispatched = 0; ///< shard retries after worker failures
-    uint64_t restarts = 0;     ///< workers restarted by the recovery ladder
-    uint64_t degraded = 0;     ///< candidates degraded to in-process eval
-    uint64_t deaths = 0;       ///< worker deaths observed mid-request
-    uint64_t timeouts = 0;     ///< reply watchdog expiries
+    uint64_t dispatched = 0;   ///< shards sent to a worker
+    uint64_t redispatched = 0; ///< shard retries after a worker failure
+    uint64_t restarts = 0;     ///< workers restarted by the ladder
+    uint64_t degraded = 0;     ///< candidates that fell back in-process
+    uint64_t deaths = 0;       ///< worker EOFs/exits observed mid-request
+    uint64_t timeouts = 0;     ///< response watchdog expiries
+    /** First transport-level failure (errno + site); OK when none.
+     *  Transport failures never change results (the ladder re-evaluates
+     *  elsewhere) but are reported through DseResult::status. */
+    Status firstError;
 };
 
 /** Exploration outcome. */
@@ -420,7 +425,7 @@ struct DseResult
     /** Worker-pool counters (zero when DseOptions::workers == 0). The
      *  pool's first transport error also lands in `status` — visible,
      *  but it never changed a result (the ladder re-evaluated). */
-    DseWorkerStats workerStats;
+    WorkerPoolStats workerStats;
 };
 
 /**

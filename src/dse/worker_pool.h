@@ -73,22 +73,6 @@ struct WorkerPoolOptions
     int64_t backoffCapMs = 500;
 };
 
-/** Pool activity counters (surface as DseResult::workerStats). */
-struct WorkerPoolStats
-{
-    uint64_t spawned = 0;      ///< worker processes started (incl. restarts)
-    uint64_t dispatched = 0;   ///< shards sent to a worker
-    uint64_t redispatched = 0; ///< shard retries after a worker failure
-    uint64_t restarts = 0;     ///< workers restarted by the ladder
-    uint64_t degraded = 0;     ///< candidates that fell back in-process
-    uint64_t deaths = 0;       ///< worker EOFs/exits observed mid-request
-    uint64_t timeouts = 0;     ///< response watchdog expiries
-    /** First transport-level failure (errno + site); OK when none.
-     *  Transport failures never change results (the ladder re-evaluates
-     *  elsewhere) but are reported through DseResult::status. */
-    Status firstError;
-};
-
 /** One candidate's outcome as evaluated by a worker (or the fallback). */
 struct WorkerEvalOutcome
 {

@@ -3,19 +3,13 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <vector>
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include "base/fault.h"
+#include "base/files.h"
 #include "base/hashing.h"
 #include "base/logging.h"
-#include "base/subprocess.h" // errnoStatus
 #include "sim/jit/jit_emit.h" // kAbiVersion
 
 namespace dsa::sim::jit {
@@ -31,31 +25,6 @@ hex64(uint64_t v)
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
-}
-
-/** Whole-file read; false on any I/O failure. */
-bool
-readFile(const std::string &path, std::string &out)
-{
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return false;
-    out.clear();
-    char buf[1 << 16];
-    for (;;) {
-        ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            return false;
-        }
-        if (n == 0)
-            break;
-        out.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return true;
 }
 
 /** Move a corrupt entry aside so it is never re-served. */
@@ -118,24 +87,10 @@ metaPath(const std::string &dir, const std::string &key)
     return dir + "/obj-" + key + ".meta";
 }
 
-Status
-ensureCacheDir(const std::string &dir)
+std::string
+lockPath(const std::string &dir, const std::string &key)
 {
-    if (dir.empty())
-        return Status::invalidArgument("empty jit cache dir");
-    // mkdir -p: create each prefix, tolerating pre-existing components.
-    for (size_t i = 1; i <= dir.size(); ++i) {
-        if (i != dir.size() && dir[i] != '/')
-            continue;
-        std::string prefix = dir.substr(0, i);
-        if (::mkdir(prefix.c_str(), 0777) != 0 && errno != EEXIST)
-            return errnoStatus("jit.cache.mkdir", errno);
-    }
-    struct ::stat st;
-    if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
-        return Status::invalidArgument("jit cache path '" + dir +
-                                       "' is not a directory");
-    return {};
+    return dir + "/obj-" + key + ".lock";
 }
 
 ProbeResult
@@ -144,12 +99,13 @@ probeObject(const std::string &dir, const std::string &key,
 {
     std::string mpath = metaPath(dir, key);
     std::string opath = objectPath(dir, key);
-    std::string meta;
-    if (!readFile(mpath, meta)) {
+    auto metaFile = readFile(mpath);
+    if (!metaFile.ok()) {
         // No manifest => nothing published (an orphan .so from a
         // killed writer is invisible until someone re-publishes).
         return ProbeResult::Miss;
     }
+    const std::string &meta = *metaFile;
 
     auto bad = [&](const std::string &why) {
         if (diag)
@@ -183,9 +139,10 @@ probeObject(const std::string &dir, const std::string &key,
         !metaLine(meta, "so-hash", field) || (soHash = field).empty())
         return bad("manifest incomplete");
 
-    std::string so;
-    if (!readFile(opath, so))
+    auto soFile = readFile(opath);
+    if (!soFile.ok())
         return bad("object unreadable");
+    const std::string &so = *soFile;
     if (std::to_string(so.size()) != soSize)
         return bad("object size mismatch");
     if (hex64(xxhash64(so.data(), so.size(), /*seed=*/0)) != soHash)
@@ -202,9 +159,9 @@ Status
 publishObject(const std::string &dir, const std::string &key,
               const std::string &tmpSo, const ObjectMeta &meta)
 {
-    std::string so;
-    if (!readFile(tmpSo, so))
-        return errnoStatus("jit.cache.read-tmp", errno);
+    auto so = readFile(tmpSo);
+    if (!so.ok())
+        return so.status();
 
     // Object first (rename within the cache dir), manifest last: a
     // reader either finds a complete entry or no manifest at all.
@@ -216,87 +173,13 @@ publishObject(const std::string &dir, const std::string &key,
     body += std::string("magic ") + kMetaMagic + "\n";
     body += "key " + key + "\n";
     body += "abi " + std::to_string(kAbiVersion) + "\n";
-    body += "so-size " + std::to_string(so.size()) + "\n";
-    body += "so-hash " + hex64(xxhash64(so.data(), so.size(), 0)) + "\n";
+    body += "so-size " + std::to_string(so->size()) + "\n";
+    body += "so-hash " + hex64(xxhash64(so->data(), so->size(), 0)) + "\n";
     body += "fp " + meta.fingerprint + "\n";
     body += "compiler " + meta.compiler + "\n";
     body += "flags " + meta.flags + "\n";
     body += "sum " + hex64(xxhash64(body.data(), body.size(), 0)) + "\n";
-
-    std::string tmpMeta = metaPath(dir, key) + ".tmp-" +
-                          std::to_string(static_cast<long>(::getpid()));
-    int fd = ::open(tmpMeta.c_str(),
-                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-    if (fd < 0)
-        return errnoStatus("jit.cache.meta-open", errno);
-    size_t off = 0;
-    while (off < body.size()) {
-        ssize_t n = ::write(fd, body.data() + off, body.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            int err = errno;
-            ::close(fd);
-            ::unlink(tmpMeta.c_str());
-            return errnoStatus("jit.cache.meta-write", err);
-        }
-        off += static_cast<size_t>(n);
-    }
-    ::fsync(fd);
-    ::close(fd);
-    if (::rename(tmpMeta.c_str(), metaPath(dir, key).c_str()) != 0) {
-        int err = errno;
-        ::unlink(tmpMeta.c_str());
-        return errnoStatus("jit.cache.publish-meta", err);
-    }
-    return {};
-}
-
-bool
-CompileLock::tryAcquire(const std::string &dir, const std::string &key)
-{
-    DSA_ASSERT(!held_, "compile lock reacquired while held");
-    std::string path = dir + "/obj-" + key + ".lock";
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        int fd = ::open(path.c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
-        if (fd >= 0) {
-            std::string pid =
-                std::to_string(static_cast<long>(::getpid())) + "\n";
-            ssize_t n = ::write(fd, pid.data(), pid.size());
-            (void)n;
-            ::close(fd);
-            held_ = true;
-            path_ = path;
-            return true;
-        }
-        if (errno != EEXIST)
-            return false;
-        // Someone holds the claim. Break it only if its owner is dead.
-        std::string owner;
-        long ownerPid = 0;
-        if (readFile(path, owner))
-            ownerPid = std::atol(owner.c_str());
-        if (ownerPid > 0 && (::kill(static_cast<pid_t>(ownerPid), 0) == 0 ||
-                             errno != ESRCH))
-            return false; // live owner (or unknowable): lose the race
-        if (ownerPid == 0 && !owner.empty())
-            return false; // unparsable owner: be conservative
-        ::unlink(path.c_str());
-        // Retry once: another contender may win the retake, which is
-        // fine — exactly one compiler per key either way.
-    }
-    return false;
-}
-
-void
-CompileLock::release()
-{
-    if (!held_)
-        return;
-    ::unlink(path_.c_str());
-    held_ = false;
-    path_.clear();
+    return writeFileAtomic(metaPath(dir, key), body);
 }
 
 } // namespace dsa::sim::jit

@@ -1,25 +1,26 @@
 /**
  * @file
- * Persistent on-disk object cache for JIT-compiled simulation kernels,
- * following the eval-cache store's durability conventions (see
- * `dse/cache_store.h`): single-writer files claimed via O_EXCL lock
- * files, atomic publish by rename, a checksummed sidecar manifest per
- * object, and quarantine-don't-crash loads — a corrupt `.so` or torn
- * manifest costs cache warmth, never correctness and never a crash.
+ * Persistent on-disk object cache for JIT-compiled simulation kernels.
+ * It shares its file primitives with the eval-cache store and the DSE
+ * checkpoints (`base/files.h`): the compile claim is a FileLock, the
+ * manifest is published with writeFileAtomic, and loads quarantine
+ * instead of crashing — a corrupt `.so` or torn manifest costs cache
+ * warmth, never correctness and never a crash.
  *
  * Layout of a cache directory (one per abi version + uid by default):
  *   obj-<key>.so        the compiled kernel (published by rename)
  *   obj-<key>.meta      checksummed manifest: key, abi, so size/hash,
  *                       ADG fingerprint, compiler version, flags
- *   obj-<key>.lock      O_EXCL compile claim, holds the owner pid;
- *                       stale (dead-owner) locks are broken
+ *   obj-<key>.lock      compile claim (FileLock); the kernel releases
+ *                       it when its holder dies, and its holder
+ *                       unlinks it when done
  *   quar-*              quarantined corrupt entries, kept for autopsy
  *
  * The <key> is content-addressed: a hash of the generated source, the
  * compiler identity, and the kernel ABI version (see jit_runtime).
  * Readers validate the manifest checksum, the recorded object hash,
  * and the abi before ever dlopen()ing a cached file, so workers
- * sharing the directory can race freely: exactly one wins the lock
+ * sharing the directory can race freely: exactly one holds the claim
  * and compiles; everyone else reuses the published object or, if they
  * find a half-written/corrupt entry, quarantines it and moves on.
  */
@@ -49,9 +50,8 @@ std::string defaultCacheDir();
 
 std::string objectPath(const std::string &dir, const std::string &key);
 std::string metaPath(const std::string &dir, const std::string &key);
-
-/** mkdir -p the cache directory. */
-Status ensureCacheDir(const std::string &dir);
+/** The compile claim for @p key: whoever holds a FileLock on it compiles. */
+std::string lockPath(const std::string &dir, const std::string &key);
 
 enum class ProbeResult {
     Miss,        ///< no (validated) object present
@@ -72,40 +72,12 @@ ProbeResult probeObject(const std::string &dir, const std::string &key,
 
 /**
  * Atomically publish @p tmpSo (a finished object inside @p dir) as
- * obj-<key>.so with its checksummed manifest. Object first, manifest
- * last, both by rename — a reader either sees a complete entry or no
- * manifest at all.
+ * obj-<key>.so with its checksummed manifest. Object first (by rename),
+ * manifest last (by writeFileAtomic) — a reader either sees a complete
+ * entry or no manifest at all. Call only while holding the claim.
  */
 Status publishObject(const std::string &dir, const std::string &key,
                      const std::string &tmpSo, const ObjectMeta &meta);
-
-/**
- * The single-writer compile claim: an O_EXCL lock file holding the
- * owner pid. A lock whose owner is dead is stale and is broken
- * (unlink + retake). Losing the race is not an error — the loser
- * simply re-probes for the winner's published object.
- */
-class CompileLock
-{
-  public:
-    CompileLock() = default;
-    ~CompileLock() { release(); }
-
-    CompileLock(const CompileLock &) = delete;
-    CompileLock &operator=(const CompileLock &) = delete;
-
-    /** True when this process now owns the compile claim for @p key. */
-    bool tryAcquire(const std::string &dir, const std::string &key);
-
-    bool held() const { return held_; }
-
-    /** Unlink the lock file (idempotent; also run by the destructor). */
-    void release();
-
-  private:
-    bool held_ = false;
-    std::string path_;
-};
 
 } // namespace dsa::sim::jit
 

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "base/fault.h"
+#include "base/files.h"
 #include "base/hashing.h"
 #include "base/logging.h"
 #include "sim/jit/jit_cache.h"
@@ -223,7 +224,7 @@ struct JitRuntime::Impl
             return out;
         };
 
-        if (Status st = ensureCacheDir(job.dir); !st.ok())
+        if (Status st = makeDirs(job.dir); !st.ok())
             return fail("cache", st.toString(),
                         &JitStats::compileFailures);
 
@@ -267,11 +268,16 @@ struct JitRuntime::Impl
             return fail("compile", "no working C++ compiler found",
                         &JitStats::compileFailures);
 
-        CompileLock lock;
-        if (!lock.tryAcquire(job.dir, job.key)) {
-            // Lost the O_EXCL race: wait for the winner to publish,
-            // then reuse its object. Bounded — a dead or wedged
-            // winner degrades us to the interpreted tier, not a hang.
+        const std::string claimPath = lockPath(job.dir, job.key);
+        FileLock claim;
+        auto won = claim.tryLock(claimPath);
+        if (!won.ok())
+            return fail("compile", "claim: " + won.status().toString(),
+                        &JitStats::compileFailures);
+        if (!*won) {
+            // Another live holder is compiling: wait for it to publish,
+            // then reuse its object. Bounded — a wedged holder
+            // degrades us to the interpreted tier, not a hang.
             {
                 std::lock_guard<std::mutex> g(mu);
                 ++stats.lockWaits;
@@ -293,10 +299,11 @@ struct JitRuntime::Impl
                     return fail("dlopen", diag,
                                 &JitStats::dlopenFailures);
                 }
-                if (lock.tryAcquire(job.dir, job.key))
-                    break; // winner died without publishing: take over
+                if (auto again = claim.tryLock(claimPath);
+                    again.ok() && *again)
+                    break; // holder died without publishing: take over
             }
-            if (!lock.held())
+            if (!claim.held())
                 return fail("compile",
                             "timed out waiting for a racing compile",
                             &JitStats::compileFailures);
@@ -308,7 +315,7 @@ struct JitRuntime::Impl
             JitStats local;
             if (probeObject(job.dir, job.key, local, &soPath, &diag) ==
                 ProbeResult::Hit) {
-                lock.release();
+                claim.unlock();
                 {
                     std::lock_guard<std::mutex> g(mu);
                     ++stats.diskHits;
@@ -324,14 +331,9 @@ struct JitRuntime::Impl
         std::string pid = std::to_string(static_cast<long>(::getpid()));
         std::string src = job.dir + "/src-" + job.key + "-" + pid + ".cc";
         std::string tmpSo = job.dir + "/tmp-" + job.key + "-" + pid + ".so";
-        {
-            FILE *f = std::fopen(src.c_str(), "w");
-            if (!f)
-                return fail("compile", "cannot write kernel source",
-                            &JitStats::compileFailures);
-            std::fwrite(job.source.data(), 1, job.source.size(), f);
-            std::fclose(f);
-        }
+        if (Status st = writeFileAtomic(src, job.source); !st.ok())
+            return fail("compile", "kernel source: " + st.toString(),
+                        &JitStats::compileFailures);
 
         double t0 = nowMs();
         std::string log;
@@ -340,11 +342,7 @@ struct JitRuntime::Impl
                                   shellQuote(tmpSo) + " 2>&1",
                               log);
         double elapsed = nowMs() - t0;
-        // DSA_SIM_JIT_KEEP_SRC=1: leave src-<key>-<pid>.cc behind for
-        // inspection (debugging the emitter / perf work).
-        if (const char *keep = std::getenv("DSA_SIM_JIT_KEEP_SRC");
-            !(keep && *keep && *keep != '0'))
-            ::unlink(src.c_str());
+        ::unlink(src.c_str());
         if (!okc) {
             ::unlink(tmpSo.c_str());
             return fail("compile", firstLine(log),
@@ -362,7 +360,7 @@ struct JitRuntime::Impl
             return fail("compile", "publish: " + st.toString(),
                         &JitStats::compileFailures);
         }
-        lock.release();
+        claim.unlock();
         {
             std::lock_guard<std::mutex> g(mu);
             ++stats.compiles;

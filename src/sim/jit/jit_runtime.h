@@ -18,17 +18,17 @@
  * Keys are content-addressed — hash(source text, compiler identity,
  * kernel ABI version, sim-options hash) — so every design whose armed
  * period lowers to the same source shares one object, in memory and
- * on disk. The on-disk side is `jit_cache`; loaded objects are never
- * dlclose()d (kernels may be executing on other threads at exit; the
- * bounded leak is deliberate).
+ * on disk. The on-disk side is `jit_cache`: one process per key holds
+ * the compile claim (a FileLock from base/files.h, released by the
+ * kernel if that process dies), the others wait for its published
+ * object. Loaded objects are never dlclose()d (kernels may be
+ * executing on other threads at exit; the bounded leak is deliberate).
  *
  * Env knobs:
  *   DSA_SIM_JIT_DIR    object cache directory override
  *   DSA_SIM_JIT_SYNC   =1: acquire() blocks until the kernel is
  *                      terminal (Ready/Failed) — deterministic tests
  *   DSA_JIT_CXX        compiler override (else $CXX, c++, g++, clang++)
- *   DSA_SIM_JIT_KEEP_SRC  =1: keep the generated src-<key>-<pid>.cc
- *                      beside the cache (debugging the emitter)
  *
  * Fault sites (DSA_FAULT): jit.compile.fail, jit.dlopen.fail, and —
  * in jit_cache — jit.object.corrupt.

@@ -23,7 +23,7 @@ struct JitStats
     int64_t compileFailures = 0;///< compiler missing/failed/faulted
     int64_t dlopenFailures = 0; ///< object built/loaded but not mappable
     int64_t quarantined = 0;    ///< corrupt cache entries set aside
-    int64_t lockWaits = 0;      ///< lost an O_EXCL compile race, reused
+    int64_t lockWaits = 0;      ///< found the compile claim held, waited
     double compileMs = 0.0;     ///< total wall time inside the compiler
 
     JitStats

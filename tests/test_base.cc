@@ -1,12 +1,19 @@
 /** @file Unit tests for base utilities (table, strings, bits, rng,
- *  thread pool). */
+ *  thread pool, durable files and file locks). */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 
+#include <signal.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "base/bits.h"
+#include "base/files.h"
 #include "base/rng.h"
 #include "base/strings.h"
 #include "base/table.h"
@@ -216,6 +223,122 @@ TEST(ThreadPool, EmptyAndSingleJobs)
     EXPECT_EQ(n.load(), 1);
     EXPECT_EQ(pool.threads(), 3);
     EXPECT_GE(ThreadPool::hardwareThreads(), 1);
+}
+
+/** Fresh scratch directory (not yet created) in the working directory. */
+std::string
+scratchDir(const std::string &tag)
+{
+    std::string dir = "base_files_" + tag + "_" + std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+bool
+exists(const std::string &path)
+{
+    return ::access(path.c_str(), F_OK) == 0;
+}
+
+TEST(Files, WriteAtomicReadRoundTripLeavesNoTemp)
+{
+    std::string dir = scratchDir("rt");
+    ASSERT_TRUE(makeDirs(dir).ok());
+    std::string path = dir + "/data.bin";
+    // Binary, and larger than one read chunk.
+    std::string bytes;
+    for (int i = 0; i < 200000; ++i)
+        bytes.push_back(static_cast<char>(i * 7));
+    ASSERT_TRUE(writeFileAtomic(path, bytes).ok());
+    auto back = readFile(path);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(*back, bytes);
+    // Replacing with fewer bytes leaves exactly the new content.
+    ASSERT_TRUE(writeFileAtomic(path, "short").ok());
+    EXPECT_EQ(readFile(path).value(), "short");
+    EXPECT_FALSE(exists(path + ".tmp"));
+    EXPECT_EQ(readFile(dir + "/missing").status().code(),
+              StatusCode::NotFound);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Files, MakeDirsNestedAndOnRegularFile)
+{
+    std::string dir = scratchDir("mk");
+    std::string nested = dir + "/a/b/c";
+    ASSERT_TRUE(makeDirs(nested).ok());
+    struct stat st;
+    ASSERT_EQ(::stat(nested.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISDIR(st.st_mode));
+    EXPECT_TRUE(makeDirs(nested).ok()); // already there: fine
+    std::string file = dir + "/file";
+    ASSERT_TRUE(writeFileAtomic(file, "x").ok());
+    EXPECT_EQ(makeDirs(file).code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(makeDirs(file + "/sub").code(), StatusCode::InvalidArgument);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Files, LockRefusesSecondHolderAndUnlockRemovesFile)
+{
+    std::string dir = scratchDir("lock");
+    ASSERT_TRUE(makeDirs(dir).ok());
+    std::string path = dir + "/x.lock";
+    FileLock a, b;
+    auto first = a.tryLock(path);
+    ASSERT_TRUE(first.ok() && *first) << first.status().toString();
+    EXPECT_TRUE(a.held());
+    // Locks are per open file, so a second holder in this same
+    // process is refused — without an error.
+    auto second = b.tryLock(path);
+    ASSERT_TRUE(second.ok()) << second.status().toString();
+    EXPECT_FALSE(*second);
+    EXPECT_FALSE(b.held());
+    a.unlock();
+    EXPECT_FALSE(a.held());
+    EXPECT_FALSE(exists(path));
+    auto third = b.tryLock(path);
+    EXPECT_TRUE(third.ok() && *third);
+    b.unlock();
+    EXPECT_FALSE(exists(path));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Files, LockOfKilledHolderDoesNotBlock)
+{
+    std::string dir = scratchDir("killed");
+    ASSERT_TRUE(makeDirs(dir).ok());
+    std::string path = dir + "/x.lock";
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        FileLock held;
+        auto got = held.tryLock(path);
+        char c = got.ok() && *got ? '1' : '0';
+        (void)::write(ready[1], &c, 1);
+        for (;;)
+            ::pause(); // hold until killed
+    }
+    ::close(ready[1]);
+    char c = 0;
+    ASSERT_EQ(::read(ready[0], &c, 1), 1);
+    ::close(ready[0]);
+    ASSERT_EQ(c, '1');
+
+    FileLock mine;
+    auto whileAlive = mine.tryLock(path);
+    ASSERT_TRUE(whileAlive.ok()) << whileAlive.status().toString();
+    EXPECT_FALSE(*whileAlive); // a live holder in another process
+    ::kill(child, SIGKILL);
+    int ws = 0;
+    ASSERT_EQ(::waitpid(child, &ws, 0), child);
+    EXPECT_TRUE(exists(path)); // killed before it could unlink
+    auto afterDeath = mine.tryLock(path);
+    EXPECT_TRUE(afterDeath.ok() && *afterDeath);
+    mine.unlock();
+    EXPECT_FALSE(exists(path));
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -35,6 +35,7 @@
 #include "adg/prebuilt.h"
 #include "base/deadline.h"
 #include "base/fault.h"
+#include "base/files.h"
 #include "base/json.h"
 #include "base/rng.h"
 #include "base/status.h"
@@ -829,23 +830,27 @@ TEST(CacheStore, StaleLeaseOfDeadOwnerIsTakenOver)
     store.flush();
     ASSERT_EQ(segFiles(dir).size(), 2u);
 
-    // A compaction lease whose owner died (a real pid, forked and
-    // reaped, so kill(pid, 0) reports ESRCH).
+    // A compactor killed while holding the lease: the lease file stays
+    // behind, but the kernel released the lock with the process.
+    std::string lease = dir + "/compact.lease";
     pid_t dead = ::fork();
     ASSERT_GE(dead, 0);
-    if (dead == 0)
-        ::_exit(0);
-    ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
-    {
-        std::ofstream lease(dir + "/compact.lease", std::ios::trunc);
-        lease << "pid " << dead << "\n";
+    if (dead == 0) {
+        FileLock held;
+        if (held.tryLock(lease).ok() && held.held())
+            ::raise(SIGKILL);
+        ::_exit(1);
     }
+    int ws = 0;
+    ASSERT_EQ(::waitpid(dead, &ws, 0), dead);
+    ASSERT_TRUE(WIFSIGNALED(ws)) << "child never held the lease";
+    ASSERT_EQ(::access(lease.c_str(), F_OK), 0);
 
     auto compacted = store.compact();
     ASSERT_TRUE(compacted.ok()) << compacted.status().toString();
     EXPECT_TRUE(*compacted);
-    EXPECT_EQ(store.stats().leaseTakeovers, 1u);
     EXPECT_EQ(store.stats().compactions, 1u);
+    EXPECT_NE(::access(lease.c_str(), F_OK), 0); // released by unlink
     EXPECT_EQ(segFiles(dir).size(), 1u); // merged into one segment
 
     dse::CacheStore reader(dir);
@@ -864,16 +869,17 @@ TEST(CacheStore, LiveLeaseRefusesCompactionWithoutError)
     ASSERT_TRUE(store.open().ok());
     ASSERT_TRUE(store.append(synthKey(0), synthEntry(0)).ok());
     store.flush();
-    { // a fresh lease held by a live process (us)
-        std::ofstream lease(dir + "/compact.lease", std::ios::trunc);
-        lease << "pid " << ::getpid() << "\n";
-    }
+    ASSERT_TRUE(store.append(synthKey(1), synthEntry(1)).ok());
+    store.flush();
+    FileLock held; // the lease held by a live holder (us)
+    auto got = held.tryLock(dir + "/compact.lease");
+    ASSERT_TRUE(got.ok() && *got) << got.status().toString();
     auto compacted = store.compact();
     ASSERT_TRUE(compacted.ok()) << compacted.status().toString();
     EXPECT_FALSE(*compacted); // declined, not an error
-    EXPECT_EQ(store.stats().leaseTakeovers, 0u);
     EXPECT_EQ(store.stats().compactions, 0u);
-    EXPECT_TRUE(readAll(dir + "/compact.lease").find("pid ") == 0);
+    EXPECT_EQ(segFiles(dir).size(), 2u); // nothing merged or unlinked
+    held.unlock();
     rmTree(dir);
 }
 

@@ -12,8 +12,9 @@
  * oracle chain dense -> sparse -> compiled -> jit.
  *
  * The on-disk object cache is exercised at three levels: unit tests of
- * probeObject/CompileLock (quarantine, checksums, O_EXCL, stale-lock
- * breaking), in-process warm-cache runs (zero recompiles, the stats
+ * probeObject and the compile claim (quarantine, checksums, a live
+ * holder refusing a second claim, a killed holder blocking no
+ * compile), in-process warm-cache runs (zero recompiles, the stats
  * prove it), and real two-process races — this binary defines its own
  * main() and re-execs itself with the `__jit-sim-run` argv marker so
  * two independent processes can fight over one cache directory.
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include <dirent.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -41,6 +43,7 @@
 #include "adg/prebuilt.h"
 #include "base/deadline.h"
 #include "base/fault.h"
+#include "base/files.h"
 #include "base/hashing.h"
 #include "base/subprocess.h"
 #include "compiler/compile.h"
@@ -78,7 +81,7 @@ freshDir(const std::string &tag)
 {
     std::string dir = "jitcache_" + tag + "_" +
                       std::to_string(static_cast<long>(::getpid()));
-    EXPECT_TRUE(sim::jit::ensureCacheDir(dir).ok());
+    EXPECT_TRUE(makeDirs(dir).ok());
     return dir;
 }
 
@@ -592,44 +595,65 @@ TEST(SimJit, InjectedCorruptionFaultQuarantinesThenRecompiles)
 }
 
 // ---------------------------------------------------------------------
-// The compile claim: O_EXCL single-writer, stale locks broken
+// The compile claim: one live holder, released when its holder dies
 // ---------------------------------------------------------------------
 
 TEST(SimJit, CompileLockIsExclusive)
 {
     std::string dir = freshDir("lock");
-    sim::jit::CompileLock a, b;
-    EXPECT_TRUE(a.tryAcquire(dir, "deadbeef"));
-    EXPECT_TRUE(a.held());
-    EXPECT_FALSE(b.tryAcquire(dir, "deadbeef")); // live owner: lose
-    a.release();
-    EXPECT_TRUE(b.tryAcquire(dir, "deadbeef"));
-    b.release();
+    std::string claim = sim::jit::lockPath(dir, "deadbeef");
+    FileLock a, b;
+    auto first = a.tryLock(claim);
+    ASSERT_TRUE(first.ok() && *first) << first.status().toString();
+    auto second = b.tryLock(claim);
+    ASSERT_TRUE(second.ok()) << second.status().toString();
+    EXPECT_FALSE(*second); // live holder: lose
+    a.unlock();
+    EXPECT_NE(::access(claim.c_str(), F_OK), 0); // no claim left behind
+    auto third = b.tryLock(claim);
+    EXPECT_TRUE(third.ok() && *third);
+    b.unlock();
     rmTree(dir);
 }
 
 TEST(SimJit, StaleLockFromDeadOwnerIsBroken)
 {
-    std::string dir = freshDir("stale");
-    // A real, definitely-dead pid: fork a child that exits at once.
+    SKIP_WITHOUT_COMPILER();
+    std::string dirA = freshDir("pubS");
+    std::string key = publishRealObject(dirA);
+    ASSERT_FALSE(key.empty());
+
+    // A compiler killed while holding the claim for that very key in a
+    // fresh cache dir: its lock file stays behind, its lock does not.
+    std::string dirB = freshDir("stale");
+    std::string claim = sim::jit::lockPath(dirB, key);
     pid_t dead = ::fork();
     ASSERT_GE(dead, 0);
-    if (dead == 0)
-        ::_exit(0);
+    if (dead == 0) {
+        FileLock held;
+        if (held.tryLock(claim).ok() && held.held())
+            ::raise(SIGKILL);
+        ::_exit(1);
+    }
     int ws = 0;
     ASSERT_EQ(::waitpid(dead, &ws, 0), dead);
-    writeAll(dir + "/obj-cafe.lock",
-             std::to_string(static_cast<long>(dead)) + "\n");
+    ASSERT_TRUE(WIFSIGNALED(ws)) << "child never held the claim";
+    ASSERT_EQ(::access(claim.c_str(), F_OK), 0);
 
-    sim::jit::CompileLock l;
-    EXPECT_TRUE(l.tryAcquire(dir, "cafe")); // stale claim broken
-    l.release();
-
-    // An unparsable owner is unknowable: stay conservative, lose.
-    writeAll(dir + "/obj-cafe.lock", "not-a-pid\n");
-    sim::jit::CompileLock m;
-    EXPECT_FALSE(m.tryAcquire(dir, "cafe"));
-    rmTree(dir);
+    // The runtime takes the claim at once and compiles: no wait for a
+    // holder that will never publish.
+    auto before = sim::jit::JitRuntime::instance().stats();
+    sim::SimResult jitRes;
+    EXPECT_TRUE(runDenseVsJit(workloads::workload("mm"),
+                              adg::buildDseInitial(), 400, "stale claim",
+                              dirB, {}, &jitRes));
+    auto delta = sim::jit::JitRuntime::instance().stats() - before;
+    EXPECT_EQ(delta.compiles, 1);
+    EXPECT_EQ(delta.lockWaits, 0);
+    EXPECT_GT(jitRes.cyclesJit, 0);
+    EXPECT_NE(::access(claim.c_str(), F_OK), 0);
+    rmTree(dirA);
+    rmTree(dirB);
 }
 
 // ---------------------------------------------------------------------
@@ -678,7 +702,7 @@ TEST(SimJit, TwoProcessRaceOneWinnerOneReuse)
 
     // Both children simulate the same kernel against the same cache
     // dir concurrently. Whatever the interleaving — one publishes
-    // before the other probes, or they collide on the O_EXCL claim —
+    // before the other probes, or they collide on the compile claim —
     // exactly one compile happens and both runs agree bit-for-bit.
     auto c1 = spawnChild(dir);
     auto c2 = spawnChild(dir);

@@ -23,10 +23,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "adg/prebuilt.h"
+#include "base/files.h"
 #include "base/status.h"
 #include "base/strings.h"
 #include "base/table.h"
@@ -75,12 +74,8 @@ exitCodeFor(const Status &s)
 adg::Adg
 loadTarget(const std::string &name)
 {
-    std::ifstream file(name);
-    if (file.good()) {
-        std::stringstream ss;
-        ss << file.rdbuf();
-        return adg::Adg::fromText(ss.str());
-    }
+    if (auto text = readFile(name); text.ok())
+        return adg::Adg::fromText(*text);
     if (name == "softbrain")
         return adg::buildSoftbrain();
     if (name == "maeri")
@@ -95,10 +90,23 @@ loadTarget(const std::string &name)
         return adg::buildDseInitial();
     if (name == "diannao")
         return adg::buildDianNaoLike();
-    DSA_FATAL("unknown target '", name,
-              "' (and no such ADG file exists) ",
-              suggestName(name, {"softbrain", "maeri", "triggered", "spu",
-                                 "revel", "dse_initial", "diannao"}));
+    throw StatusException(Status::notFound(
+        "unknown target '" + name + "' (and no such ADG file exists) " +
+        suggestName(name, {"softbrain", "maeri", "triggered", "spu",
+                           "revel", "dse_initial", "diannao"})));
+}
+
+/** Write @p text to @p path durably; on failure print why and return 1. */
+int
+writeOutput(const std::string &path, const std::string &text,
+            const char *what)
+{
+    if (Status s = writeFileAtomic(path, text); !s.ok()) {
+        std::fprintf(stderr, "dsagen: %s\n", s.toString().c_str());
+        return 1;
+    }
+    std::printf("%s %s\n", what, path.c_str());
+    return 0;
 }
 
 int
@@ -339,7 +347,7 @@ finishDse(const dse::DseResult &res, const std::string &savePath,
                     static_cast<unsigned long long>(cs.storeSegments),
                     static_cast<unsigned long long>(cs.storeAppends),
                     static_cast<unsigned long long>(cs.storeQuarantined));
-    const dse::DseWorkerStats &ws = res.workerStats;
+    const dse::WorkerPoolStats &ws = res.workerStats;
     if (ws.spawned > 0) {
         std::printf("workers: %llu spawned, %llu shards dispatched",
                     static_cast<unsigned long long>(ws.spawned),
@@ -418,9 +426,8 @@ finishDse(const dse::DseResult &res, const std::string &savePath,
                         static_cast<long long>(js.dlopenFailures),
                         static_cast<long long>(js.quarantined));
     }
-    std::ofstream out(savePath);
-    out << res.best.toText();
-    std::printf("design saved to %s\n", savePath.c_str());
+    if (writeOutput(savePath, res.best.toText(), "design saved to") != 0)
+        return 1;
     return res.stopReason == "error" ? 1 : 0;
 }
 
@@ -635,10 +642,8 @@ cmdHwgen(const std::string &target, const std::string &outPath)
     std::printf("config: %lld bits over %zu paths (longest %d hops)\n",
                 static_cast<long long>(hwgen::totalConfigBits(hw)),
                 paths.paths.size(), paths.maxLength());
-    std::ofstream out(outPath);
-    out << hwgen::emitVerilog(hw, "dsagen_fabric", paths);
-    std::printf("Verilog written to %s\n", outPath.c_str());
-    return 0;
+    return writeOutput(outPath, hwgen::emitVerilog(hw, "dsagen_fabric", paths),
+                       "Verilog written to");
 }
 
 void
