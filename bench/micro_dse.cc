@@ -7,8 +7,8 @@
  *      enabled, cold (measures forward-run caching and shows there is
  *      no cache-cold regression);
  *   3. "replay": the identical exploration again, warm-started from
- *      the eval cache the cold cached run persisted through its
- *      checkpoint — every evaluation hits, so the replay skips all
+ *      the cache store the cold cached run appended every fresh
+ *      evaluation to — every evaluation hits, so the replay skips all
  *      compile + schedule work (the "resume does not re-pay" path).
  * All three must produce bit-identical results; the harness aborts on
  * any divergence. Reports candidates/second plus per-cache hit rates
@@ -43,7 +43,6 @@
 
 #include "adg/prebuilt.h"
 #include "base/thread_pool.h"
-#include "dse/checkpoint.h"
 #include "dse/explorer.h"
 #include "dse/worker_pool.h"
 #include "workloads/workload.h"
@@ -60,13 +59,12 @@ struct Timed
 };
 
 Timed
-timedRun(const char *suite, const dse::DseOptions &opts,
-         std::shared_ptr<dse::EvalCache> warm = nullptr)
+timedRun(const char *suite, const dse::DseOptions &opts)
 {
     dse::Explorer ex(workloads::suiteWorkloads(suite), opts);
     auto t0 = std::chrono::steady_clock::now();
     Timed t;
-    t.res = ex.run(adg::buildDseInitial(), std::move(warm));
+    t.res = ex.run(adg::buildDseInitial());
     t.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -142,13 +140,13 @@ main(int argc, char **argv)
         cold.memoize = false;
         cold.dedupBatch = false;
 
-        // The cold cached run checkpoints so its eval cache persists;
-        // the replay run warm-starts from what the checkpoint holds.
-        std::string ckPath =
-            std::string("bench_dse_") + suite + ".ckpt.json";
+        // The cold cached run appends every fresh evaluation to a
+        // store; the replay run warm-starts from that store.
+        std::string replayStore =
+            std::string("bench_dse_") + suite + ".replay.store";
+        rmTree(replayStore);
         dse::DseOptions cachedOpts = base;
-        cachedOpts.checkpointPath = ckPath;
-        cachedOpts.checkpointEvery = 1000000;  // final write only
+        cachedOpts.cacheStoreDir = replayStore;
 
         std::printf("== %s: %d iters, batch %d, %d threads ==\n", suite,
                     iters, batch, threads);
@@ -168,21 +166,19 @@ main(int argc, char **argv)
                     100 * rate(cs.costHits, cs.costMisses),
                     static_cast<unsigned long long>(cs.dedupCollapsed));
 
-        auto loaded = dse::loadCheckpoint(ckPath);
-        if (!loaded.ok() || !loaded.value().state.evalCache) {
+        if (cs.storeAppends == 0) {
             std::fprintf(stderr, "FATAL: no persisted eval cache in %s\n",
-                         ckPath.c_str());
+                         replayStore.c_str());
             return 1;
         }
-        Timed replay =
-            timedRun(suite, base, loaded.value().state.evalCache);
+        Timed replay = timedRun(suite, cachedOpts);
         const dse::DseCacheStats &rs = replay.res.cacheStats;
         std::printf("  replay:   %.1fs, %.2f candidates/s (%.2fx), "
                     "eval %.0f%% hit\n",
                     replay.seconds, replay.candidatesPerSec,
                     replay.candidatesPerSec / uncached.candidatesPerSec,
                     100 * rate(rs.evalHits, rs.evalMisses));
-        std::remove(ckPath.c_str());
+        rmTree(replayStore);
 
         // The caches must not change a single bit of the outcome;
         // a mismatch invalidates the whole benchmark.

@@ -50,7 +50,7 @@ TSAN_OPTIONS="halt_on_error=1" \
           -R 'test_concurrency|test_base|test_scheduler_incremental|test_scheduler_parallel|test_dse_cache|test_dse_pareto|test_robustness'
 
 echo
-echo "== tier-1: robustness, sparse-simulator, scheduler and base tests under ASan+UBSan =="
+echo "== tier-1: robustness, sparse-simulator, scheduler, base and ADG tests under ASan+UBSan =="
 # The crash-safety paths (checkpoint serialization, watchdog aborts,
 # exception propagation out of pool workers) juggle partially-built
 # state by design; run them with address + undefined-behavior checking
@@ -84,14 +84,20 @@ echo "== tier-1: robustness, sparse-simulator, scheduler and base tests under AS
 # through: its read/write buffers are indexed by hand across short
 # reads and writes, and each FileLock owns a descriptor that must be
 # closed exactly once, including in the forked holders its tests kill.
+# test_adg joins for the ADG text parser, which sizes flat node and
+# edge tables from ids read out of files, checkpoints and worker
+# frames: an id that escapes its range check is an out-of-bounds
+# write, which only ASan reports reliably (a plain build may not
+# crash at all). Its malformed-text cases drive every such check.
 cmake -B build-asan -S . -DDSA_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness \
       test_sim_sparse test_sim_compiled test_sim_jit \
-      test_scheduler_incremental test_scheduler_parallel test_base
+      test_scheduler_incremental test_scheduler_parallel test_base \
+      test_adg
 ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure \
-          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental|test_scheduler_parallel|test_base'
+          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental|test_scheduler_parallel|test_base|test_adg'
 
 echo
 echo "tier-1 OK"

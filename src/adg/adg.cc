@@ -342,6 +342,26 @@ opsToString(const OpSet &ops)
     return join(names, ",");
 }
 
+/** Reject malformed ADG text (fromText adds the line). */
+[[noreturn]] void
+malformed(const std::string &what)
+{
+    throw StatusException(Status::invalidArgument(what));
+}
+
+/** opFromName, but an unknown name throws instead of exiting. */
+OpCode
+opFromText(const std::string &name)
+{
+    for (int i = 0; i < kNumOpCodes; ++i)
+        if (name == opName(static_cast<OpCode>(i)))
+            return static_cast<OpCode>(i);
+    std::vector<std::string> valid;
+    for (int i = 0; i < kNumOpCodes; ++i)
+        valid.emplace_back(opName(static_cast<OpCode>(i)));
+    malformed("unknown opcode '" + name + "' " + suggestName(name, valid));
+}
+
 OpSet
 opsFromString(const std::string &s)
 {
@@ -350,32 +370,70 @@ opsFromString(const std::string &s)
         return out;
     for (const auto &tok : split(s, ','))
         if (!tok.empty())
-            out.insert(opFromName(tok));
+            out.insert(opFromText(tok));
     return out;
 }
 
+/**
+ * Node and edge ids index flat tables sized by the largest id, so a
+ * bound keeps a mangled id from asking for gigabytes. It is far above
+ * any fabric the explorer grows, tombstones included.
+ */
+constexpr int32_t kMaxTextId = 1 << 20;
+
+int32_t
+idFromText(const std::string &tok, const char *what)
+{
+    auto v = parseNumber<int32_t>(tok);
+    if (!v || *v < 0 || *v >= kMaxTextId)
+        malformed(std::string(what) + " id '" + tok + "' is not in [0, " +
+                  std::to_string(kMaxTextId) + ")");
+    return *v;
+}
+
+/** @p tok, the value of @p what, as a T. */
+template <typename T>
+T
+numFromText(const std::string &tok, const std::string &what)
+{
+    auto v = parseNumber<T>(tok);
+    if (!v)
+        malformed(what + " '" + tok + "' is not a number in range");
+    return *v;
+}
+
+using KeyVals = std::map<std::string, std::string>;
+
 /** key=value tokenizer for one serialized line. */
-std::map<std::string, std::string>
+KeyVals
 parseKeyVals(const std::vector<std::string> &toks, size_t firstIdx)
 {
-    std::map<std::string, std::string> kv;
+    KeyVals kv;
     for (size_t i = firstIdx; i < toks.size(); ++i) {
         if (toks[i].empty())
             continue;
         auto eq = toks[i].find('=');
-        DSA_ASSERT(eq != std::string::npos, "malformed token '", toks[i],
-                   "'");
+        if (eq == std::string::npos)
+            malformed("token '" + toks[i] + "' is not key=value");
         kv[toks[i].substr(0, eq)] = toks[i].substr(eq + 1);
     }
     return kv;
 }
 
 std::string
-getOr(const std::map<std::string, std::string> &kv, const std::string &key,
-      const std::string &dflt)
+getOr(const KeyVals &kv, const std::string &key, const std::string &dflt)
 {
     auto it = kv.find(key);
     return it == kv.end() ? dflt : it->second;
+}
+
+/** The value of @p key as a T, or @p dflt when the line has none. */
+template <typename T>
+T
+numOr(const KeyVals &kv, const std::string &key, T dflt)
+{
+    auto it = kv.find(key);
+    return it == kv.end() ? dflt : numFromText<T>(it->second, key);
 }
 
 } // namespace
@@ -500,19 +558,36 @@ Adg::toDot() const
 Adg
 Adg::fromText(const std::string &text)
 {
+    // Runs @p parse on the tokens of every line that is not blank or a
+    // comment. Whatever it rejects comes back as one InvalidArgument
+    // naming the line: ADG text arrives from files, checkpoints and
+    // worker frames, and none of them may take the process down.
+    std::vector<std::string> lines = split(text, '\n');
+    auto forEachLine = [&](const auto &parse) {
+        for (size_t i = 0; i < lines.size(); ++i) {
+            std::string line = trim(lines[i]);
+            if (line.empty() || line[0] == '#')
+                continue;
+            try {
+                parse(split(line, ' '));
+            } catch (const StatusException &e) {
+                throw StatusException(Status::invalidArgument(
+                    "ADG line " + std::to_string(i + 1) + " '" + line +
+                    "': " + e.status().message()));
+            }
+        }
+    };
+
     Adg g;
     // First pass: find id bounds so tombstones keep original ids.
     NodeId maxNode = -1;
     EdgeId maxEdge = -1;
-    std::vector<std::string> lines = split(text, '\n');
-    for (const auto &raw : lines) {
-        auto line = trim(raw);
-        auto toks = split(line, ' ');
+    forEachLine([&](const std::vector<std::string> &toks) {
         if (toks.size() >= 2 && toks[0] == "node")
-            maxNode = std::max(maxNode, NodeId(std::stol(toks[1])));
+            maxNode = std::max(maxNode, idFromText(toks[1], "node"));
         if (toks.size() >= 2 && toks[0] == "edge")
-            maxEdge = std::max(maxEdge, EdgeId(std::stol(toks[1])));
-    }
+            maxEdge = std::max(maxEdge, idFromText(toks[1], "edge"));
+    });
     g.nodes_.resize(maxNode + 1);
     g.outEdges_.resize(maxNode + 1);
     g.inEdges_.resize(maxNode + 1);
@@ -526,44 +601,42 @@ Adg::fromText(const std::string &text)
         g.edges_[i].alive = false;
     }
 
-    for (const auto &raw : lines) {
-        auto line = trim(raw);
-        if (line.empty() || line[0] == '#')
-            continue;
-        auto toks = split(line, ' ');
+    forEachLine([&](const std::vector<std::string> &toks) {
         if (toks[0] == "adg") {
             if (toks.size() < 2 || toks[1] != "v1")
-                DSA_FATAL("unsupported ADG version");
+                malformed("unsupported ADG version (this build reads v1)");
         } else if (toks[0] == "control") {
             auto kv = parseKeyVals(toks, 1);
-            g.control_.cmdIssueIpc = std::stod(getOr(kv, "ipc", "1"));
-            g.control_.cmdLatency = std::stoi(getOr(kv, "lat", "5"));
-            g.control_.configBitsPerCycle =
-                std::stoi(getOr(kv, "cfgbits", "64"));
+            g.control_.cmdIssueIpc = numOr(kv, "ipc", 1.0);
+            g.control_.cmdLatency = numOr(kv, "lat", 5);
+            g.control_.configBitsPerCycle = numOr(kv, "cfgbits", 64);
         } else if (toks[0] == "node") {
-            DSA_ASSERT(toks.size() >= 3, "malformed node line");
-            NodeId id = std::stol(toks[1]);
+            if (toks.size() < 3)
+                malformed("a node line needs an id and a kind");
+            NodeId id = idFromText(toks[1], "node");
             NodeKind kind = nodeKindFromName(toks[2]);
             auto kv = parseKeyVals(toks, 3);
             AdgNode &n = g.nodes_[id];
+            if (n.alive)
+                malformed("node " + toks[1] + " is defined twice");
             n.alive = true;
             n.kind = kind;
             n.name = getOr(kv, "name", "");
-            n.row = std::stoi(getOr(kv, "row", "-1"));
-            n.col = std::stoi(getOr(kv, "col", "-1"));
+            n.row = numOr(kv, "row", -1);
+            n.col = numOr(kv, "col", -1);
             switch (kind) {
               case NodeKind::Pe: {
                 PeProps p;
                 p.sched = schedulingFromName(getOr(kv, "sched", "static"));
                 p.sharing =
                     sharingFromName(getOr(kv, "sharing", "dedicated"));
-                p.maxInsts = std::stoi(getOr(kv, "insts", "1"));
-                p.datapathBits = std::stoi(getOr(kv, "bits", "64"));
-                p.decomposable = std::stoi(getOr(kv, "decomp", "0"));
-                p.minLaneBits = std::stoi(getOr(kv, "minlane", "64"));
-                p.delayFifoDepth = std::stoi(getOr(kv, "delay", "4"));
-                p.streamJoin = std::stoi(getOr(kv, "join", "0"));
-                p.regFileSize = std::stoi(getOr(kv, "regs", "2"));
+                p.maxInsts = numOr(kv, "insts", 1);
+                p.datapathBits = numOr(kv, "bits", 64);
+                p.decomposable = numOr(kv, "decomp", 0);
+                p.minLaneBits = numOr(kv, "minlane", 64);
+                p.delayFifoDepth = numOr(kv, "delay", 4);
+                p.streamJoin = numOr(kv, "join", 0);
+                p.regFileSize = numOr(kv, "regs", 2);
                 p.ops = opsFromString(getOr(kv, "ops", ""));
                 n.props = p;
                 break;
@@ -571,11 +644,11 @@ Adg::fromText(const std::string &text)
               case NodeKind::Switch: {
                 SwitchProps p;
                 p.sched = schedulingFromName(getOr(kv, "sched", "static"));
-                p.datapathBits = std::stoi(getOr(kv, "bits", "64"));
-                p.decomposable = std::stoi(getOr(kv, "decomp", "0"));
-                p.minLaneBits = std::stoi(getOr(kv, "minlane", "64"));
-                p.flopOutput = std::stoi(getOr(kv, "flop", "1"));
-                p.maxRoutes = std::stoi(getOr(kv, "routes", "1"));
+                p.datapathBits = numOr(kv, "bits", 64);
+                p.decomposable = numOr(kv, "decomp", 0);
+                p.minLaneBits = numOr(kv, "minlane", 64);
+                p.flopOutput = numOr(kv, "flop", 1);
+                p.maxRoutes = numOr(kv, "routes", 1);
                 n.props = p;
                 break;
               }
@@ -583,13 +656,13 @@ Adg::fromText(const std::string &text)
                 MemProps p;
                 p.kind = getOr(kv, "kind", "spad") == "main"
                     ? MemKind::Main : MemKind::Scratchpad;
-                p.capacityBytes = std::stoll(getOr(kv, "cap", "8192"));
-                p.widthBytes = std::stoi(getOr(kv, "width", "64"));
-                p.numStreamEngines = std::stoi(getOr(kv, "engines", "4"));
-                p.linear = std::stoi(getOr(kv, "linear", "1"));
-                p.indirect = std::stoi(getOr(kv, "indirect", "0"));
-                p.atomicUpdate = std::stoi(getOr(kv, "atomic", "0"));
-                p.numBanks = std::stoi(getOr(kv, "banks", "1"));
+                p.capacityBytes = numOr<int64_t>(kv, "cap", 8192);
+                p.widthBytes = numOr(kv, "width", 64);
+                p.numStreamEngines = numOr(kv, "engines", 4);
+                p.linear = numOr(kv, "linear", 1);
+                p.indirect = numOr(kv, "indirect", 0);
+                p.atomicUpdate = numOr(kv, "atomic", 0);
+                p.numBanks = numOr(kv, "banks", 1);
                 n.props = p;
                 break;
               }
@@ -597,37 +670,40 @@ Adg::fromText(const std::string &text)
                 SyncProps p;
                 p.dir = getOr(kv, "dir", "in") == "in" ? SyncDir::Input
                                                        : SyncDir::Output;
-                p.depth = std::stoi(getOr(kv, "depth", "8"));
-                p.widthBits = std::stoi(getOr(kv, "bits", "64"));
-                p.lanes = std::stoi(getOr(kv, "lanes", "4"));
+                p.depth = numOr(kv, "depth", 8);
+                p.widthBits = numOr(kv, "bits", 64);
+                p.lanes = numOr(kv, "lanes", 4);
                 n.props = p;
                 break;
               }
               case NodeKind::Delay: {
                 DelayProps p;
                 p.sched = schedulingFromName(getOr(kv, "sched", "static"));
-                p.depth = std::stoi(getOr(kv, "depth", "8"));
-                p.widthBits = std::stoi(getOr(kv, "bits", "64"));
+                p.depth = numOr(kv, "depth", 8);
+                p.widthBits = numOr(kv, "bits", 64);
                 n.props = p;
                 break;
               }
             }
         } else if (toks[0] == "edge") {
-            DSA_ASSERT(toks.size() >= 5, "malformed edge line");
-            EdgeId id = std::stol(toks[1]);
+            if (toks.size() < 5)
+                malformed("an edge line needs an id, two nodes and a width");
+            EdgeId id = idFromText(toks[1], "edge");
             AdgEdge &e = g.edges_[id];
-            e.alive = true;
-            e.src = std::stol(toks[2]);
-            e.dst = std::stol(toks[3]);
-            e.widthBits = std::stoi(toks[4]);
+            if (e.alive)
+                malformed("edge " + toks[1] + " is defined twice");
+            e.src = idFromText(toks[2], "node");
+            e.dst = idFromText(toks[3], "node");
+            e.widthBits = numFromText<int>(toks[4], "edge width");
             if (!g.nodeAlive(e.src) || !g.nodeAlive(e.dst))
-                DSA_FATAL("edge ", id, " references unknown node");
+                malformed("edge " + toks[1] + " references unknown node");
+            e.alive = true;
             g.outEdges_[e.src].push_back(id);
             g.inEdges_[e.dst].push_back(id);
         } else {
-            DSA_FATAL("unknown ADG line '", line, "'");
+            malformed("unknown ADG line kind '" + toks[0] + "'");
         }
-    }
+    });
     return g;
 }
 

@@ -117,7 +117,8 @@ class Adg
     std::string toText() const;
     /** Graphviz rendering (node shapes/colors by kind and protocol). */
     std::string toDot() const;
-    /** Parse the textual ADG format; fatal on malformed input. */
+    /** Parse the textual ADG format. Malformed input throws a
+     *  StatusException (InvalidArgument) naming the offending line. */
     static Adg fromText(const std::string &text);
     /// @}
 

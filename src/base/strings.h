@@ -6,7 +6,10 @@
 #ifndef DSA_BASE_STRINGS_H
 #define DSA_BASE_STRINGS_H
 
+#include <charconv>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace dsa {
@@ -23,6 +26,23 @@ bool startsWith(const std::string &s, const std::string &prefix);
 /** Join the elements of @p parts with @p sep. */
 std::string join(const std::vector<std::string> &parts,
                  const std::string &sep);
+
+/**
+ * All of @p s as a T (an integer or floating-point type), or nullopt
+ * when it is not one or does not fit. std::from_chars syntax: decimal,
+ * no blanks, no leading '+'.
+ */
+template <typename T>
+std::optional<T>
+parseNumber(const std::string &s)
+{
+    T v{};
+    const char *end = s.data() + s.size();
+    auto [at, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || at != end)
+        return std::nullopt;
+    return v;
+}
 
 /** Levenshtein edit distance between @p a and @p b. */
 size_t editDistance(const std::string &a, const std::string &b);

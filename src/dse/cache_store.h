@@ -74,7 +74,7 @@ class CacheStore
 
     /**
      * Scan every segment in the store into @p cache (insert-once, so
-     * records already present — e.g. from a checkpoint — are kept).
+     * records already present are kept).
      * Quarantines bad records; only I/O-level failures return non-OK.
      */
     Status loadInto(EvalCache &cache);

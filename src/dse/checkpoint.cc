@@ -1,9 +1,9 @@
 #include "dse/checkpoint.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "base/files.h"
+#include "base/strings.h"
 
 namespace dsa::dse {
 
@@ -125,8 +125,10 @@ resultToJson(const DseResult &r)
     return doc;
 }
 
+} // namespace
+
 Value
-optionsToJson(const DseOptions &o)
+dseOptionsToJson(const DseOptions &o)
 {
     Value doc = Value::object();
     doc.set("maxIters", Value::number(static_cast<int64_t>(o.maxIters)));
@@ -171,6 +173,8 @@ optionsToJson(const DseOptions &o)
     return doc;
 }
 
+namespace {
+
 Value
 frontToJson(const ParetoFront &front)
 {
@@ -192,24 +196,6 @@ frontToJson(const ParetoFront &front)
     }
     doc.set("points", std::move(pts));
     return doc;
-}
-
-std::string
-u64ToText(uint64_t v)
-{
-    return std::to_string(v);
-}
-
-Value
-evalCacheToJson(const EvalCache &cache)
-{
-    // sortedEntries() is ordered by key, so the same cache contents
-    // always serialize to the same bytes — checkpoint files stay
-    // comparable across runs, thread counts, and resumes.
-    Value arr = Value::array();
-    for (const auto &[key, entry] : cache.sortedEntries())
-        arr.push(evalEntryToJson(key, *entry));
-    return arr;
 }
 
 // ---------------------------------------------------------------------
@@ -266,94 +252,16 @@ struct Reader
         return v && v->asBool();
     }
 
-    /** Like getBool, but a *missing* field yields @p dflt — used for
-     *  fields added after version 1 shipped, so old checkpoints still
-     *  load. A present-but-mistyped field is still an error. */
-    bool
-    getBoolOr(const Value &obj, const char *key, bool dflt, const char *what)
-    {
-        if (!err.ok() || !obj.isObject())
-            return dflt;
-        const Value *v = obj.find(key);
-        if (!v)
-            return dflt;
-        if (v->kind() != Value::Kind::Bool) {
-            err = Status::dataLoss(std::string(what) + " field '" + key +
-                                   "' has the wrong type");
-            return dflt;
-        }
-        return v->asBool();
-    }
-
-    /** getInt with a default for fields added after version 1. */
-    int64_t
-    getIntOr(const Value &obj, const char *key, int64_t dflt,
-             const char *what)
-    {
-        if (!err.ok() || !obj.isObject())
-            return dflt;
-        const Value *v = obj.find(key);
-        if (!v)
-            return dflt;
-        if (v->kind() != Value::Kind::Number) {
-            err = Status::dataLoss(std::string(what) + " field '" + key +
-                                   "' has the wrong type");
-            return dflt;
-        }
-        return v->asInt64();
-    }
-
-    /** getDouble with a default for fields added after version 1. */
-    double
-    getDoubleOr(const Value &obj, const char *key, double dflt,
-                const char *what)
-    {
-        if (!err.ok() || !obj.isObject())
-            return dflt;
-        const Value *v = obj.find(key);
-        if (!v)
-            return dflt;
-        if (v->kind() != Value::Kind::Number) {
-            err = Status::dataLoss(std::string(what) + " field '" + key +
-                                   "' has the wrong type");
-            return dflt;
-        }
-        return v->asDouble();
-    }
-
-    /** getString with a default for fields added after version 1. */
-    std::string
-    getStringOr(const Value &obj, const char *key, const std::string &dflt,
-                const char *what)
-    {
-        if (!err.ok() || !obj.isObject())
-            return dflt;
-        const Value *v = obj.find(key);
-        if (!v)
-            return dflt;
-        if (v->kind() != Value::Kind::String) {
-            err = Status::dataLoss(std::string(what) + " field '" + key +
-                                   "' has the wrong type");
-            return dflt;
-        }
-        return v->asString();
-    }
-
     /** Full-range uint64 stored as a decimal string (see seed). */
     uint64_t
     getU64(const Value &obj, const char *key, const char *what)
     {
         std::string text = getString(obj, key, what);
-        if (!err.ok())
-            return 0;
-        char *end = nullptr;
-        uint64_t v = std::strtoull(text.c_str(), &end, 10);
-        if (!end || end == text.c_str() || *end != '\0') {
+        auto v = parseNumber<uint64_t>(text);
+        if (err.ok() && !v)
             err = Status::dataLoss(std::string(what) + " field '" + key +
                                    "' is not a decimal integer");
-            return 0;
-        }
-        return v;
+        return v.value_or(0);
     }
 
     std::string
@@ -561,9 +469,7 @@ resultFromJson(Reader &rd, const Value &doc)
     for (size_t i = 0; i < hist->size(); ++i) {
         const Value *entry =
             rd.elem(*hist, i, Value::Kind::Array, "history record");
-        // 6 elements in version-1 files from before the hypervolume
-        // column; 7 with it. Old records read back with hv = 0.
-        if (!entry || (entry->size() != 6 && entry->size() != 7)) {
+        if (!entry || entry->size() != 7) {
             if (rd.err.ok())
                 rd.err = Status::dataLoss("history record is malformed");
             return r;
@@ -581,7 +487,9 @@ resultFromJson(Reader &rd, const Value &doc)
             rd.elem(*entry, 4, Value::Kind::Number, "history record");
         const Value *acc =
             rd.elem(*entry, 5, Value::Kind::Bool, "history record");
-        if (!it || !area || !power || !perf || !obj || !acc)
+        const Value *hv =
+            rd.elem(*entry, 6, Value::Kind::Number, "history record");
+        if (!it || !area || !power || !perf || !obj || !acc || !hv)
             return r;
         h.iter = static_cast<int>(it->asInt64());
         h.areaMm2 = area->asDouble();
@@ -589,13 +497,7 @@ resultFromJson(Reader &rd, const Value &doc)
         h.perf = perf->asDouble();
         h.objective = obj->asDouble();
         h.accepted = acc->asBool();
-        if (entry->size() == 7) {
-            const Value *hv =
-                rd.elem(*entry, 6, Value::Kind::Number, "history record");
-            if (!hv)
-                return r;
-            h.hypervolume = hv->asDouble();
-        }
+        h.hypervolume = hv->asDouble();
         r.history.push_back(h);
     }
     r.evalFailures =
@@ -623,14 +525,7 @@ optionsFromJson(Reader &rd, const Value &doc)
         static_cast<int>(rd.getInt(doc, "noImproveExit", "options"));
     o.infeasibleExit =
         static_cast<int>(rd.getInt(doc, "infeasibleExit", "options"));
-    std::string seed = rd.getString(doc, "seed", "options");
-    if (rd.err.ok()) {
-        char *end = nullptr;
-        o.seed = std::strtoull(seed.c_str(), &end, 10);
-        if (!end || *end != '\0')
-            rd.err = Status::dataLoss("options seed '" + seed +
-                                      "' is not a decimal integer");
-    }
+    o.seed = rd.getU64(doc, "seed", "options");
     o.schedIters = static_cast<int>(rd.getInt(doc, "schedIters", "options"));
     o.initSchedIters =
         static_cast<int>(rd.getInt(doc, "initSchedIters", "options"));
@@ -641,43 +536,25 @@ optionsFromJson(Reader &rd, const Value &doc)
     o.threads = static_cast<int>(rd.getInt(doc, "threads", "options"));
     o.candidateBatch =
         static_cast<int>(rd.getInt(doc, "candidateBatch", "options"));
-    // Added after the first checkpoint format shipped: default, don't
-    // reject, so older checkpoints stay resumable.
-    o.schedChains = static_cast<int>(
-        rd.getIntOr(doc, "schedChains", o.schedChains, "options"));
+    o.schedChains = static_cast<int>(rd.getInt(doc, "schedChains", "options"));
     o.checkpointPath = rd.getString(doc, "checkpointPath", "options");
     o.checkpointEvery =
         static_cast<int>(rd.getInt(doc, "checkpointEvery", "options"));
     o.wallBudgetMs = rd.getInt(doc, "wallBudgetMs", "options");
     o.candidateTimeMs = rd.getInt(doc, "candidateTimeMs", "options");
-    // Memoization toggles postdate the first version-1 checkpoints;
-    // missing fields fall back to the defaults (results are identical
-    // with the caches on or off, so the fallback is safe). Files
-    // written before `memoize` carry three per-layer switches that
-    // every caller set together; the first of them stands for all.
-    o.memoize = rd.getBoolOr(
-        doc, "memoize",
-        rd.getBoolOr(doc, "evalCache", o.memoize, "options"), "options");
-    o.dedupBatch = rd.getBoolOr(doc, "dedupBatch", o.dedupBatch, "options");
-    o.checkCostOracle =
-        rd.getBoolOr(doc, "checkCostOracle", o.checkCostOracle, "options");
-    // Pareto-mode fields postdate the memoization toggles; the same
-    // missing-field tolerance applies (defaults reproduce the old
-    // scalar behaviour exactly).
-    o.pareto = rd.getBoolOr(doc, "pareto", o.pareto, "options");
-    o.paretoFrontSize = static_cast<int>(
-        rd.getIntOr(doc, "paretoFrontSize", o.paretoFrontSize, "options"));
-    o.structuredMoves =
-        rd.getBoolOr(doc, "structuredMoves", o.structuredMoves, "options");
-    o.powerObjectiveWeight = rd.getDoubleOr(
-        doc, "powerObjectiveWeight", o.powerObjectiveWeight, "options");
-    // Multi-process fields postdate all of the above; same tolerance.
-    o.workers =
-        static_cast<int>(rd.getIntOr(doc, "workers", o.workers, "options"));
-    o.cacheStoreDir =
-        rd.getStringOr(doc, "cacheStoreDir", o.cacheStoreDir, "options");
-    o.workerRequestTimeoutMs = rd.getIntOr(
-        doc, "workerRequestTimeoutMs", o.workerRequestTimeoutMs, "options");
+    o.memoize = rd.getBool(doc, "memoize", "options");
+    o.dedupBatch = rd.getBool(doc, "dedupBatch", "options");
+    o.checkCostOracle = rd.getBool(doc, "checkCostOracle", "options");
+    o.pareto = rd.getBool(doc, "pareto", "options");
+    o.paretoFrontSize =
+        static_cast<int>(rd.getInt(doc, "paretoFrontSize", "options"));
+    o.structuredMoves = rd.getBool(doc, "structuredMoves", "options");
+    o.powerObjectiveWeight =
+        rd.getDouble(doc, "powerObjectiveWeight", "options");
+    o.workers = static_cast<int>(rd.getInt(doc, "workers", "options"));
+    o.cacheStoreDir = rd.getString(doc, "cacheStoreDir", "options");
+    o.workerRequestTimeoutMs =
+        rd.getInt(doc, "workerRequestTimeoutMs", "options");
     return o;
 }
 
@@ -718,7 +595,7 @@ frontFromJson(Reader &rd, const Value &doc)
     return ParetoFront::restore(refA, refP, maxSize, std::move(points));
 }
 
-/** Shared per-entry reader (checkpoint eval-cache array + store records). */
+/** Reads one eval-cache entry (a cache-store record). */
 bool
 readEvalEntry(Reader &rd, const Value &ej, EvalKey &key, EvalCacheEntry &entry)
 {
@@ -755,34 +632,16 @@ readEvalEntry(Reader &rd, const Value &ej, EvalKey &key, EvalCacheEntry &entry)
     return rd.err.ok();
 }
 
-std::shared_ptr<EvalCache>
-evalCacheFromJson(Reader &rd, const Value &arr)
-{
-    auto cache = std::make_shared<EvalCache>();
-    for (size_t i = 0; i < arr.size(); ++i) {
-        const Value *ej = rd.elem(arr, i, Value::Kind::Object, "eval cache");
-        if (!ej)
-            break;
-        EvalKey key;
-        EvalCacheEntry entry;
-        if (!readEvalEntry(rd, *ej, key, entry))
-            break;
-        cache->restore(key,
-                       std::make_shared<EvalCacheEntry>(std::move(entry)));
-    }
-    return cache;
-}
-
 } // namespace
 
 Value
 evalEntryToJson(const EvalKey &key, const EvalCacheEntry &entry)
 {
     Value ej = Value::object();
-    ej.set("fpHi", Value::str(u64ToText(key.structural.hi)));
-    ej.set("fpLo", Value::str(u64ToText(key.structural.lo)));
-    ej.set("lab", Value::str(u64ToText(key.labeling)));
-    ej.set("ctx", Value::str(u64ToText(key.context)));
+    ej.set("fpHi", Value::str(std::to_string(key.structural.hi)));
+    ej.set("fpLo", Value::str(std::to_string(key.structural.lo)));
+    ej.set("lab", Value::str(std::to_string(key.labeling)));
+    ej.set("ctx", Value::str(std::to_string(key.context)));
     ej.set("objective", Value::number(entry.objective));
     ej.set("perf", Value::number(entry.perf));
     ej.set("cost", costToJson(entry.cost));
@@ -864,12 +723,6 @@ scheduleCacheFromJson(const Value &arr)
     return cache;
 }
 
-Value
-dseOptionsToJson(const DseOptions &opts)
-{
-    return optionsToJson(opts);
-}
-
 Result<DseOptions>
 dseOptionsFromJson(const Value &doc)
 {
@@ -893,7 +746,7 @@ checkpointToJson(const std::vector<std::string> &workloadNames,
     for (const auto &n : workloadNames)
         wls.push(Value::str(n));
     doc.set("workloads", std::move(wls));
-    doc.set("options", optionsToJson(opts));
+    doc.set("options", dseOptionsToJson(opts));
 
     Value st = Value::object();
     st.set("current", Value::str(state.current.toText()));
@@ -912,8 +765,6 @@ checkpointToJson(const std::vector<std::string> &workloadNames,
     // written only when Pareto mode actually initialized one.
     if (state.front.maxSize() > 0)
         st.set("front", frontToJson(state.front));
-    if (state.evalCache)
-        st.set("evalCache", evalCacheToJson(*state.evalCache));
     doc.set("state", std::move(st));
     return doc;
 }
@@ -980,30 +831,13 @@ checkpointFromJson(const Value &doc)
             rd.field(*st, "result", Value::Kind::Object, "state");
         if (res)
             ck.state.result = resultFromJson(rd, *res);
-        // Optional: present only for Pareto-mode checkpoints (and
-        // absent in files from older builds).
-        if (rd.err.ok() && st->isObject()) {
-            const Value *fr = st->find("front");
-            if (fr) {
-                if (fr->kind() != Value::Kind::Object)
-                    rd.err = Status::dataLoss(
-                        "state field 'front' has the wrong type");
-                else
-                    ck.state.front = frontFromJson(rd, *fr);
-            }
-        }
-        // Optional: absent in checkpoints written with the eval cache
-        // disabled (or by older builds). A fresh cache is equivalent —
-        // only warm-up cost differs, never results.
-        if (rd.err.ok() && st->isObject()) {
-            const Value *ec = st->find("evalCache");
-            if (ec) {
-                if (ec->kind() != Value::Kind::Array)
-                    rd.err = Status::dataLoss(
-                        "state field 'evalCache' has the wrong type");
-                else
-                    ck.state.evalCache = evalCacheFromJson(rd, *ec);
-            }
+        // Required of Pareto runs only: scalar runs write no front
+        // (see checkpointToJson).
+        if (rd.err.ok() && ck.options.pareto) {
+            const Value *fr =
+                rd.field(*st, "front", Value::Kind::Object, "state");
+            if (fr)
+                ck.state.front = frontFromJson(rd, *fr);
         }
     }
 

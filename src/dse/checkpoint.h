@@ -2,14 +2,22 @@
  * @file
  * Crash-safe DSE checkpointing.
  *
- * A checkpoint is a single JSON file holding everything `Explorer`
- * needs to continue a run bit-identically: the workload list (for
- * validation), the exploration options, and the full DseRunState —
- * current/best ADGs (embedded as ADG text), the repair cache including
- * attempted-but-illegal markers (they select the per-step scheduling
- * budget), the iteration trace, and the exploration RNG's stream
- * position. Doubles are written with 17 significant digits and int64s
- * as raw decimal text, so every number round-trips exactly.
+ * A checkpoint is a single JSON file holding the exploration state and
+ * nothing else: the workload list (for validation), the exploration
+ * options, and the DseRunState — current/best ADGs (embedded as ADG
+ * text), the repair cache including attempted-but-illegal markers
+ * (they select the per-step scheduling budget), the iteration trace,
+ * the Pareto front (Pareto runs only), and the exploration RNG's
+ * stream position. Doubles are written with 17 significant digits and
+ * int64s as raw decimal text, so every number round-trips exactly.
+ * Evaluations are not part of it: the eval cache persists through the
+ * cache store (DseOptions::cacheStoreDir) alone, and a resumed run
+ * warms from there.
+ *
+ * The format is version 2 and every field is required (only `front`
+ * is optional, since scalar runs write none). Files of any other
+ * version, including version 1 from older builds, are refused with
+ * InvalidArgument.
  *
  * Writes are atomic (base/files.h writeFileAtomic: `<path>.tmp`,
  * fsync, rename, directory fsync): a crash — even kill -9 — mid-write
@@ -31,7 +39,7 @@
 namespace dsa::dse {
 
 /** Current checkpoint file format version. */
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr int kCheckpointVersion = 2;
 
 /** Everything a checkpoint file holds. */
 struct DseCheckpoint
@@ -56,8 +64,9 @@ json::Value checkpointToJson(const std::vector<std::string> &workloadNames,
 /// consumers that must speak exactly the same bytes: the worker-pool
 /// pipe protocol (ships options + the repair cache to workers and eval
 /// outcomes back) and the on-disk eval-cache store (one evalEntry JSON
-/// document per segment record). Round-trips are exact — the
-/// bit-identity of multi-process runs rests on it.
+/// document per segment record; checkpoints hold no eval entries).
+/// Round-trips are exact — the bit-identity of multi-process runs
+/// rests on it.
 /// @{
 
 /** Serialize a per-(kernel,unroll) repair cache. */

@@ -1,7 +1,5 @@
 #include "dse/eval_cache.h"
 
-#include <algorithm>
-
 #include "base/hashing.h"
 
 namespace dsa::dse {
@@ -130,21 +128,6 @@ EvalCache::size() const
         n += shard.entries.size();
     }
     return n;
-}
-
-std::vector<std::pair<EvalKey, std::shared_ptr<const EvalCacheEntry>>>
-EvalCache::sortedEntries() const
-{
-    std::vector<std::pair<EvalKey, std::shared_ptr<const EvalCacheEntry>>>
-        out;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto &[key, entry] : shard.entries)
-            out.emplace_back(key, entry);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    return out;
 }
 
 } // namespace dsa::dse

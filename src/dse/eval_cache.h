@@ -28,10 +28,12 @@
  * Entries are only inserted for fault-free evaluations, and are pure
  * functions of their key — so lookup timing (and hence thread count)
  * cannot change results, only hit/miss statistics. Sharded,
- * mutex-striped, insert-once. Contents are persisted through DSE
- * checkpoints (sorted by key for byte-stable files) so a resumed run
- * does not re-pay warm-up; the stats counters are *not* persisted
- * (they describe a process, not the resumable state).
+ * mutex-striped, insert-once. Contents persist through the cache
+ * store (dse/cache_store.h), not through checkpoints: every fresh
+ * evaluation is appended there, and a run or resume with a store
+ * warms its cache from it. Without a store a resumed run starts cold
+ * and recomputes revisits, with bit-identical results. The stats
+ * counters are never persisted (they describe a process).
  */
 
 #ifndef DSA_DSE_EVAL_CACHE_H
@@ -143,17 +145,13 @@ class EvalCache
     void insert(const EvalKey &key,
                 std::shared_ptr<const EvalCacheEntry> entry);
 
-    /** insert() without touching the stats counters — checkpoint
-     *  restore repopulates state, it does not perform work. */
+    /** insert() without touching the stats counters — a store load
+     *  repopulates state, it does not perform work. */
     void restore(const EvalKey &key,
                  std::shared_ptr<const EvalCacheEntry> entry);
 
     EvalCacheStats stats() const;
     size_t size() const;
-
-    /** All entries sorted by key — deterministic checkpoint bytes. */
-    std::vector<std::pair<EvalKey, std::shared_ptr<const EvalCacheEntry>>>
-    sortedEntries() const;
 
   private:
     static constexpr size_t kShards = 16;

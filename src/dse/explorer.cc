@@ -157,12 +157,12 @@ void
 Explorer::recordCacheStats(DseRunState &st)
 {
     DseCacheStats cs;
-    if (st.evalCache) {
-        EvalCacheStats s = st.evalCache->stats();
+    if (evalCache_) {
+        EvalCacheStats s = evalCache_->stats();
         cs.evalHits = s.hits;
         cs.evalMisses = s.misses;
         cs.evalInserts = s.inserts;
-        cs.evalEntries = st.evalCache->size();
+        cs.evalEntries = evalCache_->size();
     }
     if (compileCache_) {
         compiler::CompileCacheStats s = compileCache_->stats();
@@ -239,6 +239,17 @@ Explorer::replayEvalEntry(const EvalCacheEntry &entry,
             e.hasLegal = true;
         }
     }
+}
+
+void
+Explorer::startEvalCache()
+{
+    // Warm before the very first evaluation: entries earlier runs and
+    // other processes banked in the shared store are work this run
+    // never redoes.
+    evalCache_ = opts_.memoize ? std::make_unique<EvalCache>() : nullptr;
+    if (evalCache_)
+        warmFromStore(*evalCache_);
 }
 
 void
@@ -830,19 +841,12 @@ Explorer::mutate(Adg &adg, Rng &rng) const
 }
 
 DseResult
-Explorer::run(const Adg &initial, std::shared_ptr<EvalCache> warmCache)
+Explorer::run(const Adg &initial)
 {
     DseRunState st;
     st.rng = Rng(opts_.seed);
     st.current = initial;
-    if (opts_.memoize)
-        st.evalCache =
-            warmCache ? std::move(warmCache) : std::make_shared<EvalCache>();
-    // Warm before the very first evaluation: entries other processes
-    // banked in the shared store are work this run never redoes
-    // (insert-once, so the caller's warmCache entries win).
-    if (st.evalCache)
-        warmFromStore(*st.evalCache);
+    startEvalCache();
     if (opts_.pareto)
         st.front = ParetoFront(opts_.areaBudgetMm2, opts_.powerBudgetMw,
                                std::max(2, opts_.paretoFrontSize));
@@ -859,7 +863,7 @@ Explorer::run(const Adg &initial, std::shared_ptr<EvalCache> warmCache)
         DseResult &result = st.result;
         result.initialObjective = evaluateDesign(
             st.current, st.schedules, false, &perf, &cost, &evalStatus,
-            st.evalCache.get());
+            evalCache_.get());
         if (!evalStatus.ok()) {
             // The initial design must evaluate; without it there is no
             // baseline to explore from.
@@ -879,7 +883,7 @@ Explorer::run(const Adg &initial, std::shared_ptr<EvalCache> warmCache)
         pruneUnused(st.current);
         st.curObj = evaluateDesign(st.current, st.schedules,
                                    opts_.useRepair, &perf, &cost,
-                                   &evalStatus, st.evalCache.get());
+                                   &evalStatus, evalCache_.get());
         if (!evalStatus.ok()) {
             result.status = evalStatus;
             result.stopReason = "error";
@@ -911,10 +915,7 @@ DseResult
 Explorer::resume(DseRunState state)
 {
     try {
-        if (opts_.memoize && !state.evalCache)
-            state.evalCache = std::make_shared<EvalCache>();
-        if (state.evalCache)
-            warmFromStore(*state.evalCache);
+        startEvalCache();
         return runLoop(state);
     } catch (...) {
         state.result.status = Status::fromCurrentException();
@@ -945,11 +946,7 @@ Explorer::runLoop(DseRunState &st)
         ? Deadline::afterMs(opts_.wallBudgetMs)
         : Deadline::never();
 
-    // Resume of a pre-cache checkpoint (or a run() that raced an
-    // option change): make sure the cache exists iff enabled.
-    if (opts_.memoize && !st.evalCache)
-        st.evalCache = std::make_shared<EvalCache>();
-    EvalCache *evalCache = opts_.memoize ? st.evalCache.get() : nullptr;
+    EvalCache *evalCache = evalCache_.get();
 
     if (opts_.workers > 0 && !workerPool_) {
         WorkerPoolOptions wo;
@@ -972,12 +969,6 @@ Explorer::runLoop(DseRunState &st)
             workerPool_.reset();
         }
     }
-
-    // Same for the front: a pre-pareto checkpoint resumed with pareto
-    // on starts an empty archive against this run's budgets.
-    if (opts_.pareto && st.front.maxSize() == 0)
-        st.front = ParetoFront(opts_.areaBudgetMm2, opts_.powerBudgetMw,
-                               std::max(2, opts_.paretoFrontSize));
 
     // The incremental pricer is parent-relative: (re)bind it to the
     // design the batch mutates from, here and on every accepted step.

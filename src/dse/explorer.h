@@ -157,7 +157,8 @@ struct DseOptions
      * via write-temp-then-rename, every checkpointEvery accepted
      * steps and at run end. `dsagen dse --resume <file>` (or
      * Explorer::resume) continues bit-identically with what the
-     * uninterrupted run would have produced.
+     * uninterrupted run would have produced. The eval cache is not
+     * part of the file (see cacheStoreDir).
      */
     std::string checkpointPath;
     /** Accepted steps between checkpoint writes. */
@@ -215,8 +216,10 @@ struct DseOptions
      * When non-empty, a directory of append-only, checksummed
      * eval-cache segments shared by the coordinator, its workers, and
      * any concurrent or future run pointed at the same path. Loaded
-     * into the eval cache at run start; every fresh evaluation is
-     * appended. Corrupt records are quarantined (counted in
+     * into the eval cache at run (and resume) start; every fresh
+     * evaluation is appended. It is the eval cache's only
+     * persistence: a resumed run warms from it, not from the
+     * checkpoint. Corrupt records are quarantined (counted in
      * DseCacheStats::storeQuarantined), never trusted and never fatal.
      */
     std::string cacheStoreDir;
@@ -247,9 +250,10 @@ struct DseOptions
      *  - whole evaluateDesign outcomes, keyed by (canonical ADG
      *    fingerprint, labeling hash, evaluation-context hash):
      *    revisited designs replay the stored per-task outcomes instead
-     *    of re-running compile + schedule + estimate. Persisted through
-     *    checkpoints (DseRunState::evalCache) so a resumed run does not
-     *    re-pay warm-up;
+     *    of re-running compile + schedule + estimate. Persisted only
+     *    through the cache store (cacheStoreDir), which run() and
+     *    resume() warm from; without a store a resumed run starts
+     *    with an empty cache;
      *  - Placement::autoLayout and lowerKernel results, shared across
      *    candidates keyed by (HwFeatures fingerprint, kernel, unroll),
      *    since most mutations do not change HwFeatures. Process-local
@@ -331,7 +335,7 @@ struct DseCacheStats
     uint64_t evalHits = 0;
     uint64_t evalMisses = 0;
     uint64_t evalInserts = 0;
-    /** Entries in the eval cache at run end (incl. restored ones). */
+    /** Entries in the eval cache at run end (incl. store-loaded ones). */
     uint64_t evalEntries = 0;
     uint64_t placementHits = 0;
     uint64_t placementMisses = 0;
@@ -430,10 +434,12 @@ struct DseResult
 
 /**
  * Complete resumable exploration state: everything the main loop reads
- * or writes between steps. Serialized verbatim into checkpoints (see
- * dse/checkpoint.h); because the loop is deterministic given this
- * state, resuming from any checkpoint reproduces the uninterrupted
- * run bit-identically.
+ * or writes between steps that decides what it computes. Serialized
+ * verbatim into checkpoints (see dse/checkpoint.h); because the loop
+ * is deterministic given this state, resuming from any checkpoint
+ * reproduces the uninterrupted run bit-identically. The eval cache is
+ * not part of it: it only decides how often results are recomputed,
+ * and it lives in the Explorer (persisted through the cache store).
  */
 struct DseRunState
 {
@@ -453,13 +459,6 @@ struct DseRunState
      */
     ParetoFront front;
     DseResult result;          ///< best-so-far + trace, grown in place
-    /**
-     * Design-level evaluation cache (null when DseOptions::memoize
-     * is off). Entries are pure functions of their key, so the cache
-     * never influences results — only how often they are recomputed —
-     * but it *is* part of the checkpoint so resume keeps its warm-up.
-     */
-    std::shared_ptr<EvalCache> evalCache;
 };
 
 class CacheStore; // dse/cache_store.h
@@ -474,16 +473,14 @@ class Explorer
     ~Explorer();
 
     /**
-     * Run the exploration from @p initial. @p warmCache optionally
-     * seeds the evaluation cache with entries from an earlier run
-     * (e.g. restored from a checkpoint via DseRunState::evalCache):
-     * a deterministic replay of a completed exploration then hits on
-     * every evaluation and skips all compile + schedule work, without
-     * changing a single bit of the produced trace. Ignored when
-     * DseOptions::memoize is off.
+     * Run the exploration from @p initial. With DseOptions::memoize
+     * the eval cache starts empty and is warmed from the cache store
+     * (DseOptions::cacheStoreDir): a deterministic replay of a
+     * completed exploration then hits on every evaluation and skips
+     * all compile + schedule work, without changing a single bit of
+     * the produced trace.
      */
-    DseResult run(const adg::Adg &initial,
-                  std::shared_ptr<EvalCache> warmCache = nullptr);
+    DseResult run(const adg::Adg &initial);
 
     /**
      * Continue a checkpointed exploration. @p state must come from a
@@ -491,7 +488,8 @@ class Explorer
      * options (seed, budgets, batch, threads may differ only in count,
      * not in the RNG draws they imply — loadCheckpoint restores the
      * saved options to guarantee this). Produces bit-identical results
-     * to the uninterrupted run.
+     * to the uninterrupted run. The eval cache starts as in run():
+     * empty, then warmed from the store when there is one.
      */
     DseResult resume(DseRunState state);
 
@@ -579,6 +577,9 @@ class Explorer
   private:
     /** Main exploration loop, shared by run() and resume(). */
     DseResult runLoop(DseRunState &st);
+    /** Start run() / resume() with an empty eval cache (when
+     *  memoizing), warmed from the store. */
+    void startEvalCache();
     /** Post-run cross-check of every simulator engine on the best
      *  design (DseOptions::simValidateBest). */
     void validateBest(DseResult &result);
@@ -616,6 +617,9 @@ class Explorer
     uint64_t workloadSig_ = 0;
     /** Placement/lowering cache (null when opts_.memoize is off). */
     std::unique_ptr<compiler::CompileCache> compileCache_;
+    /** Design-level eval cache of the current run() / resume() (null
+     *  when opts_.memoize is off). */
+    std::unique_ptr<EvalCache> evalCache_;
     /** Per-component cost flyweight table (used when opts_.memoize). */
     model::ComponentCostMemo costMemo_;
     /** Parent-relative fabric pricer, rebound on every accepted step. */

@@ -20,17 +20,18 @@ namespace {
  *  which sanitized builds stretch considerably. */
 constexpr int64_t kInitTimeoutMs = 120000;
 
+/** Worker restarts per shard before degrading to in-process. */
+constexpr int kMaxRestarts = 2;
+
+/** Capped exponential backoff between shard retries. */
+constexpr int64_t kBackoffBaseMs = 10;
+constexpr int64_t kBackoffCapMs = 500;
+
 void
 sleepMs(int64_t ms)
 {
     if (ms > 0)
         ::usleep(static_cast<useconds_t>(ms) * 1000);
-}
-
-int64_t
-nextBackoff(int64_t cur, int64_t cap)
-{
-    return std::min(cur * 2, std::max<int64_t>(cap, 1));
 }
 
 const json::Value *
@@ -55,9 +56,6 @@ WorkerPool::WorkerPool(WorkerPoolOptions opts) : opts_(std::move(opts))
     if (opts_.program.empty())
         opts_.program = Subprocess::selfExe();
     opts_.workers = std::max(1, opts_.workers);
-    opts_.maxRestarts = std::max(0, opts_.maxRestarts);
-    opts_.backoffBaseMs = std::max<int64_t>(1, opts_.backoffBaseMs);
-    opts_.backoffCapMs = std::max(opts_.backoffBaseMs, opts_.backoffCapMs);
 }
 
 WorkerPool::~WorkerPool() { shutdown(); }
@@ -79,7 +77,7 @@ WorkerPool::spawnWorker(size_t i)
     w.pending.clear();
 
     Subprocess::Options so;
-    so.argv = {opts_.program, opts_.workerArg};
+    so.argv = {opts_.program, kWorkerArg};
     so.extraEnv = opts_.extraEnv;
     auto spawned = Subprocess::spawn(std::move(so));
     if (!spawned.ok()) {
@@ -373,19 +371,19 @@ WorkerPool::evaluateBatch(
         bool done =
             f.sent && awaitShard(f.worker, f.gen, f.id, shards[s]);
         int restartsUsed = 0;
-        int64_t backoff = opts_.backoffBaseMs;
+        int64_t backoff = kBackoffBaseMs;
         size_t attempts = done ? 0 : 1;
         const size_t maxAttempts =
-            nShards + static_cast<size_t>(opts_.maxRestarts) + 1;
+            nShards + static_cast<size_t>(kMaxRestarts) + 1;
         while (!done && attempts <= maxAttempts) {
             int w = pickTarget(s);
             if (w < 0) {
-                if (restartsUsed >= opts_.maxRestarts)
+                if (restartsUsed >= kMaxRestarts)
                     break;
                 ++restartsUsed;
                 ++stats_.restarts;
                 sleepMs(backoff);
-                backoff = nextBackoff(backoff, opts_.backoffCapMs);
+                backoff = std::min(backoff * 2, kBackoffCapMs);
                 if (!spawnWorker(s).ok()) {
                     ++attempts;
                     continue;
@@ -402,7 +400,7 @@ WorkerPool::evaluateBatch(
                 break;
             }
             sleepMs(backoff);
-            backoff = nextBackoff(backoff, opts_.backoffCapMs);
+            backoff = std::min(backoff * 2, kBackoffCapMs);
         }
         if (!done) {
             for (size_t i : shards[s])
@@ -460,16 +458,11 @@ workerInit(const json::Value &doc, WorkerState &st)
     for (const json::Value &n : wl->items()) {
         if (n.kind() != json::Value::Kind::String)
             return protocolError("init workload name is not a string");
-        const workloads::Workload *found = nullptr;
-        for (const workloads::Workload &w : workloads::allWorkloads())
-            if (w.name == n.asString()) {
-                found = &w;
-                break;
-            }
-        if (!found)
-            return Status::notFound("worker: unknown workload '" +
-                                    n.asString() + "'");
-        set.push_back(found);
+        auto found = workloads::findWorkload(n.asString());
+        if (!found.ok())
+            return Status(found.status().code(),
+                          "worker: " + found.status().message());
+        set.push_back(*found);
     }
     if (set.empty())
         return protocolError("init frame carries no workloads");

@@ -15,7 +15,7 @@
  *   coordinator -> worker   {type:"shutdown"}
  *
  * Each eval result's `entry` is a full EvalCacheEntry document — the
- * same bytes the eval cache serializes into checkpoints. The
+ * same bytes the cache store writes per record. The
  * coordinator replays it through the cache-hit path, so a worker-
  * evaluated candidate updates the exploration state through exactly
  * the code a local evaluation would have used: traces are bit-
@@ -24,7 +24,7 @@
  * Failure handling per shard (a worker death, pipe EOF, corrupt frame,
  * or response timeout) walks a capped-backoff ladder:
  *   1. re-dispatch the shard to the next live worker;
- *   2. restart the dead worker (up to maxRestarts) and re-dispatch;
+ *   2. restart the dead worker (up to two times) and re-dispatch;
  *   3. degrade: evaluate the shard in-process via the caller-supplied
  *      fallback.
  * Workers are stateless between requests (each eval ships the full
@@ -50,14 +50,16 @@
 
 namespace dsa::dse {
 
+/** argv[1] marker every host binary's main() dispatches on to become
+ *  a worker (bench/e2e matches this literal, so it never changes). */
+inline constexpr const char *kWorkerArg = "__dse-worker";
+
 struct WorkerPoolOptions
 {
     /** Worker subprocesses to supervise (>= 1). */
     int workers = 1;
     /** Binary to exec (default: this process's executable). */
     std::string program;
-    /** argv[1] marker the binary's main() dispatches on. */
-    std::string workerArg = "__dse-worker";
     /** Workload names the workers resolve via the registry. */
     std::vector<std::string> workloadNames;
     /** Options shipped to workers (already shaped: workers=0 etc.). */
@@ -66,11 +68,6 @@ struct WorkerPoolOptions
     std::vector<std::string> extraEnv;
     /** Per-request response watchdog (0 = unlimited). */
     int64_t requestTimeoutMs = 0;
-    /** Worker restarts per shard before degrading to in-process. */
-    int maxRestarts = 2;
-    /** Capped exponential backoff between shard retries. */
-    int64_t backoffBaseMs = 10;
-    int64_t backoffCapMs = 500;
 };
 
 /** One candidate's outcome as evaluated by a worker (or the fallback). */

@@ -25,16 +25,26 @@ allWorkloads()
     return all;
 }
 
-const Workload &
-workload(const std::string &name)
+Result<const Workload *>
+findWorkload(const std::string &name)
 {
     for (const auto &w : allWorkloads())
         if (w.name == name)
-            return w;
+            return &w;
     std::vector<std::string> valid;
     for (const auto &w : allWorkloads())
         valid.push_back(w.name);
-    DSA_FATAL("unknown workload '", name, "' ", suggestName(name, valid));
+    return Status::notFound("unknown workload '" + name + "' " +
+                            suggestName(name, valid));
+}
+
+const Workload &
+workload(const std::string &name)
+{
+    auto w = findWorkload(name);
+    if (!w.ok())
+        DSA_FATAL(w.status().message());
+    return **w;
 }
 
 std::vector<const Workload *>

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/status.h"
 #include "ir/interp.h"
 #include "ir/stmt.h"
 
@@ -44,7 +45,11 @@ struct Workload
 /** All registered workloads (stable order). */
 const std::vector<Workload> &allWorkloads();
 
-/** Lookup by name; fatal if unknown. */
+/** Lookup by name; NotFound (with a did-you-mean suggestion) if
+ *  unknown. */
+Result<const Workload *> findWorkload(const std::string &name);
+
+/** findWorkload for names known to exist; fatal if unknown. */
 const Workload &workload(const std::string &name);
 
 /** All workloads of one suite. */

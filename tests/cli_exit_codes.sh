@@ -2,14 +2,17 @@
 # dsagen exits 2 on configuration mistakes the user can fix on the
 # command line, and 1 only on runtime faults (see exitCodeFor in
 # tools/dsagen.cc). The configuration cases must fail while parsing
-# arguments or resolving names, before any work starts. The write cases
-# do the work, fail to save its output, and must say so instead of
-# claiming the file was written.
+# arguments, resolving names or reading input files, before any work
+# starts. The runtime cases hit a fault (an output that cannot be
+# saved, a corrupt checkpoint) and must say so instead of claiming a
+# file was written.
 #
 # Usage: cli_exit_codes.sh <path to dsagen>
 set -u
 dsagen="$(realpath "$1")"
 fail=0
+scratch="$(mktemp -d)"
+cd "$scratch" || exit 1
 
 expect_config_error() {
     local out rc
@@ -36,9 +39,59 @@ expect_config_error dse PolyBench --threads abc
 expect_config_error dse PolyBench --power-weight heavy
 expect_config_error run mm softbrain --sim-engine bogus
 expect_config_error run mm no-such-target
+expect_config_error run no-such-kernel softbrain
 expect_config_error hwgen no-such-target
 
-expect_write_error() {
+# Positional numbers are checked, not guessed: unroll >= 1, iters >= 1,
+# threads >= 0, batch >= 1.
+expect_config_error compile mm softbrain x
+expect_config_error run mm softbrain -3
+expect_config_error dse MachSuite abc
+expect_config_error dse PolyBench 0
+expect_config_error dse PolyBench 1 -1
+expect_config_error dse PolyBench 1 1 0
+expect_config_error dse PolyBench 1 1 1 9
+
+# Malformed ADG text is refused, never crashed on.
+printf 'adg v1\nnode -5 pe\n' > negative-id.adg
+expect_config_error show-adg negative-id.adg
+printf 'adg v1\nnode 0 pe bogus\n' > bad-token.adg
+expect_config_error show-adg bad-token.adg
+
+# --resume: settings that never change results apply, search-shaping
+# flags and positionals are refused. The wall budget stops the run
+# right after its first step, leaving a checkpoint mid-run.
+if ! "$dsagen" dse PolyBench 6 1 1 --checkpoint ck.json \
+        --wall-budget-ms 1 >/dev/null 2>&1; then
+    echo "FAIL: could not write a checkpoint to resume" >&2
+    fail=1
+fi
+cp ck.json ck.orig
+expect_config_error dse --resume ck.json PolyBench
+for flag in --pareto "--front-size 4" "--power-weight 1" --no-structured \
+            "--sched-chains 2" "--candidate-time-ms 5"; do
+    # shellcheck disable=SC2086 # a flag and its value are two words
+    expect_config_error dse --resume ck.json $flag
+done
+out="$("$dsagen" dse --resume ck.json --wall-budget-ms 0 \
+           --checkpoint other.json 2>&1)"
+rc=$?
+if [ "$rc" -ne 0 ] || ! printf '%s\n' "$out" | grep -q "stopped: max-iters" ||
+        [ ! -f other.json ] || ! cmp -s ck.json ck.orig; then
+    echo "FAIL: resume ignored --wall-budget-ms/--checkpoint (exit $rc)" >&2
+    fail=1
+else
+    echo "ok: dsagen dse --resume ck.json --wall-budget-ms 0" \
+         "--checkpoint other.json"
+fi
+# Checkpoints from older builds and unknown workloads are refused.
+sed 's/"version":2/"version":1/' ck.orig > version-1.json
+expect_config_error dse --resume version-1.json
+sed 's/"workloads":\["[^"]*"/"workloads":["no-such-kernel"/' ck.orig \
+    > unknown-workload.json
+expect_config_error dse --resume unknown-workload.json
+
+expect_runtime_error() {
     local out err rc
     out="$("$dsagen" "$@" 2>&1)"
     rc=$?
@@ -57,13 +110,16 @@ expect_write_error() {
     fi
 }
 
-expect_write_error hwgen softbrain /nonexistent-dir/out.v
+# A checkpoint whose design text is mangled is corrupt state.
+sed 's/"current":"[^"]*"/"current":"adg v1\\nnode 0 pe bogus\\n"/' \
+    ck.orig > bad-design.json
+expect_runtime_error dse --resume bad-design.json
+expect_runtime_error hwgen softbrain /nonexistent-dir/out.v
 # A directory squatting on the temp name makes the design write fail.
-scratch="$(mktemp -d)"
-mkdir "$scratch/dsagen_PolyBench.adg.tmp"
-cd "$scratch" || exit 1
-expect_write_error dse PolyBench 1 1
-cd - >/dev/null || exit 1
+rm -f dsagen_PolyBench.adg
+mkdir dsagen_PolyBench.adg.tmp
+expect_runtime_error dse PolyBench 1 1
+cd / || exit 1
 rm -rf "$scratch"
 
 exit "$fail"

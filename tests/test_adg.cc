@@ -5,6 +5,7 @@
 #include "adg/adg.h"
 #include "adg/builders.h"
 #include "adg/prebuilt.h"
+#include "base/status.h"
 
 namespace dsa::adg {
 namespace {
@@ -111,6 +112,95 @@ TEST(Adg, SerializationRoundTrip)
     }
     // Idempotence: serialize again and compare text.
     EXPECT_EQ(text, h.toText());
+}
+
+// ---------------------------------------------------------------------
+// Malformed text: every kind is an InvalidArgument naming its line
+// ---------------------------------------------------------------------
+
+/** fromText must reject @p text with InvalidArgument quoting @p line. */
+void
+expectRejected(const std::string &text, const std::string &line)
+{
+    try {
+        Adg::fromText(text);
+        ADD_FAILURE() << "accepted malformed ADG text:\n" << text;
+    } catch (const StatusException &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(e.status().message().find("'" + line + "'"),
+                  std::string::npos)
+            << e.status().toString();
+    }
+}
+
+const std::string kHeader = "adg v1\nnode 0 switch\nnode 1 pe\n";
+
+TEST(AdgText, NegativeNodeId)
+{
+    expectRejected("adg v1\nnode -5 pe\n", "node -5 pe");
+}
+
+TEST(AdgText, NegativeEdgeId)
+{
+    expectRejected(kHeader + "edge -1 0 1 64\n", "edge -1 0 1 64");
+}
+
+TEST(AdgText, HugeIdIsRefusedBeforeAllocating)
+{
+    expectRejected("adg v1\nnode 2147483647 pe\n", "node 2147483647 pe");
+    expectRejected(kHeader + "edge 99999999999 0 1 64\n",
+                   "edge 99999999999 0 1 64");
+}
+
+TEST(AdgText, NonNumericId)
+{
+    expectRejected("adg v1\nnode x pe\n", "node x pe");
+}
+
+TEST(AdgText, TokenWithoutEquals)
+{
+    expectRejected("adg v1\nnode 0 pe bogus\n", "node 0 pe bogus");
+}
+
+TEST(AdgText, NonNumericValue)
+{
+    expectRejected("adg v1\nnode 0 pe bits=wide\n", "node 0 pe bits=wide");
+    expectRejected("adg v1\ncontrol ipc=fast\n", "control ipc=fast");
+    expectRejected(kHeader + "edge 0 0 1 wide\n", "edge 0 0 1 wide");
+}
+
+TEST(AdgText, UnknownNames)
+{
+    expectRejected("adg v1\nnode 0 gpu\n", "node 0 gpu");
+    expectRejected("adg v1\nnode 0 pe ops=warp9\n", "node 0 pe ops=warp9");
+}
+
+TEST(AdgText, UnsupportedVersion)
+{
+    expectRejected("adg v9\n", "adg v9");
+}
+
+TEST(AdgText, EdgeToUnknownNode)
+{
+    expectRejected(kHeader + "edge 0 0 7 64\n", "edge 0 0 7 64");
+}
+
+TEST(AdgText, TruncatedLines)
+{
+    expectRejected("adg v1\nnode 0\n", "node 0");
+    expectRejected(kHeader + "edge 0 0\n", "edge 0 0");
+}
+
+TEST(AdgText, DuplicateIds)
+{
+    expectRejected(kHeader + "node 1 pe\n", "node 1 pe");
+    expectRejected(kHeader + "edge 0 0 1 64\nedge 0 1 0 64\n",
+                   "edge 0 1 0 64");
+}
+
+TEST(AdgText, UnknownLine)
+{
+    expectRejected(kHeader + "wire 0 1\n", "wire 0 1");
 }
 
 TEST(Builders, MeshShape)

@@ -14,9 +14,13 @@
 #include <fstream>
 #include <sstream>
 
+#include <dirent.h>
+#include <unistd.h>
+
 #include "adg/adg.h"
 #include "adg/fingerprint.h"
 #include "adg/prebuilt.h"
+#include "dse/cache_store.h"
 #include "dse/checkpoint.h"
 #include "dse/explorer.h"
 #include "model/cost_cache.h"
@@ -295,8 +299,46 @@ TEST(EvalCache, ThreadCountInvariantWithCachesOn)
 }
 
 // ---------------------------------------------------------------------
-// Checkpoints: cache persistence and cached-vs-uncached state equality
+// Persistence: checkpoints hold no cache, the store carries it
 // ---------------------------------------------------------------------
+
+/** Remove a flat directory (a cache store) and everything in it. */
+void
+rmTree(const std::string &dir)
+{
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (dirent *e = ::readdir(d)) {
+            std::string n = e->d_name;
+            if (n != "." && n != "..")
+                std::remove((dir + "/" + n).c_str());
+        }
+        ::closedir(d);
+    }
+    ::rmdir(dir.c_str());
+}
+
+std::string
+readAll(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/** Replace the value of every `"key":` member in compact JSON text. */
+void
+maskMember(std::string &text, const std::string &key)
+{
+    std::string tag = "\"" + key + "\":";
+    for (size_t at = text.find(tag); at != std::string::npos;
+         at = text.find(tag, at + tag.size())) {
+        size_t v = at + tag.size();
+        size_t end = text.find_first_of(",}", v);
+        ASSERT_NE(end, std::string::npos);
+        text.replace(v, end - v, "X");
+    }
+}
 
 TEST(EvalCache, CheckpointStateIdenticalCachedVsUncached)
 {
@@ -314,6 +356,7 @@ TEST(EvalCache, CheckpointStateIdenticalCachedVsUncached)
     auto rb = b.run(adg::buildDseInitial());
     ASSERT_GT(ra.checkpointsWritten, 0);
     ASSERT_EQ(ra.checkpointsWritten, rb.checkpointsWritten);
+    EXPECT_GT(ra.cacheStats.evalEntries, 0u);
 
     auto la = loadCheckpoint(cached.checkpointPath);
     auto lb = loadCheckpoint(uncached.checkpointPath);
@@ -322,8 +365,7 @@ TEST(EvalCache, CheckpointStateIdenticalCachedVsUncached)
     const DseRunState &sa = la.value().state;
     const DseRunState &sb = lb.value().state;
 
-    // Everything the loop resumes from is identical; the only
-    // difference is the optional cache section itself.
+    // Everything the loop resumes from is identical.
     EXPECT_EQ(sa.current.toText(), sb.current.toText());
     EXPECT_DOUBLE_EQ(sa.curObj, sb.curObj);
     EXPECT_EQ(sa.iter, sb.iter);
@@ -333,9 +375,16 @@ TEST(EvalCache, CheckpointStateIdenticalCachedVsUncached)
               hashScheduleCache(sb.schedules));
     expectSameHistory(sa.result, sb.result);
     EXPECT_EQ(sa.result.best.toText(), sb.result.best.toText());
-    ASSERT_TRUE(sa.evalCache != nullptr);
-    EXPECT_GT(sa.evalCache->size(), 0u);
-    EXPECT_TRUE(sb.evalCache == nullptr);
+
+    // The files hold no cache: once the options that differ by
+    // construction are masked, they are byte-identical.
+    std::string fa = readAll(cached.checkpointPath);
+    std::string fb = readAll(uncached.checkpointPath);
+    for (const char *key : {"memoize", "dedupBatch", "checkpointPath"}) {
+        maskMember(fa, key);
+        maskMember(fb, key);
+    }
+    EXPECT_EQ(fa, fb);
 
     std::remove(cached.checkpointPath.c_str());
     std::remove(uncached.checkpointPath.c_str());
@@ -351,120 +400,93 @@ TEST(EvalCache, CrashResumeKeepsWarmCacheAndBitIdentity)
     Explorer ref(set, refOpts);
     auto refRes = ref.run(adg::buildDseInitial());
 
+    // The halted run banks every fresh evaluation in a store; its
+    // checkpoint only names the store.
+    std::string store = "dse_cache_resume.store";
+    rmTree(store);
     auto crashOpts = refOpts;
     crashOpts.checkpointPath = tmpPath("crash");
+    crashOpts.cacheStoreDir = store;
     crashOpts.haltAfterCheckpoints = 1;
     Explorer crash(set, crashOpts);
     auto crashRes = crash.run(adg::buildDseInitial());
     ASSERT_EQ(crashRes.stopReason, "halted");
+    ASSERT_GT(crashRes.cacheStats.storeAppends, 0u);
 
     auto loaded = loadCheckpoint(crashOpts.checkpointPath);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     DseCheckpoint ck = std::move(loaded.value());
-    // The partial checkpoint carries the warm eval cache...
-    ASSERT_TRUE(ck.state.evalCache != nullptr);
-    size_t restored = ck.state.evalCache->size();
-    EXPECT_GT(restored, 0u);
-
+    EXPECT_EQ(ck.options.cacheStoreDir, store);
     ck.options.haltAfterCheckpoints = 0;  // test knob; not serialized
+
+    // Without the store the resume starts cold (the cold copy runs
+    // first, so the warm resume below loads only what the halted run
+    // appended)...
+    DseOptions coldOpts = ck.options;
+    coldOpts.cacheStoreDir.clear();
+    Explorer cold(set, coldOpts);
+    auto coldRes = cold.resume(ck.state);
+    EXPECT_EQ(coldRes.cacheStats.storeLoaded, 0u);
+    EXPECT_EQ(coldRes.cacheStats.evalInserts, coldRes.cacheStats.evalEntries);
+
+    // ...and with it the resume warms from what the halted run banked.
     Explorer resumed(set, ck.options);
     auto res = resumed.resume(std::move(ck.state));
-
-    // ...and the resumed run finishes exactly where the uninterrupted
-    // one did.
-    expectSameHistory(refRes, res);
-    EXPECT_DOUBLE_EQ(refRes.bestObjective, res.bestObjective);
-    EXPECT_EQ(refRes.best.toText(), res.best.toText());
-    // Restored entries count as state, not as this process's work.
-    EXPECT_GE(res.cacheStats.evalEntries, restored);
+    EXPECT_EQ(res.cacheStats.storeLoaded, crashRes.cacheStats.storeAppends);
+    EXPECT_GT(res.cacheStats.storeLoaded, 0u);
+    // Loaded entries count as state, not as this process's work.
     EXPECT_EQ(res.cacheStats.evalInserts,
-              res.cacheStats.evalEntries - restored);
+              res.cacheStats.evalEntries - res.cacheStats.storeLoaded);
 
+    // Both finish exactly where the uninterrupted run did.
+    for (const DseResult *r : {&coldRes, &res}) {
+        expectSameHistory(refRes, *r);
+        EXPECT_DOUBLE_EQ(refRes.bestObjective, r->bestObjective);
+        EXPECT_EQ(refRes.best.toText(), r->best.toText());
+    }
+
+    rmTree(store);
     std::remove(refOpts.checkpointPath.c_str());
     std::remove(crashOpts.checkpointPath.c_str());
 }
 
-TEST(EvalCache, PerLayerSwitchCheckpointResumesUnmemoized)
+TEST(EvalCache, StoreRoundTripPreservesEntryBytes)
 {
-    // Checkpoints written before DseOptions::memoize carry three
-    // per-layer switches instead. All off must load as memoize off and
-    // resume exactly where the uninterrupted run ends.
-    auto set = workloads::suiteWorkloads("PolyBench");
-    auto refOpts = tinyOpts();
-    Explorer ref(set, refOpts);
-    auto refRes = ref.run(adg::buildDseInitial());
+    // A real entry, schedules included, survives append -> load
+    // byte-for-byte (CacheStore.AppendLoadRoundTrip covers synthetic
+    // entries without schedules).
+    Explorer ex(workloads::suiteWorkloads("PolyBench"), tinyOpts());
+    adg::Adg g = adg::buildDseInitial();
+    ScheduleCache scheds;
+    EvalKey key = ex.makeEvalKey(g, scheds, true);
+    EvalCache cache;
+    Status st;
+    ex.evaluateDesign(g, scheds, true, nullptr, nullptr, &st, &cache);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    auto entry = cache.find(key);
+    ASSERT_NE(entry, nullptr);
+    bool scheduled = false;
+    for (const EvalTaskOutcome &t : entry->tasks)
+        scheduled |= t.legal && !t.sched.regions.empty();
+    ASSERT_TRUE(scheduled);
 
-    auto crashOpts = refOpts;
-    crashOpts.memoize = false;
-    crashOpts.checkpointPath = tmpPath("per-layer");
-    crashOpts.checkpointEvery = 1;
-    crashOpts.haltAfterCheckpoints = 1;
-    Explorer crash(set, crashOpts);
-    ASSERT_EQ(crash.run(adg::buildDseInitial()).stopReason, "halted");
-    auto loaded = loadCheckpoint(crashOpts.checkpointPath);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-
-    // Re-spell the options the way those files did.
-    const DseCheckpoint &ck = loaded.value();
-    json::Value doc = checkpointToJson(ck.workloadNames, ck.options, ck.state);
-    json::Value old = json::Value::object();
-    for (const auto &[key, v] : doc.members()) {
-        if (key != "options") {
-            old.set(key, v);
-            continue;
-        }
-        json::Value opts = json::Value::object();
-        for (const auto &[k, ov] : v.members())
-            if (k != "memoize")
-                opts.set(k, ov);
-        for (const char *k : {"evalCache", "compileCache", "costMemo"})
-            opts.set(k, json::Value::boolean(false));
-        old.set(key, std::move(opts));
+    std::string dir = "dse_cache_entry.store";
+    rmTree(dir);
+    {
+        CacheStore store(dir);
+        ASSERT_TRUE(store.open().ok());
+        ASSERT_TRUE(store.append(key, *entry).ok());
     }
-    auto legacy = checkpointFromJson(old);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().toString();
-    DseCheckpoint lk = std::move(legacy.value());
-    EXPECT_FALSE(lk.options.memoize);
-
-    Explorer resumed(set, lk.options);
-    auto res = resumed.resume(std::move(lk.state));
-    expectSameHistory(refRes, res);
-    EXPECT_DOUBLE_EQ(refRes.bestObjective, res.bestObjective);
-    EXPECT_EQ(refRes.best.toText(), res.best.toText());
-    EXPECT_EQ(res.cacheStats.evalEntries, 0u);
-    EXPECT_EQ(res.cacheStats.placementHits + res.cacheStats.placementMisses,
-              0u);
-    // The resumed run keeps checkpointing to the same file.
-    std::remove(crashOpts.checkpointPath.c_str());
-}
-
-TEST(EvalCache, CheckpointRoundTripPreservesCacheBytes)
-{
-    auto opts = tinyOpts();
-    opts.maxIters = 8;
-    opts.noImproveExit = 8;
-    opts.checkpointPath = tmpPath("bytes");
-    opts.checkpointEvery = 1;
-    Explorer ex(workloads::suiteWorkloads("PolyBench"), opts);
-    auto res = ex.run(adg::buildDseInitial());
-    ASSERT_GT(res.checkpointsWritten, 0);
-
-    std::ifstream in(opts.checkpointPath, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string original = buf.str();
-
-    auto loaded = loadCheckpoint(opts.checkpointPath);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    const DseCheckpoint &ck = loaded.value();
-    ASSERT_TRUE(ck.state.evalCache != nullptr);
-    std::string again =
-        checkpointToJson(ck.workloadNames, ck.options, ck.state).dump() +
-        "\n";
-    // load -> save reproduces the file byte-for-byte, including every
-    // cache entry (sorted keys, exact doubles, schedules).
-    EXPECT_EQ(original, again);
-    std::remove(opts.checkpointPath.c_str());
+    CacheStore reader(dir);
+    ASSERT_TRUE(reader.open().ok());
+    EvalCache fresh;
+    ASSERT_TRUE(reader.loadInto(fresh).ok());
+    EXPECT_EQ(reader.stats().recordsLoaded, 1u);
+    auto back = fresh.find(key);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(evalEntryToJson(key, *entry).dump(),
+              evalEntryToJson(key, *back).dump());
+    rmTree(dir);
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 /**
  * @file
  * Edge cases and error paths: malformed inputs are rejected loudly
- * (fatal/panic per the gem5 convention), boundary parameters behave,
- * and generated artifacts are structurally sound.
+ * (fatal/panic per the gem5 convention, or a thrown Status where the
+ * caller must survive them, as with ADG text), boundary parameters
+ * behave, and generated artifacts are structurally sound.
  */
 
 #include <gtest/gtest.h>
@@ -22,24 +23,25 @@ using ::testing::ExitedWithCode;
 
 TEST(AdgErrors, RejectsMalformedText)
 {
-    EXPECT_EXIT(adg::Adg::fromText("adg v2\n"),
-                ExitedWithCode(1), "unsupported ADG version");
-    // Enum-name lookups throw (recoverable — checkpoint loading must
-    // survive mangled ADG text) with a did-you-mean suggestion.
-    try {
-        adg::Adg::fromText("adg v1\nnode 0 bogus\n");
-        FAIL() << "malformed node kind was accepted";
-    } catch (const StatusException &e) {
-        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
-        EXPECT_NE(e.status().message().find("unknown node kind"),
-                  std::string::npos);
-        EXPECT_NE(e.status().message().find("valid:"), std::string::npos);
-    }
-    EXPECT_EXIT(
-        adg::Adg::fromText("adg v1\nfrobnicate 1 2 3\n"),
-        ExitedWithCode(1), "unknown ADG line");
-    EXPECT_EXIT(adg::Adg::fromText("adg v1\nedge 0 5 6 64\n"),
-                ExitedWithCode(1), "references unknown node");
+    // Malformed ADG text throws (recoverable — checkpoint loading and
+    // worker frames must survive mangled designs) an InvalidArgument
+    // whose message contains @p what.
+    auto expectInvalid = [](const std::string &text, const char *what) {
+        try {
+            adg::Adg::fromText(text);
+            ADD_FAILURE() << "malformed ADG text was accepted: " << text;
+        } catch (const StatusException &e) {
+            EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
+            EXPECT_NE(e.status().message().find(what), std::string::npos)
+                << e.status().toString();
+        }
+    };
+    expectInvalid("adg v2\n", "unsupported ADG version");
+    // Enum-name lookups come with a did-you-mean suggestion.
+    expectInvalid("adg v1\nnode 0 bogus\n", "unknown node kind");
+    expectInvalid("adg v1\nnode 0 bogus\n", "valid:");
+    expectInvalid("adg v1\nfrobnicate 1 2 3\n", "unknown ADG line");
+    expectInvalid("adg v1\nedge 0 5 6 64\n", "references unknown node");
 }
 
 TEST(AdgErrors, GraphMisusePanics)

@@ -471,7 +471,19 @@ TEST(Checkpoint, CorruptFilesRejectedWithCleanStatus)
     EXPECT_FALSE(wrongVersion.ok());
     EXPECT_EQ(wrongVersion.status().code(), StatusCode::InvalidArgument);
 
+    // Files from builds before version 2 (which still embedded the
+    // eval cache) are refused, naming both versions.
     writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": 1, "
+              "\"workloads\": [\"mm\"], \"options\": {}, \"state\": {}}");
+    auto versionOne = dse::loadCheckpoint(path);
+    EXPECT_FALSE(versionOne.ok());
+    EXPECT_EQ(versionOne.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(versionOne.status().message().find("version 1"),
+              std::string::npos);
+    EXPECT_NE(versionOne.status().message().find("version 2"),
+              std::string::npos);
+
+    writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": 2, "
               "\"workloads\": [\"mm\"], \"options\": {}, \"state\": {}}");
     auto missingFields = dse::loadCheckpoint(path);
     EXPECT_FALSE(missingFields.ok());
@@ -479,6 +491,39 @@ TEST(Checkpoint, CorruptFilesRejectedWithCleanStatus)
     EXPECT_NE(missingFields.status().message().find("missing field"),
               std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(Checkpoint, MalformedDesignTextLoadsAsDataLoss)
+{
+    // Checkpoints embed designs as ADG text: a mangled one must come
+    // back as DataLoss naming the bad line, never abort the process.
+    dse::DseRunState state;
+    json::Value doc = dse::checkpointToJson({"mm"}, tinyDse(), state);
+    ASSERT_TRUE(dse::checkpointFromJson(doc).ok());
+    json::Value st = *doc.find("state");
+    st.set("current", json::Value::str("adg v1\nnode 0 pe bogus\n"));
+    doc.set("state", std::move(st));
+    auto loaded = dse::checkpointFromJson(doc);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::DataLoss);
+    EXPECT_NE(loaded.status().message().find("node 0 pe bogus"),
+              std::string::npos)
+        << loaded.status().toString();
+}
+
+TEST(Checkpoint, ParetoStateWithoutFrontIsDataLoss)
+{
+    // Pareto runs always write their front; one without it is corrupt,
+    // not a run to restart with an empty archive.
+    auto opts = tinyDse();
+    opts.pareto = true;
+    auto loaded = dse::checkpointFromJson(
+        dse::checkpointToJson({"mm"}, opts, dse::DseRunState{}));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::DataLoss);
+    EXPECT_NE(loaded.status().message().find("missing field 'front'"),
+              std::string::npos)
+        << loaded.status().toString();
 }
 
 // ---------------------------------------------------------------------

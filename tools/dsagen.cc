@@ -20,9 +20,8 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "adg/prebuilt.h"
 #include "base/files.h"
@@ -96,6 +95,18 @@ loadTarget(const std::string &name)
                            "revel", "dse_initial", "diannao"})));
 }
 
+/** Positional int argument @p what: all of @p v, at least @p lo. */
+int
+intPositional(const std::string &what, const std::string &v, int lo)
+{
+    auto n = parseNumber<int>(v);
+    if (!n || *n < lo)
+        throw StatusException(Status::invalidArgument(
+            what + " needs an integer of at least " + std::to_string(lo) +
+            ", got '" + v + "'"));
+    return *n;
+}
+
 /** Write @p text to @p path durably; on failure print why and return 1. */
 int
 writeOutput(const std::string &path, const std::string &text,
@@ -164,7 +175,10 @@ compileBundle(const std::string &workload, const std::string &target,
               int unroll)
 {
     CompiledBundle b;
-    b.w = &workloads::workload(workload);
+    auto w = workloads::findWorkload(workload);
+    if (!w.ok())
+        throw StatusException(w.status());
+    b.w = *w;
     b.hw = loadTarget(target);
     b.golden = workloads::runGolden(*b.w);
     auto features = compiler::HwFeatures::fromAdg(b.hw);
@@ -440,17 +454,22 @@ cmdDse(int argc, char **argv)
     std::string resumePath;
     dse::DseOptions flags;
     int threadsArg = -1;
-    // Multi-process knobs: transport-only (never part of the RNG draws
-    // or the eval-context hash), so like --threads they may be set on
-    // fresh and resumed runs alike.
+    // Run settings that affect neither the RNG draws nor the
+    // eval-context hash: multi-process transport, checkpointing, the
+    // whole-run wall budget and the cache toggles. Like --threads they
+    // apply to fresh and resumed runs alike, so each is tracked as
+    // given or not (-1 / nullopt) and a resume overrides only what the
+    // user asked for.
     int workersArg = -1;
     int64_t workerTimeoutArg = -1;
-    bool cacheStoreGiven = false;
-    std::string cacheStoreArg;
-    // Cache toggles: -1 = not given, 0/1 = forced. Tracked separately
-    // so a resumed run only overrides what the user actually asked
-    // for (the caches never change results, so overriding is safe).
+    std::optional<std::string> cacheStoreArg;
+    std::optional<std::string> checkpointArg;
+    int checkpointEveryArg = -1;
+    std::optional<int64_t> wallBudgetArg;
     int memoizeArg = -1, dedupArg = -1, checkOracleArg = -1;
+    // Flags that shape the search: fresh runs only. A resume refuses
+    // them, since the checkpoint's values decide its RNG draws.
+    std::vector<std::string> shapingFlags;
     bool schedStatsArg = false;
     static const std::vector<std::string> kFlags = {
         "--resume", "--checkpoint", "--checkpoint-every",
@@ -473,29 +492,29 @@ cmdDse(int argc, char **argv)
         };
         auto intArg = [&]() -> int64_t {
             std::string v = value();
-            char *end = nullptr;
-            errno = 0;
-            long long n = std::strtoll(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || errno == ERANGE)
+            auto n = parseNumber<int64_t>(v);
+            if (!n)
                 throw badNumber(v);
-            return n;
+            return *n;
         };
+        if (a == "--pareto" || a == "--front-size" ||
+            a == "--power-weight" || a == "--no-structured" ||
+            a == "--sched-chains" || a == "--candidate-time-ms")
+            shapingFlags.push_back(a);
         if (a == "--resume") {
             resumePath = value();
         } else if (a == "--checkpoint") {
-            flags.checkpointPath = value();
+            checkpointArg = value();
         } else if (a == "--checkpoint-every") {
-            flags.checkpointEvery =
+            checkpointEveryArg =
                 std::max<int>(1, static_cast<int>(intArg()));
         } else if (a == "--wall-budget-ms") {
-            flags.wallBudgetMs = intArg();
+            wallBudgetArg = intArg();
         } else if (a == "--candidate-time-ms") {
             flags.candidateTimeMs = intArg();
         } else if (a == "--threads") {
             threadsArg = static_cast<int>(intArg());
         } else if (a == "--sched-chains") {
-            // Search-shaping: changes which schedule wins, so fresh
-            // runs only (a resumed run keeps the checkpoint's value).
             flags.schedChains =
                 std::max<int>(1, static_cast<int>(intArg()));
         } else if (a == "--sched-stats") {
@@ -506,24 +525,20 @@ cmdDse(int argc, char **argv)
         } else if (a == "--worker-timeout-ms") {
             workerTimeoutArg = std::max<int64_t>(0, intArg());
         } else if (a == "--cache-store") {
-            cacheStoreGiven = true;
             cacheStoreArg = value();
         } else if (a == "--validate-sim") {
             flags.simValidateBest = true;
         } else if (a == "--pareto") {
-            // Search-shaping flags (unlike the cache toggles) change
-            // what the run computes, so they apply to fresh runs only;
-            // a resumed run always keeps the checkpoint's options.
             flags.pareto = true;
         } else if (a == "--front-size") {
             flags.paretoFrontSize =
                 std::max<int>(2, static_cast<int>(intArg()));
         } else if (a == "--power-weight") {
             std::string v = value();
-            char *end = nullptr;
-            flags.powerObjectiveWeight = std::strtod(v.c_str(), &end);
-            if (v.empty() || *end != '\0')
+            auto w = parseNumber<double>(v);
+            if (!w)
                 throw badNumber(v);
+            flags.powerObjectiveWeight = *w;
         } else if (a == "--no-structured") {
             flags.structuredMoves = false;
         } else if (a == "--no-dedup") {
@@ -532,14 +547,14 @@ cmdDse(int argc, char **argv)
             memoizeArg = dedupArg = 0;
         } else if (a == "--check-cost-oracle") {
             checkOracleArg = 1;
-        } else if (!a.empty() && a[0] == '-') {
+        } else if (!a.empty() && a[0] == '-' && !parseNumber<int64_t>(a)) {
             throw StatusException(Status::invalidArgument(
                 "unknown dse flag '" + a + "'" + suggestName(a, kFlags)));
         } else {
             pos.push_back(a);
         }
     }
-    auto applyCacheFlags = [&](dse::DseOptions &o) {
+    auto applyRunFlags = [&](dse::DseOptions &o) {
         if (memoizeArg >= 0)
             o.memoize = memoizeArg != 0;
         if (dedupArg >= 0)
@@ -550,35 +565,50 @@ cmdDse(int argc, char **argv)
             o.workers = workersArg;
         if (workerTimeoutArg >= 0)
             o.workerRequestTimeoutMs = workerTimeoutArg;
-        if (cacheStoreGiven)
-            o.cacheStoreDir = cacheStoreArg;
+        if (cacheStoreArg)
+            o.cacheStoreDir = *cacheStoreArg;
+        if (checkpointArg)
+            o.checkpointPath = *checkpointArg;
+        if (checkpointEveryArg >= 0)
+            o.checkpointEvery = checkpointEveryArg;
+        if (wallBudgetArg)
+            o.wallBudgetMs = *wallBudgetArg;
     };
-    applyCacheFlags(flags);
+    applyRunFlags(flags);
 
     if (!resumePath.empty()) {
         // Continue a checkpointed run. The checkpoint restores the
         // options the run was started with (so the RNG draws line up);
-        // only the worker-thread count — which never changes results —
-        // may be overridden.
+        // only settings that never change results may be overridden.
+        if (!pos.empty())
+            throw StatusException(Status::invalidArgument(
+                "dse --resume takes no suite or counts (got '" + pos[0] +
+                "'); the checkpoint holds them"));
+        if (!shapingFlags.empty())
+            throw StatusException(Status::invalidArgument(
+                "flag " + shapingFlags[0] +
+                " shapes the search, so it cannot change on --resume "
+                "(the checkpoint keeps its value)"));
         auto loaded = dse::loadCheckpoint(resumePath);
-        if (!loaded.ok()) {
-            std::fprintf(stderr, "%s\n",
-                         loaded.status().toString().c_str());
-            return exitCodeFor(loaded.status());
-        }
+        if (!loaded.ok())
+            throw StatusException(loaded.status());
         dse::DseCheckpoint ck = std::move(loaded.value());
         std::vector<const workloads::Workload *> set;
-        for (const auto &n : ck.workloadNames)
-            set.push_back(&workloads::workload(n));
+        for (const auto &n : ck.workloadNames) {
+            auto w = workloads::findWorkload(n);
+            if (!w.ok())
+                throw StatusException(Status(
+                    w.status().code(), "checkpoint '" + resumePath +
+                                           "': " + w.status().message()));
+            set.push_back(*w);
+        }
         if (threadsArg > 0)
             ck.options.threads = threadsArg;
         // Like --threads, post-run validation never touches the RNG
-        // stream, so it is safe to enable on a resumed run. The same
-        // holds for the memoization toggles: they only change how much
-        // work is re-done, never what the run computes.
+        // stream, so it is safe to enable on a resumed run.
         if (flags.simValidateBest)
             ck.options.simValidateBest = true;
-        applyCacheFlags(ck.options);
+        applyRunFlags(ck.options);
         std::printf("resuming %s: iteration %d of %d, %d threads\n",
                     resumePath.c_str(), ck.state.iter,
                     ck.options.maxIters, ck.options.threads);
@@ -593,9 +623,13 @@ cmdDse(int argc, char **argv)
         return 2;
     }
     const std::string &suite = pos[0];
-    int iters = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 200;
-    int threads = pos.size() > 2 ? std::atoi(pos[2].c_str()) : 1;
-    int batch = pos.size() > 3 ? std::atoi(pos[3].c_str()) : 1;
+    int iters = pos.size() > 1 ? intPositional("iters", pos[1], 1) : 200;
+    int threads = pos.size() > 2 ? intPositional("threads", pos[2], 0) : 1;
+    int batch = pos.size() > 3 ? intPositional("batch", pos[3], 1) : 1;
+    if (pos.size() > 4)
+        throw StatusException(Status::invalidArgument(
+            "dse takes at most <suite> [iters] [threads] [batch], got '" +
+            pos[4] + "'"));
     if (threadsArg > 0)
         threads = threadsArg;
 
@@ -616,7 +650,7 @@ cmdDse(int argc, char **argv)
     opts.schedIters = 40;
     opts.unrollFactors = {1, 4};
     opts.threads = threads > 0 ? threads : ThreadPool::hardwareThreads();
-    opts.candidateBatch = std::max(1, batch);
+    opts.candidateBatch = batch;
     std::printf("exploring %s: %d iterations, %d threads, batch %d%s\n",
                 suite.c_str(), iters, opts.threads, opts.candidateBatch,
                 opts.pareto ? ", pareto" : "");
@@ -712,8 +746,11 @@ usage()
         "      --check-cost-oracle      verify memoized costs against\n"
         "                               the full model on every query\n"
         "  dse --resume <checkpoint> [--threads <n>] [--validate-sim]\n"
-        "      continue a checkpointed run bit-identically; cache\n"
-        "      toggles may also be overridden on resume\n"
+        "      continue a checkpointed run bit-identically. Flags that\n"
+        "      never change results (threads, workers, cache store and\n"
+        "      toggles, --checkpoint, --checkpoint-every,\n"
+        "      --wall-budget-ms) may be overridden; search-shaping\n"
+        "      flags and positionals are refused\n"
         "  hwgen <target|file.adg> [out.v]\n");
 }
 
@@ -730,7 +767,7 @@ try {
     // Re-exec'ed by a DSE coordinator: become a pure evaluation worker
     // speaking the frame protocol on stdin/stdout. Checked before
     // anything else so the marker can never collide with user commands.
-    if (cmd == "__dse-worker")
+    if (cmd == dse::kWorkerArg)
         return dse::workerMain();
     if (cmd == "list-workloads")
         return cmdListWorkloads();
@@ -742,7 +779,8 @@ try {
     }
     if (cmd == "compile" && argc >= 4)
         return cmdCompile(argv[2], argv[3],
-                          argc >= 5 ? std::atoi(argv[4]) : 1);
+                          argc >= 5 ? intPositional("unroll", argv[4], 1)
+                                    : 1);
     if (cmd == "run" && argc >= 4) {
         int unroll = 1;
         bool simStats = false;
@@ -763,7 +801,7 @@ try {
             } else if (a == "--sim-stats") {
                 simStats = true;
             } else {
-                unroll = std::atoi(a.c_str());
+                unroll = intPositional("unroll", a, 1);
             }
         }
         return cmdRun(argv[2], argv[3], unroll, simOpts, simStats);
