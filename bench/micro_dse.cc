@@ -120,11 +120,14 @@ main(int argc, char **argv)
 
     // Recorded so a committed BENCH_dse.json names the build it was
     // measured from (scripts/bench_dse.sh exports this and refuses to
-    // record non-Release builds untagged).
+    // record non-Release builds untagged) and the host's core count,
+    // which bounds what the thread and worker rows can show.
     const char *buildType = std::getenv("DSA_BENCH_BUILD_TYPE");
     std::string json = "{\n  \"build_type\": \"" +
                        std::string(buildType ? buildType : "unknown") +
-                       "\",\n  \"benchmarks\": [\n";
+                       "\",\n  \"num_cpus\": " +
+                       std::to_string(ThreadPool::hardwareThreads()) +
+                       ",\n  \"benchmarks\": [\n";
     bool first = true;
     for (const char *suite : suites) {
         dse::DseOptions base;

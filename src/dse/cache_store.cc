@@ -16,17 +16,19 @@
 #include "base/fault.h"
 #include "base/files.h"
 #include "base/hashing.h"
-#include "base/json.h"
 #include "base/logging.h"
-#include "dse/checkpoint.h"
+#include "dse/entry_codec.h"
 
 namespace dsa::dse {
 
 namespace {
 
 // Record layout: magic, u32 LE payload length, u64 LE xxhash64 of the
-// payload, then the payload (one evalEntryToJson document).
-constexpr char kRecordMagic[4] = {'D', 'S', 'E', 'C'};
+// payload, then the payload (one encodeEvalEntry encoding). The magic
+// names the payload format: segments from builds that wrote JSON
+// payloads under "DSEC" hold no record this build reads, so the scan
+// quarantines each such file as one region and compaction retires it.
+constexpr char kRecordMagic[4] = {'D', 'S', 'E', '2'};
 constexpr size_t kRecordHeader = 4 + 4 + 8;
 constexpr uint32_t kMaxRecordBytes = 64u << 20;
 constexpr uint64_t kChecksumSeed = 0x647361636163ull; // "dsacac"
@@ -95,7 +97,7 @@ Result<std::vector<std::string>> listSegments(const std::string &dir)
 
 std::string serializeRecord(const EvalKey &key, const EvalCacheEntry &entry)
 {
-    std::string payload = evalEntryToJson(key, entry).dump();
+    std::string payload = encodeEvalEntry(key, entry);
     std::string buf;
     buf.reserve(kRecordHeader + payload.size());
     buf.append(kRecordMagic, sizeof(kRecordMagic));
@@ -146,14 +148,9 @@ void scanSegment(const std::string &name, const std::string &data,
             resync("checksum mismatch", off);
             continue;
         }
-        auto parsed = json::parse(std::string(payload, len));
-        if (!parsed.ok()) {
-            resync("unparseable record payload", off);
-            continue;
-        }
-        auto rec = evalEntryFromJson(parsed.value());
+        auto rec = decodeEvalEntry(std::string_view(payload, len));
         if (!rec.ok()) {
-            resync("malformed record document", off);
+            resync("malformed record payload", off);
             continue;
         }
         sink(rec.value());

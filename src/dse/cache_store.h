@@ -5,7 +5,10 @@
  * A store is a directory of append-only *segment* files, each owned by
  * exactly one writer process (`seg-<pid>-<n>.dsec`), holding one
  * xxhash64-checksummed record per eval-cache entry keyed by the
- * canonical fingerprints (EvalKey). Entries are pure functions of
+ * canonical fingerprints (EvalKey). A record is the magic "DSE2", the
+ * payload length (u32 LE), the payload's xxhash64 (u64 LE), then the
+ * payload: the key and entry in the binary encoding of
+ * dse/entry_codec.h. Entries are pure functions of
  * their key, so replaying any subset of any segment set into an
  * EvalCache is always sound — the store changes how often work is
  * recomputed, never its results. That property is what lets the
@@ -17,7 +20,10 @@
  * truncated tail) are *quarantined*: the scanner logs the file and
  * byte offset, counts the record in CacheStoreStats, resynchronizes on
  * the next record magic, and keeps going. Corruption can cost cache
- * warmth, never correctness and never a crash.
+ * warmth, never correctness and never a crash. Segments written by
+ * older builds (JSON payloads under the magic "DSEC") take the same
+ * path: each file is one quarantined region that yields no records,
+ * and the next compaction retires it.
  *
  * The one multi-writer operation — compacting segments into one — is
  * serialized by a lease: a FileLock (base/files.h) on `compact.lease`.

@@ -4,6 +4,7 @@
 
 #include "base/files.h"
 #include "base/strings.h"
+#include "dse/entry_codec.h"
 
 namespace dsa::dse {
 
@@ -16,71 +17,12 @@ namespace {
 // ---------------------------------------------------------------------
 
 Value
-routeToJson(const mapper::Route &route)
-{
-    Value arr = Value::array();
-    for (adg::EdgeId e : route)
-        arr.push(Value::number(static_cast<int64_t>(e)));
-    return arr;
-}
-
-Value
 intVecToJson(const std::vector<int> &v)
 {
     Value arr = Value::array();
     for (int n : v)
         arr.push(Value::number(static_cast<int64_t>(n)));
     return arr;
-}
-
-Value
-scheduleToJson(const mapper::Schedule &s)
-{
-    Value doc = Value::object();
-    Value regions = Value::array();
-    for (const auto &r : s.regions) {
-        Value rj = Value::object();
-        rj.set("ser", Value::boolean(r.serialized));
-        rj.set("vmap", intVecToJson(r.vertexMap));
-        rj.set("smap", intVecToJson(r.streamMap));
-        rj.set("vtime", intVecToJson(r.vertexTime));
-        Value routes = Value::array();
-        for (const auto &[key, route] : r.routes) {
-            Value entry = Value::array();
-            entry.push(Value::number(static_cast<int64_t>(key.first)));
-            entry.push(Value::number(static_cast<int64_t>(key.second)));
-            entry.push(routeToJson(route));
-            routes.push(std::move(entry));
-        }
-        rj.set("routes", std::move(routes));
-        Value rec = Value::array();
-        for (const auto &[sid, route] : r.recurrenceRoutes) {
-            Value entry = Value::array();
-            entry.push(Value::number(static_cast<int64_t>(sid)));
-            entry.push(routeToJson(route));
-            rec.push(std::move(entry));
-        }
-        rj.set("rec", std::move(rec));
-        regions.push(std::move(rj));
-    }
-    doc.set("regions", std::move(regions));
-    Value fwd = Value::array();
-    for (const auto &[fi, route] : s.forwardRoutes) {
-        Value entry = Value::array();
-        entry.push(Value::number(static_cast<int64_t>(fi)));
-        entry.push(routeToJson(route));
-        fwd.push(std::move(entry));
-    }
-    doc.set("fwd", std::move(fwd));
-    Value cost = Value::array();
-    cost.push(Value::number(static_cast<int64_t>(s.cost.unplaced)));
-    cost.push(Value::number(static_cast<int64_t>(s.cost.overuse)));
-    cost.push(Value::number(static_cast<int64_t>(s.cost.violations)));
-    cost.push(Value::number(static_cast<int64_t>(s.cost.maxIi)));
-    cost.push(Value::number(static_cast<int64_t>(s.cost.recurrenceLatency)));
-    cost.push(Value::number(static_cast<int64_t>(s.cost.wirelength)));
-    doc.set("cost", std::move(cost));
-    return doc;
 }
 
 Value
@@ -301,25 +243,6 @@ struct Reader
         return out;
     }
 
-    mapper::Route
-    route(const Value &v, const char *what)
-    {
-        mapper::Route out;
-        if (!err.ok())
-            return out;
-        if (!v.isArray()) {
-            err = Status::dataLoss(std::string(what) + " route is not an array");
-            return out;
-        }
-        for (size_t i = 0; i < v.size(); ++i) {
-            const Value *e = elem(v, i, Value::Kind::Number, what);
-            if (!e)
-                return out;
-            out.push_back(static_cast<adg::EdgeId>(e->asInt64()));
-        }
-        return out;
-    }
-
     adg::Adg
     adgText(const Value &obj, const char *key, const char *what)
     {
@@ -338,100 +261,6 @@ struct Reader
         }
     }
 };
-
-mapper::Schedule
-scheduleFromJson(Reader &rd, const Value &doc)
-{
-    mapper::Schedule s;
-    const Value *regions =
-        rd.field(doc, "regions", Value::Kind::Array, "schedule");
-    if (!regions)
-        return s;
-    for (size_t i = 0; i < regions->size(); ++i) {
-        const Value *rj = rd.elem(*regions, i, Value::Kind::Object, "schedule");
-        if (!rj)
-            return s;
-        mapper::RegionSchedule r;
-        r.serialized = rd.getBool(*rj, "ser", "schedule region");
-        auto vmap = rd.intVec(*rj, "vmap", "schedule region");
-        r.vertexMap.assign(vmap.begin(), vmap.end());
-        auto smap = rd.intVec(*rj, "smap", "schedule region");
-        r.streamMap.assign(smap.begin(), smap.end());
-        r.vertexTime = rd.intVec(*rj, "vtime", "schedule region");
-        const Value *routes =
-            rd.field(*rj, "routes", Value::Kind::Array, "schedule region");
-        if (!routes)
-            return s;
-        for (size_t j = 0; j < routes->size(); ++j) {
-            const Value *entry =
-                rd.elem(*routes, j, Value::Kind::Array, "schedule route");
-            if (!entry || entry->size() != 3)
-                return s;
-            const Value *vx =
-                rd.elem(*entry, 0, Value::Kind::Number, "schedule route");
-            const Value *op =
-                rd.elem(*entry, 1, Value::Kind::Number, "schedule route");
-            if (!vx || !op)
-                return s;
-            auto key =
-                std::make_pair(static_cast<dfg::VertexId>(vx->asInt64()),
-                               static_cast<int>(op->asInt64()));
-            r.routes[key] = rd.route(entry->at(2), "schedule");
-        }
-        const Value *rec =
-            rd.field(*rj, "rec", Value::Kind::Array, "schedule region");
-        if (!rec)
-            return s;
-        for (size_t j = 0; j < rec->size(); ++j) {
-            const Value *entry =
-                rd.elem(*rec, j, Value::Kind::Array, "recurrence route");
-            if (!entry || entry->size() != 2)
-                return s;
-            const Value *sid =
-                rd.elem(*entry, 0, Value::Kind::Number, "recurrence route");
-            if (!sid)
-                return s;
-            r.recurrenceRoutes[static_cast<int>(sid->asInt64())] =
-                rd.route(entry->at(1), "recurrence");
-        }
-        s.regions.push_back(std::move(r));
-    }
-    const Value *fwd = rd.field(doc, "fwd", Value::Kind::Array, "schedule");
-    if (!fwd)
-        return s;
-    for (size_t j = 0; j < fwd->size(); ++j) {
-        const Value *entry =
-            rd.elem(*fwd, j, Value::Kind::Array, "forward route");
-        if (!entry || entry->size() != 2)
-            return s;
-        const Value *fi =
-            rd.elem(*entry, 0, Value::Kind::Number, "forward route");
-        if (!fi)
-            return s;
-        s.forwardRoutes[static_cast<int>(fi->asInt64())] =
-            rd.route(entry->at(1), "forward");
-    }
-    const Value *cost = rd.field(doc, "cost", Value::Kind::Array, "schedule");
-    if (!cost || cost->size() != 6) {
-        if (rd.err.ok())
-            rd.err = Status::dataLoss("schedule cost has a malformed element");
-        return s;
-    }
-    int vals[6] = {};
-    for (size_t i = 0; i < 6; ++i) {
-        const Value *v = rd.elem(*cost, i, Value::Kind::Number, "cost");
-        if (!v)
-            return s;
-        vals[i] = static_cast<int>(v->asInt64());
-    }
-    s.cost.unplaced = vals[0];
-    s.cost.overuse = vals[1];
-    s.cost.violations = vals[2];
-    s.cost.maxIi = vals[3];
-    s.cost.recurrenceLatency = vals[4];
-    s.cost.wirelength = vals[5];
-    return s;
-}
 
 model::ComponentCost
 costFromJson(Reader &rd, const Value &obj, const char *key, const char *what)
@@ -595,133 +424,7 @@ frontFromJson(Reader &rd, const Value &doc)
     return ParetoFront::restore(refA, refP, maxSize, std::move(points));
 }
 
-/** Reads one eval-cache entry (a cache-store record). */
-bool
-readEvalEntry(Reader &rd, const Value &ej, EvalKey &key, EvalCacheEntry &entry)
-{
-    key.structural.hi = rd.getU64(ej, "fpHi", "eval cache entry");
-    key.structural.lo = rd.getU64(ej, "fpLo", "eval cache entry");
-    key.labeling = rd.getU64(ej, "lab", "eval cache entry");
-    key.context = rd.getU64(ej, "ctx", "eval cache entry");
-    entry.objective = rd.getDouble(ej, "objective", "eval cache entry");
-    entry.perf = rd.getDouble(ej, "perf", "eval cache entry");
-    entry.cost = costFromJson(rd, ej, "cost", "eval cache entry");
-    const Value *tasks =
-        rd.field(ej, "tasks", Value::Kind::Array, "eval cache entry");
-    if (!tasks)
-        return false;
-    for (size_t j = 0; j < tasks->size(); ++j) {
-        const Value *tj =
-            rd.elem(*tasks, j, Value::Kind::Object, "eval cache task");
-        if (!tj)
-            return false;
-        EvalTaskOutcome t;
-        t.lowered = rd.getBool(*tj, "lowered", "eval cache task");
-        t.legal = rd.getBool(*tj, "legal", "eval cache task");
-        t.cycles = rd.getDouble(*tj, "cycles", "eval cache task");
-        if (rd.err.ok() && t.legal) {
-            const Value *sj =
-                rd.field(*tj, "sched", Value::Kind::Object, "eval cache task");
-            if (sj)
-                t.sched = scheduleFromJson(rd, *sj);
-        }
-        if (!rd.err.ok())
-            return false;
-        entry.tasks.push_back(std::move(t));
-    }
-    return rd.err.ok();
-}
-
 } // namespace
-
-Value
-evalEntryToJson(const EvalKey &key, const EvalCacheEntry &entry)
-{
-    Value ej = Value::object();
-    ej.set("fpHi", Value::str(std::to_string(key.structural.hi)));
-    ej.set("fpLo", Value::str(std::to_string(key.structural.lo)));
-    ej.set("lab", Value::str(std::to_string(key.labeling)));
-    ej.set("ctx", Value::str(std::to_string(key.context)));
-    ej.set("objective", Value::number(entry.objective));
-    ej.set("perf", Value::number(entry.perf));
-    ej.set("cost", costToJson(entry.cost));
-    Value tasks = Value::array();
-    for (const auto &t : entry.tasks) {
-        Value tj = Value::object();
-        tj.set("lowered", Value::boolean(t.lowered));
-        tj.set("legal", Value::boolean(t.legal));
-        tj.set("cycles", Value::number(t.cycles));
-        if (t.legal)
-            tj.set("sched", scheduleToJson(t.sched));
-        tasks.push(std::move(tj));
-    }
-    ej.set("tasks", std::move(tasks));
-    return ej;
-}
-
-Result<EvalStoreRecord>
-evalEntryFromJson(const Value &doc)
-{
-    Reader rd;
-    EvalKey key;
-    EvalCacheEntry entry;
-    if (!doc.isObject())
-        return Status::dataLoss("eval cache entry is not an object");
-    readEvalEntry(rd, doc, key, entry);
-    if (!rd.err.ok())
-        return rd.err;
-    EvalStoreRecord rec;
-    rec.key = key;
-    rec.entry = std::make_shared<EvalCacheEntry>(std::move(entry));
-    return rec;
-}
-
-Value
-scheduleCacheToJson(const ScheduleCache &cache)
-{
-    Value arr = Value::array();
-    for (const auto &[key, entry] : cache) {
-        Value ej = Value::object();
-        ej.set("k", Value::number(static_cast<int64_t>(key.first)));
-        ej.set("u", Value::number(static_cast<int64_t>(key.second)));
-        ej.set("hasLegal", Value::boolean(entry.hasLegal));
-        if (entry.hasLegal)
-            ej.set("sched", scheduleToJson(entry.sched));
-        arr.push(std::move(ej));
-    }
-    return arr;
-}
-
-Result<ScheduleCache>
-scheduleCacheFromJson(const Value &arr)
-{
-    Reader rd;
-    ScheduleCache cache;
-    if (!arr.isArray())
-        return Status::dataLoss("schedule cache is not an array");
-    for (size_t i = 0; i < arr.size(); ++i) {
-        const Value *ej = rd.elem(arr, i, Value::Kind::Object,
-                                  "schedule cache");
-        if (!ej)
-            break;
-        int k = static_cast<int>(rd.getInt(*ej, "k", "schedule cache entry"));
-        int u = static_cast<int>(rd.getInt(*ej, "u", "schedule cache entry"));
-        ScheduleCacheEntry entry;
-        entry.hasLegal = rd.getBool(*ej, "hasLegal", "schedule cache entry");
-        if (rd.err.ok() && entry.hasLegal) {
-            const Value *sj = rd.field(*ej, "sched", Value::Kind::Object,
-                                       "schedule cache entry");
-            if (sj)
-                entry.sched = scheduleFromJson(rd, *sj);
-        }
-        if (!rd.err.ok())
-            break;
-        cache[{k, u}] = std::move(entry);
-    }
-    if (!rd.err.ok())
-        return rd.err;
-    return cache;
-}
 
 Result<DseOptions>
 dseOptionsFromJson(const Value &doc)
@@ -758,7 +461,8 @@ checkpointToJson(const std::vector<std::string> &workloadNames,
     st.set("acceptedSinceCkpt",
            Value::number(static_cast<int64_t>(state.acceptedSinceCkpt)));
     st.set("rng", Value::str(state.rng.saveState()));
-    st.set("schedules", scheduleCacheToJson(state.schedules));
+    st.set("schedules",
+           Value::str(toHex(encodeScheduleCache(state.schedules))));
     st.set("result", resultToJson(state.result));
     // Scalar runs carry a default-constructed (zero-capacity) front;
     // serializing it would fail restore()'s invariants, so it is
@@ -816,16 +520,16 @@ checkpointFromJson(const Value &doc)
         std::string rng = rd.getString(*st, "rng", "state");
         if (rd.err.ok() && !ck.state.rng.loadState(rng))
             rd.err = Status::dataLoss("state rng stream is malformed");
-        const Value *cache =
-            rd.field(*st, "schedules", Value::Kind::Array, "state");
-        if (cache) {
-            auto sc = scheduleCacheFromJson(*cache);
-            if (!sc.ok()) {
-                if (rd.err.ok())
-                    rd.err = sc.status();
-            } else {
+        std::string cache = rd.getString(*st, "schedules", "state");
+        if (rd.err.ok()) {
+            auto bytes = fromHex(cache);
+            auto sc = bytes ? decodeScheduleCache(*bytes)
+                            : Result<ScheduleCache>(Status::dataLoss(
+                                  "state field 'schedules' is not hex"));
+            if (sc.ok())
                 ck.state.schedules = std::move(sc.value());
-            }
+            else
+                rd.err = sc.status();
         }
         const Value *res =
             rd.field(*st, "result", Value::Kind::Object, "state");

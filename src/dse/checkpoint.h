@@ -8,15 +8,19 @@
  * text), the repair cache including attempted-but-illegal markers
  * (they select the per-step scheduling budget), the iteration trace,
  * the Pareto front (Pareto runs only), and the exploration RNG's
- * stream position. Doubles are written with 17 significant digits and
- * int64s as raw decimal text, so every number round-trips exactly.
- * Evaluations are not part of it: the eval cache persists through the
- * cache store (DseOptions::cacheStoreDir) alone, and a resumed run
- * warms from there.
+ * stream position. The repair cache is one hex string holding the
+ * binary encoding of dse/entry_codec.h, the schedule encoding the
+ * cache store and the worker pipes use too. Doubles are written with
+ * 17 significant digits and int64s as raw decimal text, so every
+ * number round-trips exactly. Evaluations are not part of it: the
+ * eval cache persists through the cache store
+ * (DseOptions::cacheStoreDir) alone, and a resumed run warms from
+ * there.
  *
- * The format is version 2 and every field is required (only `front`
+ * The format is version 3 and every field is required (only `front`
  * is optional, since scalar runs write none). Files of any other
- * version, including version 1 from older builds, are refused with
+ * version, including versions 1 and 2 from older builds (version 2
+ * held the repair cache as a JSON array), are refused with
  * InvalidArgument.
  *
  * Writes are atomic (base/files.h writeFileAtomic: `<path>.tmp`,
@@ -39,7 +43,7 @@
 namespace dsa::dse {
 
 /** Current checkpoint file format version. */
-inline constexpr int kCheckpointVersion = 2;
+inline constexpr int kCheckpointVersion = 3;
 
 /** Everything a checkpoint file holds. */
 struct DseCheckpoint
@@ -60,39 +64,17 @@ json::Value checkpointToJson(const std::vector<std::string> &workloadNames,
                              const DseRunState &state);
 
 /// @name Shared serializers
-/// The checkpoint format's building blocks, exported for the two other
-/// consumers that must speak exactly the same bytes: the worker-pool
-/// pipe protocol (ships options + the repair cache to workers and eval
-/// outcomes back) and the on-disk eval-cache store (one evalEntry JSON
-/// document per segment record; checkpoints hold no eval entries).
-/// Round-trips are exact — the bit-identity of multi-process runs
-/// rests on it.
+/// Exported for the worker-pool pipe protocol, whose init frame ships
+/// the options to workers in exactly the checkpoint's bytes. Round-
+/// trips are exact — the bit-identity of multi-process runs rests on
+/// it. (Repair caches and eval entries use dse/entry_codec.h.)
 /// @{
-
-/** Serialize a per-(kernel,unroll) repair cache. */
-json::Value scheduleCacheToJson(const ScheduleCache &cache);
-
-/** Rebuild a repair cache; DataLoss on corrupt input. */
-Result<ScheduleCache> scheduleCacheFromJson(const json::Value &arr);
 
 /** Serialize exploration options (test-only knobs excluded). */
 json::Value dseOptionsToJson(const DseOptions &opts);
 
 /** Rebuild exploration options; DataLoss on corrupt input. */
 Result<DseOptions> dseOptionsFromJson(const json::Value &doc);
-
-/** One eval-cache entry with its key (a cache-store segment record). */
-struct EvalStoreRecord
-{
-    EvalKey key;
-    std::shared_ptr<const EvalCacheEntry> entry;
-};
-
-/** Serialize one eval-cache entry with its key. */
-json::Value evalEntryToJson(const EvalKey &key, const EvalCacheEntry &entry);
-
-/** Rebuild an eval-cache record; DataLoss on corrupt input. */
-Result<EvalStoreRecord> evalEntryFromJson(const json::Value &doc);
 
 /// @}
 

@@ -105,11 +105,18 @@ EvalKey
 Explorer::makeEvalKey(const Adg &adg, const ScheduleCache &scheds,
                       bool repair) const
 {
-    adg::AdgKey k = adg::canonicalKey(adg);
+    return makeEvalKey(adg::canonicalKey(adg), hashScheduleCache(scheds),
+                       repair);
+}
+
+EvalKey
+Explorer::makeEvalKey(const adg::AdgKey &design, uint64_t schedulesHash,
+                      bool repair) const
+{
     uint64_t ctx = workloadSig_;
-    ctx = hashCombine(ctx, hashScheduleCache(scheds));
+    ctx = hashCombine(ctx, schedulesHash);
     ctx = hashCombine(ctx, static_cast<uint64_t>(repair));
-    return {k.structural, k.labeling, ctx};
+    return {design.structural, design.labeling, ctx};
 }
 
 model::ComponentCost
@@ -268,7 +275,8 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
                          bool repair, double *perfOut,
                          model::ComponentCost *costOut, Status *statusOut,
                          EvalCache *cache,
-                         const model::ComponentCost *knownCost)
+                         const model::ComponentCost *knownCost,
+                         const EvalKey *knownKey)
 {
     // The (kernel, unroll) grid as a flat, order-independent task
     // list. Each task compiles, schedules, and estimates on its own;
@@ -301,7 +309,7 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
     // fault-free evaluations, so a hit is unconditionally OK.
     EvalKey key;
     if (cache) {
-        key = makeEvalKey(adg, scheds, repair);
+        key = knownKey ? *knownKey : makeEvalKey(adg, scheds, repair);
         if (auto hit = cache->find(key)) {
             DSA_ASSERT(hit->tasks.size() == tasks.size(),
                        "eval-cache entry has the wrong task count");
@@ -1041,6 +1049,17 @@ Explorer::runLoop(DseRunState &st)
         }
         st.iter += batch;
 
+        // Each feasible candidate's canonical key is computed once, on
+        // the pool: dedup groups candidates by it, and it is the
+        // design half of their eval-cache keys.
+        bool dedup = opts_.dedupBatch && batch > 1;
+        std::vector<adg::AdgKey> canon(cands.size());
+        if (dedup || evalCache)
+            pool_->parallelFor(cands.size(), [&](size_t i) {
+                if (cands[i].feasible)
+                    canon[i] = adg::canonicalKey(cands[i].adg);
+            });
+
         // Identical mutants in one batch (noop mutations, coincident
         // draws, add/remove round-trips) would evaluate to identical
         // results — evaluateDesign is a pure function of (live graph,
@@ -1050,13 +1069,12 @@ Explorer::runLoop(DseRunState &st)
         // the leader's outcome afterwards.
         std::vector<size_t> evalIdx;
         std::vector<std::pair<size_t, size_t>> dups; // (copy, leader)
-        if (opts_.dedupBatch && batch > 1) {
+        if (dedup) {
             std::map<adg::AdgKey, size_t> seen;
             for (size_t i = 0; i < cands.size(); ++i) {
                 if (!cands[i].feasible)
                     continue;
-                auto [it, fresh] =
-                    seen.emplace(adg::canonicalKey(cands[i].adg), i);
+                auto [it, fresh] = seen.emplace(canon[i], i);
                 if (fresh)
                     evalIdx.push_back(i);
                 else
@@ -1066,6 +1084,16 @@ Explorer::runLoop(DseRunState &st)
             for (size_t i = 0; i < cands.size(); ++i)
                 if (cands[i].feasible)
                     evalIdx.push_back(i);
+        }
+
+        // Every leader repairs from st.schedules, so the repair-cache
+        // half of the eval keys is one hash per batch.
+        std::vector<EvalKey> keys(evalIdx.size());
+        if (evalCache) {
+            uint64_t schedHash = hashScheduleCache(st.schedules);
+            for (size_t e = 0; e < evalIdx.size(); ++e)
+                keys[e] = makeEvalKey(canon[evalIdx[e]], schedHash,
+                                      opts_.useRepair);
         }
 
         // Evaluate the feasible mutants. With batch=1 this call runs
@@ -1080,7 +1108,7 @@ Explorer::runLoop(DseRunState &st)
                 c.cache = st.schedules; // repair from the current mapping
                 c.objective = evaluateDesign(c.adg, c.cache, opts_.useRepair,
                                              &c.perf, &c.cost, &c.evalStatus,
-                                             evalCache, &c.cost);
+                                             evalCache, &c.cost, &keys[e]);
             });
         } else {
             // Crash-isolated evaluation: leaders ship to worker
@@ -1088,10 +1116,6 @@ Explorer::runLoop(DseRunState &st)
             // entries, replayed here through the same path a cache hit
             // takes — so the trace is the in-process trace, bit for
             // bit, whatever the workers live through.
-            std::vector<EvalKey> keys(evalIdx.size());
-            for (size_t e = 0; e < evalIdx.size(); ++e)
-                keys[e] = makeEvalKey(cands[evalIdx[e]].adg, st.schedules,
-                                      opts_.useRepair);
             // Applies a memoized outcome to candidate e (a coordinator
             // cache hit or a worker reply).
             auto applyEntry =
@@ -1113,7 +1137,7 @@ Explorer::runLoop(DseRunState &st)
                 c.cache = st.schedules;
                 c.objective = evaluateDesign(c.adg, c.cache, opts_.useRepair,
                                              &c.perf, &c.cost, &c.evalStatus,
-                                             evalCache, &c.cost);
+                                             evalCache, &c.cost, &keys[e]);
                 done[e] = 1;
                 WorkerEvalOutcome o;
                 o.status = c.evalStatus;

@@ -512,13 +512,17 @@ class Explorer
      *        evaluations.
      * @param knownCost when non-null, the already-priced fabric cost
      *        of @p adg (skips recomputation; must equal fabric(adg)).
+     * @param knownKey when non-null, the already-computed
+     *        makeEvalKey(adg, schedules, repair) (skips recomputation;
+     *        read only together with @p cache).
      */
     double evaluateDesign(const adg::Adg &adg, ScheduleCache &schedules,
                           bool repair, double *perfOut,
                           model::ComponentCost *costOut,
                           Status *statusOut = nullptr,
                           EvalCache *cache = nullptr,
-                          const model::ComponentCost *knownCost = nullptr);
+                          const model::ComponentCost *knownCost = nullptr,
+                          const EvalKey *knownKey = nullptr);
 
     /**
      * Remove features no kernel can use (unneeded FU classes, unused
@@ -555,6 +559,11 @@ class Explorer
      * content, the repair flag, and the evaluation-shaping options.
      */
     EvalKey makeEvalKey(const adg::Adg &adg, const ScheduleCache &schedules,
+                        bool repair) const;
+
+    /** makeEvalKey from parts a caller shares across candidates: the
+     *  design's adg::canonicalKey and hashScheduleCache(schedules). */
+    EvalKey makeEvalKey(const adg::AdgKey &design, uint64_t schedulesHash,
                         bool repair) const;
 
     /**

@@ -6,9 +6,12 @@
 
 #include <unistd.h>
 
+#include "adg/fingerprint.h"
 #include "base/fault.h"
 #include "base/logging.h"
+#include "base/strings.h"
 #include "dse/checkpoint.h"
+#include "dse/entry_codec.h"
 #include "workloads/workload.h"
 
 namespace dsa::dse {
@@ -185,8 +188,9 @@ WorkerPool::evaluateBatch(
         return out;
     DSA_ASSERT(started_, "WorkerPool::evaluateBatch before start()");
 
-    // Serialized once per batch; each request embeds a copy.
-    json::Value schedJson = scheduleCacheToJson(schedules);
+    // Encoded once per batch; each request embeds a copy.
+    json::Value schedHex =
+        json::Value::str(toHex(encodeScheduleCache(schedules)));
 
     // Fixed draw-order sharding: candidate i -> shard i % N, independent
     // of which workers happen to be alive. (Placement never influences
@@ -213,7 +217,7 @@ WorkerPool::evaluateBatch(
         req.set("type", json::Value::str("eval"));
         req.set("id", json::Value::number(static_cast<int64_t>(id)));
         req.set("repair", json::Value::boolean(repair));
-        req.set("schedules", schedJson);
+        req.set("schedules", schedHex);
         json::Value arr = json::Value::array();
         for (size_t i : idx)
             arr.push(json::Value::str(cands[i]->toText()));
@@ -313,12 +317,18 @@ WorkerPool::evaluateBatch(
                 return false;
             }
             if (c == 0) {
-                const json::Value *entry = item.find("entry");
+                const json::Value *entry =
+                    objField(item, "entry", json::Value::Kind::String);
                 if (!entry) {
                     failWorker(w, protocolError("ok result without entry"));
                     return false;
                 }
-                auto rec = evalEntryFromJson(*entry);
+                auto bytes = fromHex(entry->asString());
+                if (!bytes) {
+                    failWorker(w, protocolError("result entry is not hex"));
+                    return false;
+                }
+                auto rec = decodeEvalEntry(*bytes);
                 if (!rec.ok()) {
                     failWorker(w, rec.status());
                     return false;
@@ -507,15 +517,21 @@ workerEval(const json::Value &doc, WorkerState &st)
     const json::Value *rj = doc.find("repair");
     ScheduleCache base;
     Status reqStatus;
-    if (!sj || !cj || !cj->isArray())
+    if (!sj || sj->kind() != json::Value::Kind::String || !cj ||
+        !cj->isArray())
         reqStatus = protocolError("eval frame missing schedules/cands");
     if (reqStatus.ok()) {
-        auto sc = scheduleCacheFromJson(*sj);
+        auto bytes = fromHex(sj->asString());
+        auto sc = bytes ? decodeScheduleCache(*bytes)
+                        : Result<ScheduleCache>(
+                              protocolError("eval schedules are not hex"));
         if (!sc.ok())
             reqStatus = sc.status();
         else
             base = std::move(sc.value());
     }
+    // Every candidate repairs from the same base cache: hash it once.
+    uint64_t baseHash = reqStatus.ok() ? hashScheduleCache(base) : 0;
     bool repair = rj && rj->kind() == json::Value::Kind::Bool
         ? rj->asBool()
         : st.repairDefault;
@@ -534,11 +550,12 @@ workerEval(const json::Value &doc, WorkerState &st)
         try {
             adg::Adg adg = adg::Adg::fromText(cj->at(i).asString());
             ScheduleCache local = base;
-            key = st.explorer->makeEvalKey(adg, local, repair);
+            key = st.explorer->makeEvalKey(adg::canonicalKey(adg), baseHash,
+                                           repair);
             double perf = 0;
             model::ComponentCost cost;
             st.explorer->evaluateDesign(adg, local, repair, &perf, &cost,
-                                        &st2, st.cache.get(), nullptr);
+                                        &st2, st.cache.get(), nullptr, &key);
             if (st2.ok()) {
                 entry = st.cache->find(key);
                 if (!entry)
@@ -553,7 +570,8 @@ workerEval(const json::Value &doc, WorkerState &st)
         if (!st2.ok())
             r.set("msg", json::Value::str(st2.message()));
         if (entry)
-            r.set("entry", evalEntryToJson(key, *entry));
+            r.set("entry",
+                  json::Value::str(toHex(encodeEvalEntry(key, *entry))));
         results.push(std::move(r));
     }
     if (!reqStatus.ok() && cj && cj->isArray()) {

@@ -9,17 +9,20 @@
  *   coordinator -> worker   {type:"init", workloads:[...], options:{...}}
  *   worker -> coordinator   {type:"ready"}
  *   coordinator -> worker   {type:"eval", id:N, repair:b,
- *                            schedules:[...], cands:["<adg text>", ...]}
+ *                            schedules:"<hex>", cands:["<adg text>", ...]}
  *   worker -> coordinator   {type:"result", id:N,
- *                            results:[{code,msg,entry?}, ...]}
+ *                            results:[{code,msg,entry:"<hex>"?}, ...]}
  *   coordinator -> worker   {type:"shutdown"}
  *
- * Each eval result's `entry` is a full EvalCacheEntry document — the
- * same bytes the cache store writes per record. The
- * coordinator replays it through the cache-hit path, so a worker-
- * evaluated candidate updates the exploration state through exactly
- * the code a local evaluation would have used: traces are bit-
- * identical to `--workers 0` by construction.
+ * The two heavy fields travel in the binary encoding of
+ * dse/entry_codec.h, as hex text inside the JSON envelope: `schedules`
+ * is the encoded repair cache and each result's `entry` a full encoded
+ * EvalCacheEntry with its key — the same bytes the cache store writes
+ * per record. A field that is not hex or does not decode is a corrupt
+ * frame. The coordinator replays an entry through the cache-hit path,
+ * so a worker-evaluated candidate updates the exploration state
+ * through exactly the code a local evaluation would have used: traces
+ * are bit-identical to `--workers 0` by construction.
  *
  * Failure handling per shard (a worker death, pipe EOF, corrupt frame,
  * or response timeout) walks a capped-backoff ladder:

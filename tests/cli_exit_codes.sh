@@ -85,8 +85,10 @@ else
          "--checkpoint other.json"
 fi
 # Checkpoints from older builds and unknown workloads are refused.
-sed 's/"version":2/"version":1/' ck.orig > version-1.json
-expect_config_error dse --resume version-1.json
+for v in 1 2; do
+    sed "s/\"version\":3/\"version\":$v/" ck.orig > "version-$v.json"
+    expect_config_error dse --resume "version-$v.json"
+done
 sed 's/"workloads":\["[^"]*"/"workloads":["no-such-kernel"/' ck.orig \
     > unknown-workload.json
 expect_config_error dse --resume unknown-workload.json

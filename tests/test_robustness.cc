@@ -23,6 +23,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
@@ -36,6 +38,7 @@
 #include "base/deadline.h"
 #include "base/fault.h"
 #include "base/files.h"
+#include "base/hashing.h"
 #include "base/json.h"
 #include "base/rng.h"
 #include "base/status.h"
@@ -44,6 +47,7 @@
 #include "compiler/compile.h"
 #include "dse/cache_store.h"
 #include "dse/checkpoint.h"
+#include "dse/entry_codec.h"
 #include "dse/explorer.h"
 #include "dse/worker_pool.h"
 #include "mapper/scheduler.h"
@@ -471,19 +475,25 @@ TEST(Checkpoint, CorruptFilesRejectedWithCleanStatus)
     EXPECT_FALSE(wrongVersion.ok());
     EXPECT_EQ(wrongVersion.status().code(), StatusCode::InvalidArgument);
 
-    // Files from builds before version 2 (which still embedded the
-    // eval cache) are refused, naming both versions.
-    writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": 1, "
-              "\"workloads\": [\"mm\"], \"options\": {}, \"state\": {}}");
-    auto versionOne = dse::loadCheckpoint(path);
-    EXPECT_FALSE(versionOne.ok());
-    EXPECT_EQ(versionOne.status().code(), StatusCode::InvalidArgument);
-    EXPECT_NE(versionOne.status().message().find("version 1"),
-              std::string::npos);
-    EXPECT_NE(versionOne.status().message().find("version 2"),
-              std::string::npos);
+    // Files from older builds are refused, naming both versions:
+    // version 1 still embedded the eval cache, version 2 held the
+    // repair cache as a JSON array.
+    for (int old : {1, 2}) {
+        writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": " +
+                  std::to_string(old) +
+                  ", \"workloads\": [\"mm\"], \"options\": {}, "
+                  "\"state\": {}}");
+        auto refused = dse::loadCheckpoint(path);
+        EXPECT_FALSE(refused.ok());
+        EXPECT_EQ(refused.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(refused.status().message().find("version " +
+                                                  std::to_string(old)),
+                  std::string::npos);
+        EXPECT_NE(refused.status().message().find("version 3"),
+                  std::string::npos);
+    }
 
-    writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": 2, "
+    writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": 3, "
               "\"workloads\": [\"mm\"], \"options\": {}, \"state\": {}}");
     auto missingFields = dse::loadCheckpoint(path);
     EXPECT_FALSE(missingFields.ok());
@@ -509,6 +519,28 @@ TEST(Checkpoint, MalformedDesignTextLoadsAsDataLoss)
     EXPECT_NE(loaded.status().message().find("node 0 pe bogus"),
               std::string::npos)
         << loaded.status().toString();
+}
+
+TEST(Checkpoint, MalformedScheduleCacheLoadsAsDataLoss)
+{
+    // The repair cache is hex codec bytes: bad hex, bytes that do not
+    // decode, and the version-2 JSON array are all DataLoss.
+    dse::DseRunState state;
+    json::Value doc = dse::checkpointToJson({"mm"}, tinyDse(), state);
+    ASSERT_TRUE(dse::checkpointFromJson(doc).ok());
+    for (json::Value bad :
+         {json::Value::str("0"), json::Value::str("zz"),
+          json::Value::str("01"), json::Value::str("0000"),
+          json::Value::array()}) {
+        json::Value st = *doc.find("state");
+        st.set("schedules", bad);
+        json::Value mangled = doc;
+        mangled.set("state", std::move(st));
+        auto loaded = dse::checkpointFromJson(mangled);
+        ASSERT_FALSE(loaded.ok()) << bad.dump();
+        EXPECT_EQ(loaded.status().code(), StatusCode::DataLoss)
+            << loaded.status().toString();
+    }
 }
 
 TEST(Checkpoint, ParetoStateWithoutFrontIsDataLoss)
@@ -811,7 +843,7 @@ TEST(CacheStore, FlippedByteQuarantinesOnlyThatRecord)
     std::string bytes = readAll(path);
     // Flip one payload byte inside the *second* record (just past its
     // 16-byte magic+len+checksum header).
-    size_t second = bytes.find("DSEC", 4);
+    size_t second = bytes.find("DSE2", 4);
     ASSERT_NE(second, std::string::npos);
     bytes[second + 16 + 5] ^= 0x40;
     {
@@ -926,6 +958,260 @@ TEST(CacheStore, LiveLeaseRefusesCompactionWithoutError)
     EXPECT_EQ(segFiles(dir).size(), 2u); // nothing merged or unlinked
     held.unlock();
     rmTree(dir);
+}
+
+TEST(CacheStore, JsonPayloadSegmentFromOlderBuildIsQuarantinedAndRetired)
+{
+    // Builds before the binary codec wrote each record as the magic
+    // "DSEC", the payload length, its xxhash64 and a JSON document. A
+    // store they left behind must load as one quarantined region per
+    // file and no records, and compaction must retire the file.
+    std::string dir = "robustness_store_json";
+    rmTree(dir);
+    {
+        dse::CacheStore store(dir);
+        ASSERT_TRUE(store.open().ok());
+        ASSERT_TRUE(store.append(synthKey(0), synthEntry(0)).ok());
+    }
+    pid_t dead = ::fork(); // the older build's writer, long gone
+    ASSERT_GE(dead, 0);
+    if (dead == 0)
+        ::_exit(0);
+    int ws = 0;
+    ASSERT_EQ(::waitpid(dead, &ws, 0), dead);
+    std::string legacy;
+    for (int n = 0; n < 2; ++n) {
+        std::string payload =
+            "{\"fpHi\":\"" + std::to_string(n + 11) +
+            "\",\"fpLo\":\"2\",\"lab\":\"3\",\"ctx\":\"4\",\"objective\":1,"
+            "\"perf\":2,\"cost\":[0.5,100],\"tasks\":[{\"lowered\":true,"
+            "\"legal\":false,\"cycles\":100}]}";
+        uint64_t sum = xxhash64(payload.data(), payload.size(),
+                                0x647361636163ull);
+        legacy += "DSEC";
+        for (int i = 0; i < 4; ++i)
+            legacy.push_back(static_cast<char>(payload.size() >> (8 * i)));
+        for (int i = 0; i < 8; ++i)
+            legacy.push_back(static_cast<char>(sum >> (8 * i)));
+        legacy += payload;
+    }
+    std::string legacyName = "seg-" + std::to_string(dead) + "-0.dsec";
+    {
+        std::ofstream out(dir + "/" + legacyName, std::ios::binary);
+        out << legacy;
+    }
+    ASSERT_EQ(segFiles(dir).size(), 2u);
+
+    dse::CacheStore reader(dir);
+    ASSERT_TRUE(reader.open().ok());
+    dse::EvalCache cache;
+    ASSERT_TRUE(reader.loadInto(cache).ok());
+    EXPECT_EQ(reader.stats().segmentsLoaded, 2u);
+    EXPECT_EQ(reader.stats().recordsQuarantined, 1u);
+    EXPECT_EQ(reader.stats().recordsLoaded, 1u);
+    EXPECT_NE(cache.find(synthKey(0)), nullptr);
+
+    auto compacted = reader.compact();
+    ASSERT_TRUE(compacted.ok()) << compacted.status().toString();
+    EXPECT_TRUE(*compacted);
+    auto segs = segFiles(dir);
+    ASSERT_EQ(segs.size(), 1u);
+    EXPECT_NE(segs[0], legacyName);
+    dse::CacheStore after(dir);
+    ASSERT_TRUE(after.open().ok());
+    dse::EvalCache fresh;
+    ASSERT_TRUE(after.loadInto(fresh).ok());
+    EXPECT_EQ(after.stats().recordsQuarantined, 0u);
+    EXPECT_EQ(after.stats().recordsLoaded, 1u);
+    rmTree(dir);
+}
+
+// ---------------------------------------------------------------------
+// Binary entry codec and hex text: every corruption decodes or is
+// DataLoss (store records and worker frames carry these bytes)
+// ---------------------------------------------------------------------
+
+/** A real MachSuite evaluation with schedules, and the repair cache it
+ *  leaves behind. */
+struct RealEval
+{
+    dse::EvalKey key;
+    std::shared_ptr<const dse::EvalCacheEntry> entry;
+    dse::ScheduleCache schedules;
+};
+
+const RealEval &
+realMachSuiteEval()
+{
+    static const RealEval real = [] {
+        RealEval r;
+        dse::Explorer ex(workloads::suiteWorkloads("MachSuite"), tinyDse());
+        adg::Adg g = adg::buildDseInitial();
+        dse::EvalCache cache;
+        Status st;
+        r.key = ex.makeEvalKey(g, r.schedules, true);
+        ex.evaluateDesign(g, r.schedules, true, nullptr, nullptr, &st,
+                          &cache);
+        EXPECT_TRUE(st.ok()) << st.toString();
+        r.entry = cache.find(r.key);
+        return r;
+    }();
+    return real;
+}
+
+/**
+ * Decode every truncation of @p bytes and every copy with one byte
+ * flipped (all bits, the low bit, the high bit). A truncation must be
+ * DataLoss; a flip must be DataLoss or decode to a value that encodes
+ * back to exactly the flipped bytes. Returns how many flips decoded.
+ */
+template <typename Decode, typename Reencode>
+size_t
+sweepCorruptions(const std::string &bytes, Decode decode, Reencode reencode)
+{
+    auto whole = decode(bytes);
+    EXPECT_TRUE(whole.ok()) << whole.status().toString();
+    if (whole.ok()) {
+        EXPECT_EQ(reencode(whole.value()), bytes);
+    }
+    for (size_t n = 0; n < bytes.size(); ++n) {
+        auto r = decode(std::string_view(bytes).substr(0, n));
+        EXPECT_FALSE(r.ok()) << "prefix of " << n << " bytes decoded";
+        if (!r.ok()) {
+            EXPECT_EQ(r.status().code(), StatusCode::DataLoss)
+                << r.status().toString();
+        }
+    }
+    size_t decoded = 0;
+    std::string flipped = bytes;
+    for (size_t i = 0; i < bytes.size(); ++i) {
+        for (unsigned mask : {0xffu, 0x01u, 0x80u}) {
+            flipped[i] = static_cast<char>(bytes[i] ^ mask);
+            auto r = decode(flipped);
+            if (r.ok()) {
+                ++decoded;
+                EXPECT_EQ(reencode(r.value()), flipped)
+                    << "byte " << i << " ^ " << mask;
+            } else {
+                EXPECT_EQ(r.status().code(), StatusCode::DataLoss)
+                    << r.status().toString();
+            }
+        }
+        flipped[i] = bytes[i];
+    }
+    return decoded;
+}
+
+TEST(EntryCodec, EntryTruncationsAndByteFlipsDecodeOrAreDataLoss)
+{
+    const RealEval &real = realMachSuiteEval();
+    ASSERT_NE(real.entry, nullptr);
+    size_t legal = 0;
+    for (const dse::EvalTaskOutcome &t : real.entry->tasks)
+        legal += t.legal && !t.sched.regions.empty();
+    ASSERT_GT(legal, 0u); // schedules are part of the sweep
+    std::string bytes = dse::encodeEvalEntry(real.key, *real.entry);
+    size_t decoded = sweepCorruptions(
+        bytes, [](std::string_view b) { return dse::decodeEvalEntry(b); },
+        [](const dse::EvalStoreRecord &rec) {
+            return dse::encodeEvalEntry(rec.key, *rec.entry);
+        });
+    // Doubles and hashes take any bits, so some flips must decode.
+    EXPECT_GT(decoded, 0u);
+}
+
+TEST(EntryCodec, ScheduleCacheTruncationsAndByteFlipsDecodeOrAreDataLoss)
+{
+    const RealEval &real = realMachSuiteEval();
+    ASSERT_FALSE(real.schedules.empty());
+    std::string bytes = dse::encodeScheduleCache(real.schedules);
+    sweepCorruptions(
+        bytes,
+        [](std::string_view b) { return dse::decodeScheduleCache(b); },
+        [](const dse::ScheduleCache &c) {
+            return dse::encodeScheduleCache(c);
+        });
+}
+
+/** The message of decoding @p bytes with @p decode, which must fail
+ *  with DataLoss ("" when it decoded). */
+template <typename Decode>
+std::string
+dataLossMessage(Decode decode, std::string_view bytes)
+{
+    auto r = decode(bytes);
+    EXPECT_FALSE(r.ok());
+    if (r.ok())
+        return "";
+    EXPECT_EQ(r.status().code(), StatusCode::DataLoss);
+    return r.status().message();
+}
+
+TEST(EntryCodec, CraftedPayloadsAreDataLoss)
+{
+    auto entryLoss = [](std::string_view b) {
+        return dataLossMessage(
+            [](std::string_view x) { return dse::decodeEvalEntry(x); }, b);
+    };
+    auto cacheLoss = [](std::string_view b) {
+        return dataLossMessage(
+            [](std::string_view x) { return dse::decodeScheduleCache(x); },
+            b);
+    };
+    const auto npos = std::string::npos;
+    std::string entry = dse::encodeEvalEntry(synthKey(0), synthEntry(0));
+    ASSERT_TRUE(dse::decodeEvalEntry(entry).ok());
+    // The key (32 bytes) and four doubles (32 bytes) precede the task
+    // count.
+    std::string head = entry.substr(0, 64);
+
+    EXPECT_NE(entryLoss("").find("truncated"), npos);
+    // A count far beyond the input fails before anything is sized.
+    EXPECT_NE(entryLoss(head + std::string(9, '\xff') + '\x01')
+                  .find("exceeds"),
+              npos); // 2^64-1 tasks
+    EXPECT_NE(entryLoss(head + std::string(10, '\xff') + '\x01')
+                  .find("overflows"),
+              npos);
+    EXPECT_NE(entryLoss(head + std::string("\x80\x00", 2)).find("non-minimal"),
+              npos);
+    EXPECT_NE(entryLoss(head + std::string("\x01\x04", 2) +
+                        std::string(8, '\0'))
+                  .find("undefined bits"),
+              npos); // task flag bit 2
+    EXPECT_NE(entryLoss(entry + '\0').find("trailing"), npos);
+
+    // Repair-cache versions must strictly ascend and fit 32 bits.
+    EXPECT_NE(cacheLoss(std::string("\x02\x02\x02\x00\x00\x02\x00", 7))
+                  .find("out of order"),
+              npos); // (1,1) then (0,1)
+    EXPECT_NE(cacheLoss(std::string("\x02\x02\x02\x00\x02\x02\x00", 7))
+                  .find("out of order"),
+              npos); // (1,1) twice
+    EXPECT_NE(cacheLoss(std::string("\x01\x80\x80\x80\x80\x40\x02\x00", 8))
+                  .find("32 bits"),
+              npos); // kernel 2^33
+    // hasLegal with no schedule behind it.
+    EXPECT_NE(cacheLoss(std::string("\x01\x00\x02\x01", 4)).find("truncated"),
+              npos);
+}
+
+TEST(Hex, RoundTripsAndRejectsMalformedText)
+{
+    std::string all;
+    for (int b = 0; b < 256; ++b)
+        all.push_back(static_cast<char>(b));
+    std::string hex = toHex(all);
+    EXPECT_EQ(hex.size(), 512u);
+    EXPECT_EQ(hex.substr(0, 6), "000102");
+    EXPECT_EQ(hex.substr(506), "fdfeff");
+    ASSERT_TRUE(fromHex(hex).has_value());
+    EXPECT_EQ(*fromHex(hex), all);
+    EXPECT_EQ(fromHex("ABcd").value_or("?"), std::string("\xab\xcd", 2));
+    EXPECT_EQ(fromHex("").value_or("?"), std::string());
+    for (const char *bad : {"0", "abc", "zz", "0g", "g0", " 0", "0-", "0x00"})
+        EXPECT_FALSE(fromHex(bad).has_value()) << bad;
+    EXPECT_FALSE(fromHex(std::string("0\0", 2)).has_value());
 }
 
 TEST(CacheStoreDse, CorruptSegmentsQuarantinedTraceUnchanged)
