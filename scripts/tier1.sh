@@ -50,7 +50,7 @@ TSAN_OPTIONS="halt_on_error=1" \
           -R 'test_concurrency|test_base|test_scheduler_incremental|test_scheduler_parallel|test_dse_cache|test_dse_pareto|test_robustness'
 
 echo
-echo "== tier-1: robustness, sparse-simulator, scheduler, base and ADG tests under ASan+UBSan =="
+echo "== tier-1: robustness, sparse-simulator, scheduler, base, ADG and DSE-cache tests under ASan+UBSan =="
 # The crash-safety paths (checkpoint serialization, watchdog aborts,
 # exception propagation out of pool workers) juggle partially-built
 # state by design; run them with address + undefined-behavior checking
@@ -89,15 +89,21 @@ echo "== tier-1: robustness, sparse-simulator, scheduler, base and ADG tests und
 # frames: an id that escapes its range check is an out-of-bounds
 # write, which only ASan reports reliably (a plain build may not
 # crash at all). Its malformed-text cases drive every such check.
+# test_dse_cache joins for the explorer's evaluation step: outcomes
+# pass between the thread pool, the eval cache, the store and the
+# replay as shared pointers and moved schedules, and a read of a
+# moved-from schedule or a dangling entry fails no functional test —
+# its cached-vs-uncached, warm-vs-cold and store round-trip runs drive
+# every one of those hand-offs.
 cmake -B build-asan -S . -DDSA_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness \
       test_sim_sparse test_sim_compiled test_sim_jit \
       test_scheduler_incremental test_scheduler_parallel test_base \
-      test_adg
+      test_adg test_dse_cache
 ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure \
-          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental|test_scheduler_parallel|test_base|test_adg'
+          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental|test_scheduler_parallel|test_base|test_adg|test_dse_cache'
 
 echo
 echo "tier-1 OK"

@@ -109,21 +109,25 @@ std::string serializeRecord(const EvalKey &key, const EvalCacheEntry &entry)
 
 /**
  * Scan one segment's bytes, invoking @p sink per good record. Bad
- * records are quarantined: counted once per corrupt region, logged
- * with their offset, and skipped by resynchronizing on the next
- * record magic.
+ * records are quarantined: skipped by resynchronizing on the next
+ * record magic and, when @p stats is non-null, counted once per
+ * corrupt region and logged with their offset. Compaction passes
+ * null: its rescan must not report what the load already did.
  */
 template <typename Sink>
 void scanSegment(const std::string &name, const std::string &data,
-                 CacheStoreStats &stats, Sink &&sink)
+                 CacheStoreStats *stats, Sink &&sink)
 {
     const unsigned char *bytes =
         reinterpret_cast<const unsigned char *>(data.data());
     size_t off = 0;
     auto resync = [&](const char *why, size_t at) {
-        ++stats.recordsQuarantined;
-        DSA_WARN("cache store: quarantined ", why, " in '", name,
-                 "' at offset ", at, " (", data.size(), " bytes total)");
+        if (stats) {
+            ++stats->recordsQuarantined;
+            DSA_WARN("cache store: quarantined ", why, " in '", name,
+                     "' at offset ", at, " (", data.size(),
+                     " bytes total)");
+        }
         // Skip forward to the next plausible record start.
         size_t next = data.find(std::string(kRecordMagic, 4), at + 1);
         off = next == std::string::npos ? data.size() : next;
@@ -188,7 +192,7 @@ Status CacheStore::loadInto(EvalCache &cache)
             continue;
         }
         ++stats_.segmentsLoaded;
-        scanSegment(name, *data, stats_, [&](const EvalStoreRecord &rec) {
+        scanSegment(name, *data, &stats_, [&](const EvalStoreRecord &rec) {
             cache.restore(rec.key, rec.entry);
             ++stats_.recordsLoaded;
         });
@@ -285,18 +289,16 @@ Result<bool> CacheStore::compact()
         return true; // nothing to merge
 
     // Dedup by key: entries are pure functions of the key, so any
-    // duplicate's payload is interchangeable (last one wins).
+    // duplicate's payload is interchangeable (last one wins). Corrupt
+    // regions are dropped without a word: loads report them.
     std::map<EvalKey, std::string> merged;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const std::string &name : *names) {
-            auto data = readFile(dir_ + "/" + name);
-            if (!data.ok())
-                continue;
-            scanSegment(name, *data, stats_, [&](const EvalStoreRecord &rec) {
-                merged[rec.key] = serializeRecord(rec.key, *rec.entry);
-            });
-        }
+    for (const std::string &name : *names) {
+        auto data = readFile(dir_ + "/" + name);
+        if (!data.ok())
+            continue;
+        scanSegment(name, *data, nullptr, [&](const EvalStoreRecord &rec) {
+            merged[rec.key] = serializeRecord(rec.key, *rec.entry);
+        });
     }
     std::string bytes;
     for (const auto &[key, rec] : merged)

@@ -11,19 +11,23 @@
  * dse/entry_codec.h. Entries are pure functions of
  * their key, so replaying any subset of any segment set into an
  * EvalCache is always sound — the store changes how often work is
- * recomputed, never its results. That property is what lets the
- * coordinator and N workers share one directory with no record-level
+ * recomputed, never its results. One exploration has one writer: the
+ * exploring process appends every fresh evaluation, its worker
+ * subprocesses' included, and workers never open the store. Concurrent
+ * and future runs still share a directory with no record-level
  * coordination at all: writers never touch each other's segments, and
  * readers simply scan everything present.
  *
  * Torn or corrupt records (a writer killed mid-append, bit rot, a
- * truncated tail) are *quarantined*: the scanner logs the file and
- * byte offset, counts the record in CacheStoreStats, resynchronizes on
- * the next record magic, and keeps going. Corruption can cost cache
- * warmth, never correctness and never a crash. Segments written by
- * older builds (JSON payloads under the magic "DSEC") take the same
- * path: each file is one quarantined region that yields no records,
- * and the next compaction retires it.
+ * truncated tail) are *quarantined*: a load logs the file and byte
+ * offset, counts the record in CacheStoreStats, resynchronizes on the
+ * next record magic, and keeps going; a compaction skips the region
+ * the same way but reports nothing, so a region a process loaded and
+ * then compacted is counted once. Corruption can cost cache warmth,
+ * never correctness and never a crash. Segments written by older
+ * builds (JSON payloads under the magic "DSEC") take the same path:
+ * each file is one quarantined region that yields no records, and the
+ * next compaction retires it.
  *
  * The one multi-writer operation — compacting segments into one — is
  * serialized by a lease: a FileLock (base/files.h) on `compact.lease`.

@@ -9,10 +9,11 @@
  * in a batch, or a resumed run re-walking accepted steps — the result
  * is already known. This cache maps an evaluation key to the complete
  * evaluation outcome: objective, perf, cost, and the per-task
- * (lowered, legal, cycles, schedule) tuples, which a hit replays
- * through the same deterministic reduction the live path runs, so a
- * cached evaluation leaves the caller's repair cache in the exact
- * state a recomputation would.
+ * (lowered, legal, cycles, schedule) tuples. The explorer's run loop
+ * is its only user: it replays a hit and a fresh outcome alike through
+ * the one function that writes outcomes into a repair cache
+ * (`Explorer::replayEvalEntry`), so a cached evaluation leaves the
+ * repair cache in the exact state a recomputation would.
  *
  * Key design. The structural fingerprint alone would be wrong: the
  * annealer is labeling-sensitive (nodes are visited in ID order and

@@ -230,9 +230,7 @@ Explorer::replayEvalEntry(const EvalCacheEntry &entry,
                           ScheduleCache &scheds) const
 {
     // Task t is (kernel t / |unrolls|, unroll t % |unrolls|) — the
-    // exact flattening evaluateDesign builds its task list with. The
-    // reduction mirrors the live path: an illegal attempt leaves any
-    // previous legal schedule in place as the repair seed.
+    // exact flattening evaluateDesign builds its task list with.
     size_t nu = opts_.unrollFactors.size();
     for (size_t t = 0; t < entry.tasks.size(); ++t) {
         const EvalTaskOutcome &out = entry.tasks[t];
@@ -255,33 +253,22 @@ Explorer::startEvalCache()
     // other processes banked in the shared store are work this run
     // never redoes.
     evalCache_ = opts_.memoize ? std::make_unique<EvalCache>() : nullptr;
-    if (evalCache_)
-        warmFromStore(*evalCache_);
-}
-
-void
-Explorer::warmFromStore(EvalCache &cache)
-{
-    if (!cacheStore_)
+    if (!evalCache_ || !cacheStore_)
         return;
-    Status s = cacheStore_->loadInto(cache);
+    Status s = cacheStore_->loadInto(*evalCache_);
     if (!s.ok())
         DSA_WARN("eval-cache store '", opts_.cacheStoreDir,
                  "' load failed, continuing cold: ", s.toString());
 }
 
-double
-Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
-                         bool repair, double *perfOut,
-                         model::ComponentCost *costOut, Status *statusOut,
-                         EvalCache *cache,
-                         const model::ComponentCost *knownCost,
-                         const EvalKey *knownKey)
+WorkerEvalOutcome
+Explorer::evaluateDesign(const Adg &adg, const ScheduleCache &scheds,
+                         bool repair, const model::ComponentCost *knownCost)
 {
     // The (kernel, unroll) grid as a flat, order-independent task
-    // list. Each task compiles, schedules, and estimates on its own;
-    // the repair cache is read-only during the fan-out and updated in
-    // task order afterwards, so any thread count produces the same
+    // list. Each task compiles, schedules, and estimates on its own
+    // against the read-only repair cache, and the outcome is reduced
+    // in task order afterwards, so any thread count produces the same
     // result as serial execution.
     struct Task
     {
@@ -290,10 +277,7 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
     };
     struct TaskOut
     {
-        bool lowered = false;
-        bool legal = false;
-        double cycles = 1e30;
-        mapper::Schedule sched;
+        EvalTaskOutcome out;
         Status status;
         mapper::SchedStats schedStats;
     };
@@ -301,28 +285,6 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
     for (size_t k = 0; k < workloads_.size(); ++k)
         for (int u : opts_.unrollFactors)
             tasks.push_back({static_cast<int>(k), u});
-
-    // Memo lookup before any compile work. A hit replays the stored
-    // per-task outcomes through the same reduction the live path runs
-    // below, so the caller's repair cache ends up in the exact state a
-    // recomputation would leave it in. Entries exist only for
-    // fault-free evaluations, so a hit is unconditionally OK.
-    EvalKey key;
-    if (cache) {
-        key = knownKey ? *knownKey : makeEvalKey(adg, scheds, repair);
-        if (auto hit = cache->find(key)) {
-            DSA_ASSERT(hit->tasks.size() == tasks.size(),
-                       "eval-cache entry has the wrong task count");
-            replayEvalEntry(*hit, scheds);
-            if (statusOut)
-                *statusOut = Status();
-            if (perfOut)
-                *perfOut = hit->perf;
-            if (costOut)
-                *costOut = hit->cost;
-            return hit->objective;
-        }
-    }
 
     auto features = compiler::HwFeatures::fromAdg(adg);
     compiler::CompileOptions copts;
@@ -364,9 +326,10 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
 
     pool_->parallelFor(tasks.size(), [&](size_t t) {
         const Task &task = tasks[t];
-        TaskOut &out = outs[t];
+        TaskOut &to = outs[t];
+        EvalTaskOutcome &out = to.out;
         // Workers convert everything — fault-hook throws, compiler
-        // StatusExceptions, scheduler timeouts — into out.status so
+        // StatusExceptions, scheduler timeouts — into to.status so
         // exceptions never tear down the pool or the exploration.
         try {
             if (opts_.evalFaultHook)
@@ -410,11 +373,11 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
                     ? &prev->second.sched
                     : nullptr;
             out.sched = scheduler.run(seedSched);
-            out.schedStats = scheduler.stats();
+            to.schedStats = scheduler.stats();
             if (!scheduler.lastRunStatus().ok()) {
                 // Timed out: the schedule is best-effort garbage; report
-                // the timeout and contribute nothing to the cache.
-                out.status = scheduler.lastRunStatus();
+                // the timeout and contribute nothing to the outcome.
+                to.status = scheduler.lastRunStatus();
                 return;
             }
             auto est = model::estimatePerformance(lowered->version.program,
@@ -422,8 +385,11 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
             out.lowered = true;
             out.legal = est.legal;
             out.cycles = est.cycles;
+            // Only a legal schedule is ever replayed as a repair seed.
+            if (!out.legal)
+                out.sched = {};
         } catch (...) {
-            out.status = Status::fromCurrentException();
+            to.status = Status::fromCurrentException();
             out.lowered = false;
         }
     });
@@ -431,42 +397,26 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
     // Deterministic serial reduction, in task order.
     Status evalStatus;
     std::vector<double> bestCycles(workloads_.size(), 1e30);
-    std::vector<EvalTaskOutcome> recorded;
-    if (cache)
-        recorded.resize(tasks.size());
+    auto entry = std::make_shared<EvalCacheEntry>();
+    entry->tasks.resize(tasks.size());
     for (size_t t = 0; t < tasks.size(); ++t) {
-        TaskOut &out = outs[t];
+        TaskOut &to = outs[t];
         {
             std::lock_guard<std::mutex> lk(schedStatsMu_);
-            schedStats_.merge(out.schedStats);
+            schedStats_.merge(to.schedStats);
         }
-        if (evalStatus.ok() && !out.status.ok())
-            evalStatus = out.status;
-        if (!out.lowered)
-            continue;
-        if (cache) {
-            // Snapshot before the move below; the memoized outcome
-            // must replay this exact reduction on a future hit.
-            recorded[t].lowered = true;
-            recorded[t].legal = out.legal;
-            recorded[t].cycles = out.cycles;
-            if (out.legal)
-                recorded[t].sched = out.sched;
-        }
-        auto key = std::make_pair(tasks[t].k, tasks[t].u);
-        auto &entry = scheds[key];
-        if (out.legal) {
-            entry.sched = std::move(out.sched);
-            entry.hasLegal = true;
+        if (evalStatus.ok() && !to.status.ok())
+            evalStatus = to.status;
+        if (to.out.legal) {
             auto &best = bestCycles[static_cast<size_t>(tasks[t].k)];
-            best = std::min(best, out.cycles);
+            best = std::min(best, to.out.cycles);
         }
-        // An illegal result only marks the version as attempted; the
-        // previous legal schedule (if any) stays as the repair seed so
-        // one bad step cannot poison later repairs.
+        entry->tasks[t] = std::move(to.out);
     }
-    if (statusOut)
-        *statusOut = evalStatus;
+    // A timed-out or faulted sweep is not a function of its inputs:
+    // it has no outcome to memoize or replay.
+    if (!evalStatus.ok())
+        return {evalStatus, nullptr};
 
     double logSum = 0;
     for (size_t k = 0; k < workloads_.size(); ++k) {
@@ -477,38 +427,124 @@ Explorer::evaluateDesign(const Adg &adg, ScheduleCache &scheds,
         speedup = std::max(speedup, 0.01);
         logSum += std::log(speedup);
     }
-    double perf = std::exp(logSum / static_cast<double>(workloads_.size()));
-    auto cost = knownCost ? *knownCost : priceFabric(adg, false);
+    entry->perf = std::exp(logSum / static_cast<double>(workloads_.size()));
+    entry->cost = knownCost ? *knownCost : priceFabric(adg, false);
     // Degenerate (PE-less) fabrics score 0, never a clamp-inflated
     // perf^2/1e-6 — the exploration loop rejects them before costing,
     // this is the backstop for direct callers.
-    double objective =
-        isDegenerateFabric(adg) ? 0.0 : scalarObjective(perf, cost);
+    entry->objective = isDegenerateFabric(adg)
+        ? 0.0
+        : scalarObjective(entry->perf, entry->cost);
+    return {Status(), std::move(entry)};
+}
 
-    // Memoize fault-free evaluations only: a timed-out or faulted
-    // sweep is not a function of the key and must be retried live.
-    if (cache && evalStatus.ok()) {
-        auto entry = std::make_shared<EvalCacheEntry>();
-        entry->objective = objective;
-        entry->perf = perf;
-        entry->cost = cost;
-        entry->tasks = std::move(recorded);
-        // Fresh evaluations also go to the shared store, so other
-        // processes (and future runs) never re-pay this one. Append
-        // failures only cost warmth; a warning is all they get.
-        if (cacheStore_) {
-            Status as = cacheStore_->append(key, *entry);
-            if (!as.ok())
-                DSA_WARN("eval-cache store append failed: ", as.toString());
+void
+Explorer::evaluateCandidates(std::vector<Candidate> &cands,
+                             const std::vector<size_t> &leaders,
+                             const ScheduleCache &base, bool repair)
+{
+    const size_t n = leaders.size();
+    std::vector<WorkerEvalOutcome> outs(n);
+    // Where each leader's outcome came from. Only outcomes evaluated
+    // here are taken as they are.
+    enum class From : char { Cache, Worker, Here };
+    std::vector<From> from(n, From::Here);
+    auto evaluateHere = [&](size_t e) {
+        const Candidate &c = cands[leaders[e]];
+        from[e] = From::Here;
+        return evaluateDesign(c.adg, base, repair, &c.cost);
+    };
+
+    // 1. Look every leader up. All of them repair from base, so the
+    //    repair-cache half of their keys is one hash.
+    std::vector<EvalKey> keys(n);
+    std::vector<size_t> misses;
+    uint64_t baseHash = evalCache_ ? hashScheduleCache(base) : 0;
+    for (size_t e = 0; e < n; ++e) {
+        if (evalCache_) {
+            keys[e] = makeEvalKey(cands[leaders[e]].canon, baseHash, repair);
+            outs[e].entry = evalCache_->find(keys[e]);
         }
-        cache->insert(key, std::move(entry));
+        if (outs[e].entry)
+            from[e] = From::Cache;
+        else
+            misses.push_back(e);
     }
 
-    if (perfOut)
-        *perfOut = perf;
-    if (costOut)
-        *costOut = cost;
-    return objective;
+    // 2. Compute the misses: in worker subprocesses (whose ladder
+    //    falls back to evaluating here), or here on pool_. With one
+    //    miss its grid fans out over the pool instead; with several,
+    //    the candidates do and each grid runs inline on its thread.
+    if (workerPool_ && !misses.empty()) {
+        std::vector<const Adg *> ship;
+        for (size_t e : misses) {
+            from[e] = From::Worker;
+            ship.push_back(&cands[leaders[e]].adg);
+        }
+        auto replies = workerPool_->evaluateBatch(
+            ship, base, repair,
+            [&](size_t j) { return evaluateHere(misses[j]); });
+        for (size_t j = 0; j < misses.size(); ++j)
+            outs[misses[j]] = std::move(replies[j]);
+    } else {
+        pool_->parallelFor(misses.size(), [&](size_t j) {
+            outs[misses[j]] = evaluateHere(misses[j]);
+        });
+    }
+
+    // 3. Refuse what cannot be replayed as it is. A worker-side eval
+    //    fault (e.g. a candidate timeout) is re-established here so
+    //    its semantics match the in-process run exactly; an entry
+    //    whose task count does not fit this explorer's (kernel,
+    //    unroll) grid — a foreign or damaged store record, a bad
+    //    reply — is never replayed, memoized or appended.
+    const size_t grid = workloads_.size() * opts_.unrollFactors.size();
+    std::vector<size_t> redo;
+    for (size_t e = 0; e < n; ++e) {
+        const WorkerEvalOutcome &o = outs[e];
+        if (from[e] == From::Here || (o.status.ok() && o.entry &&
+                                      o.entry->tasks.size() == grid))
+            continue;
+        if (o.entry)
+            DSA_WARN("refusing an evaluation outcome with ",
+                     o.entry->tasks.size(), " tasks for a ", grid,
+                     "-task grid; evaluating in-process");
+        redo.push_back(e);
+    }
+    pool_->parallelFor(redo.size(), [&](size_t j) {
+        outs[redo[j]] = evaluateHere(redo[j]);
+    });
+
+    // 4. Memoize every fresh fault-free outcome, in leader order. The
+    //    store gets it too, so other processes and future runs never
+    //    re-pay it; append failures only cost warmth.
+    if (evalCache_) {
+        for (size_t e = 0; e < n; ++e) {
+            if (from[e] == From::Cache || !outs[e].status.ok())
+                continue;
+            if (cacheStore_) {
+                Status as = cacheStore_->append(keys[e], *outs[e].entry);
+                if (!as.ok())
+                    DSA_WARN("eval-cache store append failed: ",
+                             as.toString());
+            }
+            evalCache_->insert(keys[e], outs[e].entry);
+        }
+    }
+
+    // 5. Replay every outcome into its candidate, spread over pool_.
+    pool_->parallelFor(n, [&](size_t e) {
+        Candidate &c = cands[leaders[e]];
+        const WorkerEvalOutcome &o = outs[e];
+        c.evalStatus = o.status;
+        if (!o.status.ok())
+            return;
+        c.cache = base;
+        replayEvalEntry(*o.entry, c.cache);
+        c.perf = o.entry->perf;
+        c.objective = o.entry->objective;
+        c.cost = o.entry->cost;
+    });
 }
 
 void
@@ -864,51 +900,52 @@ Explorer::run(const Adg &initial)
     // them may tear down an hours-long exploration process.
     try {
         // Iteration 0-1: map onto the initial hardware, then trim
-        // features known to be unneeded (§VIII-B).
-        double perf = 0;
-        model::ComponentCost cost;
-        Status evalStatus;
+        // features known to be unneeded (§VIII-B). Each is evaluated
+        // by the batch step as a batch of one, and recorded as
+        // accepted; the initial design must evaluate, or there is no
+        // baseline to explore from.
         DseResult &result = st.result;
-        result.initialObjective = evaluateDesign(
-            st.current, st.schedules, false, &perf, &cost, &evalStatus,
-            evalCache_.get());
-        if (!evalStatus.ok()) {
-            // The initial design must evaluate; without it there is no
-            // baseline to explore from.
-            result.status = evalStatus;
+        auto evaluateCurrent = [&](int iter, bool repair) {
+            std::vector<Candidate> one(1);
+            Candidate &c = one[0];
+            c.adg = st.current;
+            c.cost = priceFabric(c.adg, false);
+            if (evalCache_)
+                c.canon = adg::canonicalKey(c.adg);
+            evaluateCandidates(one, {0}, st.schedules, repair);
+            if (c.evalStatus.ok()) {
+                st.schedules = std::move(c.cache);
+                if (opts_.pareto && !isDegenerateFabric(st.current))
+                    st.front.add({st.current, c.perf, c.cost.areaMm2,
+                                  c.cost.powerMw, c.objective, iter, 0});
+                result.history.push_back(
+                    {iter, c.cost.areaMm2, c.cost.powerMw, c.perf,
+                     c.objective, true, st.front.hypervolume()});
+            }
+            return std::move(c);
+        };
+        auto fail = [&](const Status &s) {
+            result.status = s;
             result.stopReason = "error";
             finalizeResult(st);
             return result;
-        }
-        result.initialCost = cost;
-        if (opts_.pareto && !isDegenerateFabric(st.current))
-            st.front.add({st.current, perf, cost.areaMm2, cost.powerMw,
-                          result.initialObjective, 0, 0});
-        result.history.push_back(
-            {0, cost.areaMm2, cost.powerMw, perf, result.initialObjective,
-             true, st.front.hypervolume()});
+        };
+
+        Candidate first = evaluateCurrent(0, false);
+        if (!first.evalStatus.ok())
+            return fail(first.evalStatus);
+        result.initialObjective = first.objective;
+        result.initialCost = first.cost;
 
         pruneUnused(st.current);
-        st.curObj = evaluateDesign(st.current, st.schedules,
-                                   opts_.useRepair, &perf, &cost,
-                                   &evalStatus, evalCache_.get());
-        if (!evalStatus.ok()) {
-            result.status = evalStatus;
-            result.stopReason = "error";
-            finalizeResult(st);
-            return result;
-        }
-        if (opts_.pareto && !isDegenerateFabric(st.current))
-            st.front.add({st.current, perf, cost.areaMm2, cost.powerMw,
-                          st.curObj, 1, 0});
-        result.history.push_back(
-            {1, cost.areaMm2, cost.powerMw, perf, st.curObj, true,
-             st.front.hypervolume()});
-
+        Candidate pruned = evaluateCurrent(1, opts_.useRepair);
+        if (!pruned.evalStatus.ok())
+            return fail(pruned.evalStatus);
+        st.curObj = pruned.objective;
         result.best = st.current;
-        result.bestObjective = st.curObj;
-        result.bestPerf = perf;
-        result.bestCost = cost;
+        result.bestObjective = pruned.objective;
+        result.bestPerf = pruned.perf;
+        result.bestCost = pruned.cost;
 
         return runLoop(st);
     } catch (...) {
@@ -953,8 +990,6 @@ Explorer::runLoop(DseRunState &st)
     Deadline wall = opts_.wallBudgetMs > 0
         ? Deadline::afterMs(opts_.wallBudgetMs)
         : Deadline::never();
-
-    EvalCache *evalCache = evalCache_.get();
 
     if (opts_.workers > 0 && !workerPool_) {
         WorkerPoolOptions wo;
@@ -1014,18 +1049,6 @@ Explorer::runLoop(DseRunState &st)
         // configuration up to batching of the draw order).
         int batch = std::min(std::max(1, opts_.candidateBatch),
                              opts_.maxIters - st.iter);
-        struct Candidate
-        {
-            Adg adg;
-            int iter = 0;
-            bool feasible = false;
-            model::ComponentCost cost;
-            // Filled by evaluation:
-            ScheduleCache cache;
-            double perf = 0;
-            double objective = 0;
-            Status evalStatus;
-        };
         std::vector<Candidate> cands;
         cands.reserve(static_cast<size_t>(batch));
         for (int b = 0; b < batch; ++b) {
@@ -1053,11 +1076,10 @@ Explorer::runLoop(DseRunState &st)
         // the pool: dedup groups candidates by it, and it is the
         // design half of their eval-cache keys.
         bool dedup = opts_.dedupBatch && batch > 1;
-        std::vector<adg::AdgKey> canon(cands.size());
-        if (dedup || evalCache)
+        if (dedup || evalCache_)
             pool_->parallelFor(cands.size(), [&](size_t i) {
                 if (cands[i].feasible)
-                    canon[i] = adg::canonicalKey(cands[i].adg);
+                    cands[i].canon = adg::canonicalKey(cands[i].adg);
             });
 
         // Identical mutants in one batch (noop mutations, coincident
@@ -1074,7 +1096,7 @@ Explorer::runLoop(DseRunState &st)
             for (size_t i = 0; i < cands.size(); ++i) {
                 if (!cands[i].feasible)
                     continue;
-                auto [it, fresh] = seen.emplace(canon[i], i);
+                auto [it, fresh] = seen.emplace(cands[i].canon, i);
                 if (fresh)
                     evalIdx.push_back(i);
                 else
@@ -1086,100 +1108,11 @@ Explorer::runLoop(DseRunState &st)
                     evalIdx.push_back(i);
         }
 
-        // Every leader repairs from st.schedules, so the repair-cache
-        // half of the eval keys is one hash per batch.
-        std::vector<EvalKey> keys(evalIdx.size());
-        if (evalCache) {
-            uint64_t schedHash = hashScheduleCache(st.schedules);
-            for (size_t e = 0; e < evalIdx.size(); ++e)
-                keys[e] = makeEvalKey(canon[evalIdx[e]], schedHash,
-                                      opts_.useRepair);
-        }
-
-        // Evaluate the feasible mutants. With batch=1 this call runs
-        // inline and the *grid* fans out instead; with batch>1 the
-        // candidates fan out and each grid runs inline on its worker.
-        // Cache note: deduped leaders have pairwise-distinct keys and
-        // the pre-batch cache state is fixed, so concurrent lookups
-        // and inserts are deterministic, not just race-safe.
-        if (!workerPool_) {
-            pool_->parallelFor(evalIdx.size(), [&](size_t e) {
-                Candidate &c = cands[evalIdx[e]];
-                c.cache = st.schedules; // repair from the current mapping
-                c.objective = evaluateDesign(c.adg, c.cache, opts_.useRepair,
-                                             &c.perf, &c.cost, &c.evalStatus,
-                                             evalCache, &c.cost, &keys[e]);
-            });
-        } else {
-            // Crash-isolated evaluation: leaders ship to worker
-            // subprocesses and come back as serialized eval-cache
-            // entries, replayed here through the same path a cache hit
-            // takes — so the trace is the in-process trace, bit for
-            // bit, whatever the workers live through.
-            // Applies a memoized outcome to candidate e (a coordinator
-            // cache hit or a worker reply).
-            auto applyEntry =
-                [&](size_t e,
-                    const std::shared_ptr<const EvalCacheEntry> &entry) {
-                    Candidate &c = cands[evalIdx[e]];
-                    c.cache = st.schedules;
-                    replayEvalEntry(*entry, c.cache);
-                    c.perf = entry->perf;
-                    c.objective = entry->objective;
-                    c.cost = entry->cost;
-                    c.evalStatus = Status();
-                };
-            // The degradation floor (and the ground truth for any
-            // worker-side eval fault): evaluate right here.
-            std::vector<char> done(evalIdx.size(), 0);
-            auto inProcess = [&](size_t e) -> WorkerEvalOutcome {
-                Candidate &c = cands[evalIdx[e]];
-                c.cache = st.schedules;
-                c.objective = evaluateDesign(c.adg, c.cache, opts_.useRepair,
-                                             &c.perf, &c.cost, &c.evalStatus,
-                                             evalCache, &c.cost, &keys[e]);
-                done[e] = 1;
-                WorkerEvalOutcome o;
-                o.status = c.evalStatus;
-                if (evalCache && c.evalStatus.ok())
-                    o.entry = evalCache->find(keys[e]);
-                return o;
-            };
-            std::vector<const Adg *> ship;
-            std::vector<size_t> shipIdx;
-            for (size_t e = 0; e < evalIdx.size(); ++e) {
-                std::shared_ptr<const EvalCacheEntry> hit =
-                    evalCache ? evalCache->find(keys[e]) : nullptr;
-                if (hit) {
-                    applyEntry(e, hit);
-                    done[e] = 1;
-                } else {
-                    ship.push_back(&cands[evalIdx[e]].adg);
-                    shipIdx.push_back(e);
-                }
-            }
-            if (!ship.empty()) {
-                auto outs = workerPool_->evaluateBatch(
-                    ship, st.schedules, opts_.useRepair,
-                    [&](size_t j) { return inProcess(shipIdx[j]); });
-                for (size_t j = 0; j < outs.size(); ++j) {
-                    size_t e = shipIdx[j];
-                    if (done[e])
-                        continue; // degraded: already evaluated here
-                    const WorkerEvalOutcome &o = outs[j];
-                    if (!o.status.ok() || !o.entry) {
-                        // A worker-side eval fault (e.g. a candidate
-                        // timeout) is re-established locally so its
-                        // semantics match the in-process run exactly.
-                        inProcess(e);
-                        continue;
-                    }
-                    applyEntry(e, o.entry);
-                    if (evalCache)
-                        evalCache->insert(keys[e], o.entry);
-                }
-            }
-        }
+        // Evaluate the leaders, repairing from the current mapping.
+        // Deduped leaders have pairwise-distinct keys and the
+        // pre-batch cache state is fixed, so the step's lookups and
+        // inserts are deterministic.
+        evaluateCandidates(cands, evalIdx, st.schedules, opts_.useRepair);
         for (auto [copy, leader] : dups) {
             Candidate &c = cands[copy];
             const Candidate &l = cands[leader];

@@ -200,11 +200,12 @@ struct DseOptions
     /// that segfaults, gets OOM-killed, or wedges the scheduler takes
     /// down a worker — which the coordinator restarts — instead of the
     /// exploration. Like `threads`, none of these knobs can change the
-    /// produced trace: a worker's reply is a serialized eval-cache
-    /// entry replayed through the cache-hit path, and every transport
-    /// failure re-evaluates the shard elsewhere (another worker, a
-    /// restarted one, or in-process) with identical results. None of
-    /// them enter the eval-context hash.
+    /// produced trace: a worker's reply is a serialized evaluation
+    /// outcome, memoized and replayed by the coordinator exactly like
+    /// one computed in-process, and every transport failure
+    /// re-evaluates the shard elsewhere (another worker, a restarted
+    /// one, or in-process) with identical results. None of them enter
+    /// the eval-context hash.
     /// @{
     /**
      * Worker subprocesses for candidate evaluation (0 = evaluate
@@ -214,12 +215,13 @@ struct DseOptions
     int workers = 0;
     /**
      * When non-empty, a directory of append-only, checksummed
-     * eval-cache segments shared by the coordinator, its workers, and
-     * any concurrent or future run pointed at the same path. Loaded
-     * into the eval cache at run (and resume) start; every fresh
-     * evaluation is appended. It is the eval cache's only
-     * persistence: a resumed run warms from it, not from the
-     * checkpoint. Corrupt records are quarantined (counted in
+     * eval-cache segments shared by any concurrent or future run
+     * pointed at the same path. With memoize, it is loaded into the
+     * eval cache at run (and resume) start, and the exploring process
+     * appends every fresh evaluation, its workers' included (workers
+     * never open the store). It is the eval cache's only persistence:
+     * a resumed run warms from it, not from the checkpoint. Corrupt
+     * records are quarantined (counted in
      * DseCacheStats::storeQuarantined), never trusted and never fatal.
      */
     std::string cacheStoreDir;
@@ -248,12 +250,14 @@ struct DseOptions
     /**
      * Memoize evaluation work at three levels:
      *  - whole evaluateDesign outcomes, keyed by (canonical ADG
-     *    fingerprint, labeling hash, evaluation-context hash):
-     *    revisited designs replay the stored per-task outcomes instead
-     *    of re-running compile + schedule + estimate. Persisted only
-     *    through the cache store (cacheStoreDir), which run() and
-     *    resume() warm from; without a store a resumed run starts
-     *    with an empty cache;
+     *    fingerprint, labeling hash, evaluation-context hash), in the
+     *    exploring process only: revisited designs replay the stored
+     *    per-task outcomes instead of re-running compile + schedule +
+     *    estimate, in-process or in a worker. Persisted only through
+     *    the cache store (cacheStoreDir), which run() and resume()
+     *    warm from; without a store a resumed run starts with an
+     *    empty cache. Off, no outcome is memoized anywhere, workers
+     *    included;
      *  - Placement::autoLayout and lowerKernel results, shared across
      *    candidates keyed by (HwFeatures fingerprint, kernel, unroll),
      *    since most mutations do not change HwFeatures. Process-local
@@ -349,7 +353,10 @@ struct DseCacheStats
     /// @{
     uint64_t storeLoaded = 0;      ///< records warm-loaded at run start
     uint64_t storeQuarantined = 0; ///< torn/corrupt records skipped
-    uint64_t storeAppends = 0;     ///< records this process appended
+    /** Records appended: every fresh fault-free evaluation of the
+     *  run, its workers' included (the exploring process is the
+     *  store's only writer). */
+    uint64_t storeAppends = 0;
     uint64_t storeSegments = 0;    ///< segment files scanned at load
     /// @}
 };
@@ -464,6 +471,21 @@ struct DseRunState
 class CacheStore; // dse/cache_store.h
 class WorkerPool; // dse/worker_pool.h
 
+/**
+ * One design's evaluation outcome: what Explorer::evaluateDesign
+ * returns and a worker replies, and, when OK, what the eval cache and
+ * the store hold.
+ */
+struct WorkerEvalOutcome
+{
+    /** OK, or the first task error in task order (a fault-hook throw,
+     *  a compiler error, a candidate timeout). Never a transport
+     *  error: the worker pool's ladder absorbs those. */
+    Status status;
+    /** The outcome; null iff !status.ok(). */
+    std::shared_ptr<const EvalCacheEntry> entry;
+};
+
 /** Hardware/software co-design explorer over a set of workloads. */
 class Explorer
 {
@@ -497,32 +519,23 @@ class Explorer
     std::vector<std::string> workloadNames() const;
 
     /**
-     * Evaluate one design: compile + schedule every kernel version,
-     * pick each kernel's best, return the objective. The (kernel,
-     * unroll) grid is evaluated on the thread pool; the cache is only
-     * read during the parallel phase and updated in a deterministic
-     * serial reduction afterwards.
-     * @param schedules in/out per-(kernel,unroll) repair cache.
-     * @param statusOut when non-null, receives OK or the first task
-     *        error (worker exception / candidate timeout) in task
-     *        order; errored tasks contribute no schedule and score 0.
-     * @param cache when non-null, consulted before the fan-out (a hit
-     *        replays the stored per-task outcomes through the same
-     *        serial reduction) and updated after fault-free
-     *        evaluations.
+     * Evaluate one design: compile + schedule every (kernel, unroll)
+     * version on the thread pool, repairing from @p schedules, and
+     * estimate each; then reduce in task order to per-kernel bests,
+     * the geomean perf and the objective. A pure function of (design,
+     * repair cache, repair flag, options): it reads no memoized
+     * outcome, writes no store and leaves @p schedules untouched —
+     * replayEvalEntry applies the outcome to a repair cache. The run
+     * loop alone memoizes, stores and replays outcomes.
+     * @return OK with the outcome, or the first task error in task
+     *         order and no outcome.
      * @param knownCost when non-null, the already-priced fabric cost
      *        of @p adg (skips recomputation; must equal fabric(adg)).
-     * @param knownKey when non-null, the already-computed
-     *        makeEvalKey(adg, schedules, repair) (skips recomputation;
-     *        read only together with @p cache).
      */
-    double evaluateDesign(const adg::Adg &adg, ScheduleCache &schedules,
-                          bool repair, double *perfOut,
-                          model::ComponentCost *costOut,
-                          Status *statusOut = nullptr,
-                          EvalCache *cache = nullptr,
-                          const model::ComponentCost *knownCost = nullptr,
-                          const EvalKey *knownKey = nullptr);
+    WorkerEvalOutcome
+    evaluateDesign(const adg::Adg &adg, const ScheduleCache &schedules,
+                   bool repair,
+                   const model::ComponentCost *knownCost = nullptr);
 
     /**
      * Remove features no kernel can use (unneeded FU classes, unused
@@ -567,25 +580,51 @@ class Explorer
                         bool repair) const;
 
     /**
-     * Apply a memoized evaluation outcome to @p schedules, exactly as
-     * the cache-hit path in evaluateDesign would: per-task, a lowered
-     * result marks the version attempted and a legal one installs its
-     * schedule. Shared by the hit path and the worker-pool coordinator
-     * (a worker reply IS an entry), so both leave the repair cache in
-     * the state a local recomputation would have.
+     * Apply an evaluation outcome to @p schedules, the repair cache it
+     * was evaluated against: per task, a lowered result marks the
+     * version attempted and a legal one installs its schedule, while
+     * an illegal attempt leaves any previous legal schedule in place
+     * as the repair seed. The only code that writes outcomes into a
+     * repair cache, whether they were computed just now, in a worker,
+     * or in an earlier run.
      */
     void replayEvalEntry(const EvalCacheEntry &entry,
                          ScheduleCache &schedules) const;
 
-    /**
-     * Warm @p cache from the shared store (DseOptions::cacheStoreDir;
-     * no-op without one). Insert-once under entries already present.
-     */
-    void warmFromStore(EvalCache &cache);
-
   private:
+    /** A design under evaluation: a batch mutant, or one of run()'s
+     *  two initial designs. */
+    struct Candidate
+    {
+        adg::Adg adg;
+        int iter = 0;
+        bool feasible = false;
+        /** Fabric cost, priced before evaluation. */
+        model::ComponentCost cost;
+        /** adg::canonicalKey(adg); set when memoizing or deduping. */
+        adg::AdgKey canon;
+        // Filled by evaluation:
+        ScheduleCache cache;
+        double perf = 0;
+        double objective = 0;
+        Status evalStatus;
+    };
+
     /** Main exploration loop, shared by run() and resume(). */
     DseResult runLoop(DseRunState &st);
+    /**
+     * The one evaluation step of run() and runLoop(): evaluate
+     * cands[i] for each i in @p leaders against the repair cache
+     * @p base. In order, it looks every leader up in the eval cache;
+     * computes the misses in worker subprocesses or on pool_;
+     * evaluates here any worker reply or hit that failed or does not
+     * fit the (kernel, unroll) grid; inserts and appends the fresh
+     * fault-free outcomes; and replays every outcome into its
+     * candidate. Leaders need `canon` set when memoizing.
+     */
+    void evaluateCandidates(std::vector<Candidate> &cands,
+                            const std::vector<size_t> &leaders,
+                            const ScheduleCache &base, bool repair);
     /** Start run() / resume() with an empty eval cache (when
      *  memoizing), warmed from the store. */
     void startEvalCache();

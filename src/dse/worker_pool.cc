@@ -452,7 +452,6 @@ namespace {
 struct WorkerState
 {
     std::unique_ptr<Explorer> explorer;
-    std::shared_ptr<EvalCache> cache;
     bool repairDefault = true;
 };
 
@@ -482,22 +481,21 @@ workerInit(const json::Value &doc, WorkerState &st)
         return opts.status();
     DseOptions o = std::move(opts.value());
     // The worker is a pure evaluation engine: never nested workers,
-    // never checkpoints, never post-run validation — and one thread,
-    // so N workers never oversubscribe the machine N*threads-fold.
-    // None of this can shift results: evaluateDesign is thread-count
-    // invariant and these knobs shape the run loop, not evaluation.
+    // never a cache store (the coordinator memoizes and appends every
+    // reply), never checkpoints, never post-run validation — and one
+    // thread, so N workers never oversubscribe the machine
+    // N*threads-fold. None of this can shift results: evaluateDesign
+    // is thread-count invariant and these knobs shape the run loop,
+    // not evaluation.
     o.workers = 0;
     o.threads = 1;
+    o.cacheStoreDir.clear();
     o.checkpointPath.clear();
     o.haltAfterCheckpoints = 0;
     o.simValidateBest = false;
 
     st.repairDefault = o.useRepair;
     st.explorer = std::make_unique<Explorer>(std::move(set), o);
-    st.cache = std::make_shared<EvalCache>();
-    // Warm from the shared store: every entry some other process
-    // already evaluated is an evaluation this worker never runs.
-    st.explorer->warmFromStore(*st.cache);
     return Status();
 }
 
@@ -544,34 +542,24 @@ workerEval(const json::Value &doc, WorkerState &st)
         fault::maybeKill("worker.eval.kill");
 
         json::Value r = json::Value::object();
-        Status st2;
+        WorkerEvalOutcome out;
         EvalKey key;
-        std::shared_ptr<const EvalCacheEntry> entry;
         try {
             adg::Adg adg = adg::Adg::fromText(cj->at(i).asString());
-            ScheduleCache local = base;
-            key = st.explorer->makeEvalKey(adg::canonicalKey(adg), baseHash,
-                                           repair);
-            double perf = 0;
-            model::ComponentCost cost;
-            st.explorer->evaluateDesign(adg, local, repair, &perf, &cost,
-                                        &st2, st.cache.get(), nullptr, &key);
-            if (st2.ok()) {
-                entry = st.cache->find(key);
-                if (!entry)
-                    st2 = Status::internal(
-                        "worker: evaluation produced no cache entry");
-            }
+            out = st.explorer->evaluateDesign(adg, base, repair);
+            if (out.status.ok())
+                key = st.explorer->makeEvalKey(adg::canonicalKey(adg),
+                                               baseHash, repair);
         } catch (...) {
-            st2 = Status::fromCurrentException();
+            out = {Status::fromCurrentException(), nullptr};
         }
         r.set("code", json::Value::number(
-                          static_cast<int64_t>(st2.code())));
-        if (!st2.ok())
-            r.set("msg", json::Value::str(st2.message()));
-        if (entry)
+                          static_cast<int64_t>(out.status.code())));
+        if (!out.status.ok())
+            r.set("msg", json::Value::str(out.status.message()));
+        if (out.entry)
             r.set("entry",
-                  json::Value::str(toHex(encodeEvalEntry(key, *entry))));
+                  json::Value::str(toHex(encodeEvalEntry(key, *out.entry))));
         results.push(std::move(r));
     }
     if (!reqStatus.ok() && cj && cj->isArray()) {

@@ -19,10 +19,15 @@
  * is the encoded repair cache and each result's `entry` a full encoded
  * EvalCacheEntry with its key — the same bytes the cache store writes
  * per record. A field that is not hex or does not decode is a corrupt
- * frame. The coordinator replays an entry through the cache-hit path,
- * so a worker-evaluated candidate updates the exploration state
- * through exactly the code a local evaluation would have used: traces
- * are bit-identical to `--workers 0` by construction.
+ * frame.
+ *
+ * A worker is a bare Explorer::evaluateDesign: it evaluates each
+ * candidate with no eval cache and no cache store, and replies with
+ * the outcome. The coordinator memoizes, appends and replays a reply
+ * exactly as it does an outcome it computed itself, so a
+ * worker-evaluated candidate updates the exploration state through
+ * the same code, the exploring process stays the store's only writer,
+ * and traces are bit-identical to `--workers 0` by construction.
  *
  * Failure handling per shard (a worker death, pipe EOF, corrupt frame,
  * or response timeout) walks a capped-backoff ladder:
@@ -71,16 +76,6 @@ struct WorkerPoolOptions
     std::vector<std::string> extraEnv;
     /** Per-request response watchdog (0 = unlimited). */
     int64_t requestTimeoutMs = 0;
-};
-
-/** One candidate's outcome as evaluated by a worker (or the fallback). */
-struct WorkerEvalOutcome
-{
-    /** Evaluation status (a worker-side eval fault, e.g. a candidate
-     *  timeout — NOT transport errors, which the ladder absorbs). */
-    Status status;
-    /** The memoized outcome; null iff !status.ok(). */
-    std::shared_ptr<const EvalCacheEntry> entry;
 };
 
 class WorkerPool

@@ -65,11 +65,11 @@ TEST(Concurrency, ParallelGridEvaluation)
     opts.schedIters = 20;
     dse::Explorer ex(workloads::suiteWorkloads("PolyBench"), opts);
     dse::ScheduleCache cache;
-    double perf = 0;
-    double obj = ex.evaluateDesign(adg::buildDseInitial(), cache, true,
-                                   &perf, nullptr);
-    EXPECT_GT(obj, 0.0);
-    EXPECT_GT(perf, 0.0);
+    auto out = ex.evaluateDesign(adg::buildDseInitial(), cache, true);
+    ASSERT_TRUE(out.status.ok()) << out.status.toString();
+    ex.replayEvalEntry(*out.entry, cache);
+    EXPECT_GT(out.entry->objective, 0.0);
+    EXPECT_GT(out.entry->perf, 0.0);
     EXPECT_FALSE(cache.empty());
 }
 

@@ -168,8 +168,9 @@ TEST(Explorer, RepairCacheOnlyStoresLegalSchedules)
     opts.schedIters = 1;
     Explorer ex(workloads::suiteWorkloads("MachSuite"), opts);
     ScheduleCache cache;
-    ex.evaluateDesign(adg::buildDseInitial(), cache, true, nullptr,
-                      nullptr);
+    auto out = ex.evaluateDesign(adg::buildDseInitial(), cache, true);
+    ASSERT_TRUE(out.status.ok()) << out.status.toString();
+    ex.replayEvalEntry(*out.entry, cache);
     ASSERT_FALSE(cache.empty());
     bool sawIllegalAttempt = false;
     for (const auto &[key, entry] : cache) {
@@ -189,7 +190,9 @@ TEST(Explorer, IllegalStepKeepsPreviousLegalSeed)
     Explorer ex(set, fastOpts());
     ScheduleCache cache;
     adg::Adg g = adg::buildDseInitial();
-    ex.evaluateDesign(g, cache, true, nullptr, nullptr);
+    auto out = ex.evaluateDesign(g, cache, true);
+    ASSERT_TRUE(out.status.ok()) << out.status.toString();
+    ex.replayEvalEntry(*out.entry, cache);
     std::vector<std::pair<int, int>> legalKeys;
     for (const auto &[key, entry] : cache)
         if (entry.hasLegal)
@@ -206,7 +209,9 @@ TEST(Explorer, IllegalStepKeepsPreviousLegalSeed)
     starved.initSchedIters = 1;
     starved.schedIters = 1;
     Explorer ex2(set, starved);
-    ex2.evaluateDesign(g, cache, true, nullptr, nullptr);
+    auto starvedOut = ex2.evaluateDesign(g, cache, true);
+    ASSERT_TRUE(starvedOut.status.ok()) << starvedOut.status.toString();
+    ex2.replayEvalEntry(*starvedOut.entry, cache);
     for (const auto &key : legalKeys) {
         EXPECT_TRUE(cache[key].hasLegal);
         EXPECT_TRUE(cache[key].sched.cost.legal());

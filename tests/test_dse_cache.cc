@@ -186,51 +186,6 @@ expectSameHistory(const DseResult &a, const DseResult &b)
     }
 }
 
-TEST(EvalCache, HitReplaysBitIdentically)
-{
-    auto set = workloads::suiteWorkloads("PolyBench");
-    Explorer ex(set, tinyOpts());
-    adg::Adg g = adg::buildDseInitial();
-    EvalCache cache;
-
-    ScheduleCache schedA;
-    double perfA = 0;
-    model::ComponentCost costA;
-    Status stA;
-    double objA =
-        ex.evaluateDesign(g, schedA, true, &perfA, &costA, &stA, &cache);
-    ASSERT_TRUE(stA.ok()) << stA.toString();
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().inserts, 1u);
-
-    // Same design, same (empty) incoming repair cache: same key. The
-    // replay must reproduce the objective, cost, and the repair-cache
-    // side effects down to the last bit.
-    ScheduleCache schedB;
-    double perfB = 0;
-    model::ComponentCost costB;
-    Status stB;
-    double objB =
-        ex.evaluateDesign(g, schedB, true, &perfB, &costB, &stB, &cache);
-    ASSERT_TRUE(stB.ok());
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(objA, objB);
-    EXPECT_EQ(perfA, perfB);
-    EXPECT_EQ(costA.areaMm2, costB.areaMm2);
-    EXPECT_EQ(costA.powerMw, costB.powerMw);
-    EXPECT_EQ(hashScheduleCache(schedA), hashScheduleCache(schedB));
-
-    // A different incoming repair cache changes the context hash, so
-    // the warmed entries must NOT be (wrongly) replayed.
-    ScheduleCache schedC = schedA;
-    double perfC = 0;
-    model::ComponentCost costC;
-    Status stC;
-    ex.evaluateDesign(g, schedC, true, &perfC, &costC, &stC, &cache);
-    EXPECT_EQ(cache.stats().misses, 2u);
-}
-
 TEST(EvalCache, KeySeparatesRepairFlagAndScheduleState)
 {
     auto set = workloads::suiteWorkloads("PolyBench");
@@ -339,6 +294,72 @@ maskMember(std::string &text, const std::string &key)
         ASSERT_NE(end, std::string::npos);
         text.replace(v, end - v, "X");
     }
+}
+
+TEST(EvalCache, HitReplaysBitIdentically)
+{
+    // Outcomes are looked up, memoized and replayed in one place: the
+    // run loop's evaluation step. A run warmed from a store takes
+    // every evaluation from a hit, so its objectives, costs and
+    // repair-cache side effects (the schedules its final checkpoint
+    // holds) must equal the cold run's and the uncached reference's
+    // down to the last bit.
+    auto set = workloads::suiteWorkloads("PolyBench");
+    std::string store = "dse_cache_hits.store";
+    rmTree(store);
+    auto coldOpts = tinyOpts();
+    coldOpts.cacheStoreDir = store;
+    coldOpts.checkpointPath = tmpPath("hits_cold");
+    auto warmOpts = coldOpts;
+    warmOpts.checkpointPath = tmpPath("hits_warm");
+    auto refOpts = coldOpts;
+    refOpts.checkpointPath = tmpPath("hits_ref");
+    refOpts.cacheStoreDir.clear();
+    refOpts.memoize = false;
+
+    Explorer cold(set, coldOpts);
+    auto rc = cold.run(adg::buildDseInitial());
+    Explorer warm(set, warmOpts);
+    auto rw = warm.run(adg::buildDseInitial());
+    Explorer ref(set, refOpts);
+    auto rr = ref.run(adg::buildDseInitial());
+
+    EXPECT_GT(rc.cacheStats.evalMisses, 0u);
+    EXPECT_EQ(rc.cacheStats.storeAppends, rc.cacheStats.evalInserts);
+    EXPECT_EQ(rw.cacheStats.evalMisses, 0u);
+    EXPECT_EQ(rw.cacheStats.evalInserts, 0u);
+    EXPECT_EQ(rw.cacheStats.evalHits,
+              rc.cacheStats.evalHits + rc.cacheStats.evalMisses);
+    std::vector<uint64_t> schedHashes;
+    for (const DseOptions *o : {&coldOpts, &warmOpts, &refOpts}) {
+        auto ck = loadCheckpoint(o->checkpointPath);
+        ASSERT_TRUE(ck.ok()) << ck.status().toString();
+        schedHashes.push_back(hashScheduleCache(ck.value().state.schedules));
+        std::remove(o->checkpointPath.c_str());
+    }
+    for (const DseResult *r : {&rw, &rr}) {
+        expectSameHistory(rc, *r);
+        EXPECT_EQ(rc.best.toText(), r->best.toText());
+        EXPECT_EQ(rc.bestObjective, r->bestObjective);
+        EXPECT_EQ(rc.bestPerf, r->bestPerf);
+        EXPECT_EQ(rc.bestCost.areaMm2, r->bestCost.areaMm2);
+        EXPECT_EQ(rc.bestCost.powerMw, r->bestCost.powerMw);
+    }
+    EXPECT_EQ(schedHashes[0], schedHashes[1]);
+    EXPECT_EQ(schedHashes[0], schedHashes[2]);
+
+    // A different incoming repair cache changes the context hash, so
+    // an outcome evaluated against one repair cache is never replayed
+    // against another.
+    adg::Adg g = adg::buildDseInitial();
+    ScheduleCache seeded;
+    WorkerEvalOutcome out = cold.evaluateDesign(g, seeded, true);
+    ASSERT_TRUE(out.status.ok()) << out.status.toString();
+    cold.replayEvalEntry(*out.entry, seeded);
+    ASSERT_FALSE(seeded.empty());
+    EXPECT_NE(cold.makeEvalKey(g, seeded, true).context,
+              cold.makeEvalKey(g, ScheduleCache(), true).context);
+    rmTree(store);
 }
 
 TEST(EvalCache, CheckpointStateIdenticalCachedVsUncached)
@@ -460,11 +481,9 @@ TEST(EvalCache, StoreRoundTripPreservesEntryBytes)
     adg::Adg g = adg::buildDseInitial();
     ScheduleCache scheds;
     EvalKey key = ex.makeEvalKey(g, scheds, true);
-    EvalCache cache;
-    Status st;
-    ex.evaluateDesign(g, scheds, true, nullptr, nullptr, &st, &cache);
-    ASSERT_TRUE(st.ok()) << st.toString();
-    auto entry = cache.find(key);
+    WorkerEvalOutcome out = ex.evaluateDesign(g, scheds, true);
+    ASSERT_TRUE(out.status.ok()) << out.status.toString();
+    std::shared_ptr<const EvalCacheEntry> entry = out.entry;
     ASSERT_NE(entry, nullptr);
     bool scheduled = false;
     for (const EvalTaskOutcome &t : entry->tasks)

@@ -400,11 +400,11 @@ TEST(DegenerateFabric, PeLessDesignScoresZeroNotMillions)
 
     Explorer ex(workloads::suiteWorkloads("PolyBench"), paretoOpts());
     ScheduleCache cache;
-    double perf = 0;
-    model::ComponentCost cost;
-    double obj = ex.evaluateDesign(g, cache, false, &perf, &cost);
-    EXPECT_DOUBLE_EQ(obj, 0.0);
-    EXPECT_GT(perf, 0.0);  // host fallback, not a crash
+    auto out = ex.evaluateDesign(g, cache, false);
+    ASSERT_TRUE(out.status.ok()) << out.status.toString();
+    ex.replayEvalEntry(*out.entry, cache);
+    EXPECT_DOUBLE_EQ(out.entry->objective, 0.0);
+    EXPECT_GT(out.entry->perf, 0.0);  // host fallback, not a crash
 }
 
 TEST(DegenerateFabric, NeverAcceptedNorOnFront)

@@ -1014,6 +1014,9 @@ TEST(CacheStore, JsonPayloadSegmentFromOlderBuildIsQuarantinedAndRetired)
     auto compacted = reader.compact();
     ASSERT_TRUE(compacted.ok()) << compacted.status().toString();
     EXPECT_TRUE(*compacted);
+    // The compaction's rescan drops the region the load already
+    // counted; it does not count (or log) it again.
+    EXPECT_EQ(reader.stats().recordsQuarantined, 1u);
     auto segs = segFiles(dir);
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_NE(segs[0], legacyName);
@@ -1047,13 +1050,12 @@ realMachSuiteEval()
         RealEval r;
         dse::Explorer ex(workloads::suiteWorkloads("MachSuite"), tinyDse());
         adg::Adg g = adg::buildDseInitial();
-        dse::EvalCache cache;
-        Status st;
         r.key = ex.makeEvalKey(g, r.schedules, true);
-        ex.evaluateDesign(g, r.schedules, true, nullptr, nullptr, &st,
-                          &cache);
-        EXPECT_TRUE(st.ok()) << st.toString();
-        r.entry = cache.find(r.key);
+        dse::WorkerEvalOutcome out = ex.evaluateDesign(g, r.schedules, true);
+        EXPECT_TRUE(out.status.ok()) << out.status.toString();
+        r.entry = out.entry;
+        if (r.entry)
+            ex.replayEvalEntry(*r.entry, r.schedules);
         return r;
     }();
     return real;
@@ -1251,6 +1253,42 @@ TEST(CacheStoreDse, CorruptSegmentsQuarantinedTraceUnchanged)
     rmTree(dir);
 }
 
+TEST(CacheStoreDse, MisshapenEntryIsEvaluatedNotReplayed)
+{
+    // A well-formed record whose task count does not fit the
+    // explorer's (kernel, unroll) grid: here, one task stored under
+    // the initial evaluation's key. The run must refuse it, evaluate
+    // that design in-process, and finish with the storeless history.
+    std::string dir = "robustness_store_misshapen";
+    rmTree(dir);
+    auto set = workloads::suiteWorkloads("PolyBench");
+    auto opts = tinyDse();
+    dse::Explorer ref(set, opts);
+    auto refRes = ref.run(adg::buildDseInitial());
+    {
+        dse::CacheStore store(dir);
+        ASSERT_TRUE(store.open().ok());
+        ASSERT_TRUE(store
+                        .append(ref.makeEvalKey(adg::buildDseInitial(), {},
+                                                false),
+                                synthEntry(0))
+                        .ok());
+    }
+    auto storeOpts = opts;
+    storeOpts.cacheStoreDir = dir;
+    dse::Explorer ex(set, storeOpts);
+    auto res = ex.run(adg::buildDseInitial());
+    EXPECT_TRUE(res.status.ok()) << res.status.toString();
+    EXPECT_EQ(res.stopReason, refRes.stopReason);
+    expectSameHistory(refRes, res);
+    EXPECT_EQ(refRes.best.toText(), res.best.toText());
+    EXPECT_EQ(res.cacheStats.storeLoaded, 1u);
+    // The refused record is the one lookup that hit here and missed
+    // in the storeless run.
+    EXPECT_EQ(res.cacheStats.evalHits, refRes.cacheStats.evalHits + 1);
+    rmTree(dir);
+}
+
 // ---------------------------------------------------------------------
 // Multi-process DSE: bit-identity under crashes, stalls, and kill -9
 // ---------------------------------------------------------------------
@@ -1291,6 +1329,36 @@ TEST(MultiProcessDse, WorkersMatchSerialBitIdentically)
     }
 }
 
+TEST(MultiProcessDse, CoordinatorIsTheStoresOnlyWriter)
+{
+    // Workers evaluate with no store: the coordinator appends every
+    // fresh outcome, its workers' included, to its one segment, and
+    // the next run loads exactly what it appended.
+    std::string dir = "robustness_store_workers";
+    rmTree(dir);
+    auto set = workloads::suiteWorkloads("PolyBench");
+    auto opts = tinyDse();
+    opts.maxIters = 12;
+    opts.noImproveExit = 12;
+    opts.candidateBatch = 4;
+    opts.workers = 2;
+    opts.cacheStoreDir = dir;
+    dse::Explorer first(set, opts);
+    auto a = first.run(adg::buildDseInitial());
+    ASSERT_TRUE(a.status.ok()) << a.status.toString();
+    EXPECT_GT(a.workerStats.dispatched, 0u);
+    EXPECT_EQ(segFiles(dir).size(), 1u);
+    // More than the coordinator's own two initial evaluations.
+    EXPECT_GT(a.cacheStats.storeAppends, 2u);
+
+    dse::Explorer second(set, opts);
+    auto b = second.run(adg::buildDseInitial());
+    EXPECT_EQ(b.cacheStats.storeLoaded, a.cacheStats.storeAppends);
+    EXPECT_EQ(b.cacheStats.evalMisses, 0u);
+    expectSameHistory(a, b);
+    rmTree(dir);
+}
+
 TEST(MultiProcessDse, WorkerSigkillMidBatchRecoversBitIdentically)
 {
     auto serial = runPoolDse(0, {}, 0, 12, 4);
@@ -1317,20 +1385,20 @@ TEST(MultiProcessDse, StaleRequestOnRespawnedSlotIsRedispatchedNotAwaited)
     // generation check must instead report the shard lost so the
     // ladder redispatches it.
     //
-    // Every worker process dies at its 3rd evaluated candidate
-    // (restarted processes re-arm), and the batch sequence walks the
-    // pool deterministically into that state. Batches 1+2 (one
-    // candidate per shard) bring both workers to two evals. Batch 3
-    // (one candidate) kills worker 0 on receipt, then the redispatch
-    // kills worker 1 too, and the ladder restarts slot 0 — leaving
-    // slot 1 dead and slot 0 fresh at one eval. Batch 4 (two
-    // two-candidate shards of a design no live worker has cached)
-    // queues both shards on slot 0, which evaluates the first
-    // candidate of shard 0 — slow, a real uncached evaluation, so
-    // shard 1's request is queued on its pipe long before — then hits
-    // its 3rd-eval fault mid-request, and shard 0's recovery respawns
-    // slot 0. Shard 1 is now awaiting a request the new process never
-    // saw.
+    // Every worker process dies at its 3rd candidate (the fault
+    // counts candidates, and restarted processes re-arm), and the
+    // batch sequence walks the pool deterministically into that
+    // state. Batches 1+2 (one candidate per shard) bring both workers
+    // to two evals. Batch 3 (one candidate) kills worker 0 on
+    // receipt, then the redispatch kills worker 1 too, and the ladder
+    // restarts slot 0 — leaving slot 1 dead and slot 0 fresh at one
+    // eval. Batch 4 (two two-candidate shards) queues both shards on
+    // slot 0, which evaluates the first candidate of shard 0 — slow,
+    // since a worker keeps no cache and every evaluation is a real
+    // one, so shard 1's request is queued on its pipe long before —
+    // then hits its 3rd-eval fault mid-request, and shard 0's
+    // recovery respawns slot 0. Shard 1 is now awaiting a request the
+    // new process never saw.
     auto set = workloads::suiteWorkloads("PolyBench");
     dse::WorkerPoolOptions po;
     po.workers = 2;
