@@ -31,6 +31,9 @@ echo "== tier-1: concurrency + incremental-scheduler tests under ThreadSanitizer
 # shared cache store's append/compact locking, and the fault-injection
 # registry all mix threads with subprocess supervision (the spawned
 # workers are TSan-instrumented re-execs of the test binary itself).
+# test_concurrency's threads-4 explorers also run the suite's golden
+# interpreter runs on the pool at construction, one workload per
+# thread, each writing only its own host-cycle slot.
 # test_scheduler_parallel rounds out the set: multi-chain annealing
 # runs independently-seeded chains on a shared pool with a serial
 # fixed-order reduction, and the shared landmark table is read
@@ -50,7 +53,7 @@ TSAN_OPTIONS="halt_on_error=1" \
           -R 'test_concurrency|test_base|test_scheduler_incremental|test_scheduler_parallel|test_dse_cache|test_dse_pareto|test_robustness'
 
 echo
-echo "== tier-1: robustness, sparse-simulator, scheduler, base, ADG and DSE-cache tests under ASan+UBSan =="
+echo "== tier-1: robustness, sparse-simulator, scheduler, base, ADG, DSE-cache and interpreter tests under ASan+UBSan =="
 # The crash-safety paths (checkpoint serialization, watchdog aborts,
 # exception propagation out of pool workers) juggle partially-built
 # state by design; run them with address + undefined-behavior checking
@@ -95,15 +98,23 @@ echo "== tier-1: robustness, sparse-simulator, scheduler, base, ADG and DSE-cach
 # moved-from schedule or a dangling entry fails no functional test —
 # its cached-vs-uncached, warm-vs-cold and store round-trip runs drive
 # every one of those hand-offs.
+# test_ir, test_workloads and test_edge_cases join for the golden
+# interpreter: it resolves each kernel into node, statement and slot
+# tables indexed by hand (array base pointers, a value stack sized at
+# resolve time, loop-id and scalar slots), where an off-by-one reads a
+# neighbouring slot instead of failing a test. test_workloads runs
+# every workload against digests and op counts pinned from the
+# tree-walking interpreter it replaced; test_edge_cases drives each of
+# its failure paths.
 cmake -B build-asan -S . -DDSA_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness \
       test_sim_sparse test_sim_compiled test_sim_jit \
       test_scheduler_incremental test_scheduler_parallel test_base \
-      test_adg test_dse_cache
+      test_adg test_dse_cache test_ir test_workloads test_edge_cases
 ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure \
-          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental|test_scheduler_parallel|test_base|test_adg|test_dse_cache'
+          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental|test_scheduler_parallel|test_base|test_adg|test_dse_cache|test_ir|test_workloads|test_edge_cases'
 
 echo
 echo "tier-1 OK"

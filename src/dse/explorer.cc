@@ -47,15 +47,18 @@ Explorer::Explorer(std::vector<const workloads::Workload *> wls,
     : workloads_(std::move(wls)), opts_(opts)
 {
     DSA_ASSERT(!workloads_.empty(), "DSE needs at least one workload");
-    for (const auto *w : workloads_) {
-        auto golden = workloads::runGolden(*w);
-        hostCycles_.push_back(model::estimateHostCycles(golden.stats));
-    }
-    // Warm the process-wide singletons (area/power fit, workload
-    // registry) serially so pool workers only ever read them.
+    // Warm the process-wide singletons (area/power fit, JIT runtime)
+    // serially so pool workers only ever read them.
     model::AreaPowerModel::instance();
     jitStatsBase_ = sim::jit::JitRuntime::instance().stats();
     pool_ = std::make_unique<ThreadPool>(opts_.threads);
+    // The golden runs behind every speedup's host baseline are
+    // independent: spread them over the pool, each into its own slot.
+    hostCycles_.resize(workloads_.size());
+    pool_->parallelFor(workloads_.size(), [&](size_t k) {
+        hostCycles_[k] = model::estimateHostCycles(
+            workloads::runGolden(*workloads_[k]).stats);
+    });
     if (opts_.schedChains > 1)
         chainPool_ = std::make_unique<ThreadPool>(
             std::min(opts_.schedChains, ThreadPool::hardwareThreads()));
@@ -87,8 +90,13 @@ Explorer::Explorer(std::vector<const workloads::Workload *> wls,
 
     // The shared store only changes how often evaluations recompute,
     // never what they produce — so an unopenable store degrades to a
-    // warning, not a failed exploration.
-    if (!opts_.cacheStoreDir.empty()) {
+    // warning, not a failed exploration. Only a memoizing run loads or
+    // appends it, so any other run leaves the directory alone.
+    if (!opts_.cacheStoreDir.empty() && !opts_.memoize) {
+        DSA_WARN("eval-cache store '", opts_.cacheStoreDir,
+                 "' ignored: a run without memoization never loads or "
+                 "appends it");
+    } else if (!opts_.cacheStoreDir.empty()) {
         cacheStore_ = std::make_unique<CacheStore>(opts_.cacheStoreDir);
         Status s = cacheStore_->open();
         if (!s.ok()) {
@@ -475,15 +483,20 @@ Explorer::evaluateCandidates(std::vector<Candidate> &cands,
     //    falls back to evaluating here), or here on pool_. With one
     //    miss its grid fans out over the pool instead; with several,
     //    the candidates do and each grid runs inline on its thread.
+    //    A memoizing run checks every reply against the key it will
+    //    be memoized and appended under.
     if (workerPool_ && !misses.empty()) {
         std::vector<const Adg *> ship;
+        std::vector<EvalKey> shipKeys;
         for (size_t e : misses) {
             from[e] = From::Worker;
             ship.push_back(&cands[leaders[e]].adg);
+            shipKeys.push_back(keys[e]);
         }
         auto replies = workerPool_->evaluateBatch(
             ship, base, repair,
-            [&](size_t j) { return evaluateHere(misses[j]); });
+            [&](size_t j) { return evaluateHere(misses[j]); },
+            evalCache_ ? &shipKeys : nullptr);
         for (size_t j = 0; j < misses.size(); ++j)
             outs[misses[j]] = std::move(replies[j]);
     } else {

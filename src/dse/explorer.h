@@ -223,6 +223,8 @@ struct DseOptions
      * a resumed run warms from it, not from the checkpoint. Corrupt
      * records are quarantined (counted in
      * DseCacheStats::storeQuarantined), never trusted and never fatal.
+     * Without memoize the store is never opened or created; the
+     * Explorer warns that it ignores it.
      */
     std::string cacheStoreDir;
     /**

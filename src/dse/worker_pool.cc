@@ -181,7 +181,8 @@ std::vector<WorkerEvalOutcome>
 WorkerPool::evaluateBatch(
     const std::vector<const adg::Adg *> &cands,
     const ScheduleCache &schedules, bool repair,
-    const std::function<WorkerEvalOutcome(size_t)> &inProcess)
+    const std::function<WorkerEvalOutcome(size_t)> &inProcess,
+    const std::vector<EvalKey> *keys)
 {
     std::vector<WorkerEvalOutcome> out(cands.size());
     if (cands.empty())
@@ -331,6 +332,12 @@ WorkerPool::evaluateBatch(
                 auto rec = decodeEvalEntry(*bytes);
                 if (!rec.ok()) {
                     failWorker(w, rec.status());
+                    return false;
+                }
+                if (keys && !(rec.value().key == (*keys)[idx[j]])) {
+                    failWorker(w, protocolError(
+                                      "result key does not match its "
+                                      "candidate"));
                     return false;
                 }
                 decoded[j] = {Status(), rec.value().entry};
@@ -557,9 +564,14 @@ workerEval(const json::Value &doc, WorkerState &st)
                           static_cast<int64_t>(out.status.code())));
         if (!out.status.ok())
             r.set("msg", json::Value::str(out.status.message()));
-        if (out.entry)
+        if (out.entry) {
+            // The coordinator's reply check lever: an entry filed
+            // under a key its candidate does not have.
+            if (fault::shouldFire("worker.reply.key"))
+                key.labeling ^= 1;
             r.set("entry",
                   json::Value::str(toHex(encodeEvalEntry(key, *out.entry))));
+        }
         results.push(std::move(r));
     }
     if (!reqStatus.ok() && cj && cj->isArray()) {

@@ -30,7 +30,8 @@
  * and traces are bit-identical to `--workers 0` by construction.
  *
  * Failure handling per shard (a worker death, pipe EOF, corrupt frame,
- * or response timeout) walks a capped-backoff ladder:
+ * a reply entry under another candidate's key, or response timeout)
+ * walks a capped-backoff ladder:
  *   1. re-dispatch the shard to the next live worker;
  *   2. restart the dead worker (up to two times) and re-dispatch;
  *   3. degrade: evaluate the shard in-process via the caller-supplied
@@ -99,12 +100,15 @@ class WorkerPool
      * against the shared repair cache @p schedules. @p inProcess is
      * the degradation floor: called with a candidate index, it must
      * evaluate locally and never fail to return. The result vector is
-     * index-aligned with @p cands.
+     * index-aligned with @p cands. When given, @p keys (index-aligned
+     * with @p cands) are the eval keys the replies must carry: a reply
+     * entry under any other key fails its frame as a protocol error.
      */
     std::vector<WorkerEvalOutcome>
     evaluateBatch(const std::vector<const adg::Adg *> &cands,
                   const ScheduleCache &schedules, bool repair,
-                  const std::function<WorkerEvalOutcome(size_t)> &inProcess);
+                  const std::function<WorkerEvalOutcome(size_t)> &inProcess,
+                  const std::vector<EvalKey> *keys = nullptr);
 
     /** Graceful shutdown (frame, then EOF, then SIGKILL). */
     void shutdown();

@@ -47,7 +47,10 @@ struct InterpStats
 };
 
 /**
- * Execute @p kernel over @p store.
+ * Execute @p kernel over @p store. The kernel is resolved once per
+ * call (arrays to data pointers, loop ids and scalars to dense slots,
+ * params to constants, opcodes to OpFn), then run over those tables.
+ * An out-of-bounds access or an unbound name aborts when executed.
  * @return dynamic statistics of the run.
  */
 InterpStats interpret(const KernelSource &kernel, ArrayStore &store);

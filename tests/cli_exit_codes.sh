@@ -34,6 +34,13 @@ expect_config_error dse PolyBench --no-such-flag
 for layer in eval-cache compile-cache cost-memo; do
     expect_config_error dse PolyBench "--no-$layer"
 done
+# A run without caches never loads or appends a store.
+expect_config_error dse PolyBench --no-caches --cache-store store.d
+expect_config_error dse PolyBench --cache-store store.d --no-caches
+if [ -e store.d ]; then
+    echo "FAIL: a refused --no-caches --cache-store run created its store" >&2
+    fail=1
+fi
 expect_config_error dse PolyBench --threads
 expect_config_error dse PolyBench --threads abc
 expect_config_error dse PolyBench --power-weight heavy
@@ -68,6 +75,7 @@ if ! "$dsagen" dse PolyBench 6 1 1 --checkpoint ck.json \
 fi
 cp ck.json ck.orig
 expect_config_error dse --resume ck.json PolyBench
+expect_config_error dse --resume ck.json --no-caches --cache-store store.d
 for flag in --pareto "--front-size 4" "--power-weight 1" --no-structured \
             "--sched-chains 2" "--candidate-time-ms 5"; do
     # shellcheck disable=SC2086 # a flag and its value are two words

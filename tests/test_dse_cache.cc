@@ -508,6 +508,28 @@ TEST(EvalCache, StoreRoundTripPreservesEntryBytes)
     rmTree(dir);
 }
 
+TEST(EvalCache, NonMemoizingRunLeavesStoreDirectoryUncreated)
+{
+    // Only a memoizing run loads or appends a store, so a run without
+    // memoization must not create one either, and must explore exactly
+    // as a storeless run does.
+    std::string dir = "dse_cache_nomemo.store";
+    rmTree(dir);
+    auto opts = tinyOpts();
+    opts.memoize = false;
+    Explorer plain(workloads::suiteWorkloads("PolyBench"), opts);
+    auto ref = plain.run(adg::buildDseInitial());
+
+    opts.cacheStoreDir = dir;
+    Explorer ex(workloads::suiteWorkloads("PolyBench"), opts);
+    auto res = ex.run(adg::buildDseInitial());
+    EXPECT_NE(::access(dir.c_str(), F_OK), 0) << dir << " was created";
+    expectSameHistory(ref, res);
+    EXPECT_EQ(ref.best.toText(), res.best.toText());
+    EXPECT_EQ(res.cacheStats.storeLoaded + res.cacheStats.storeAppends, 0u);
+    rmTree(dir);
+}
+
 // ---------------------------------------------------------------------
 // Compile cache and cost memo
 // ---------------------------------------------------------------------

@@ -92,6 +92,76 @@ TEST(InterpErrors, UnboundNamesAbort)
     EXPECT_DEATH(interpret(k, st), "unbound scalar");
 }
 
+TEST(InterpErrors, LoadOutOfBoundsAborts)
+{
+    using namespace ir;
+    KernelSource k;
+    k.name = "oob-load";
+    k.arrays = {{"a", 2, 8, false, false}, {"b", 1, 8, false, false}};
+    k.body = {makeStore("b", intConst(0), load("a", intConst(2)))};
+    ArrayStore st(k);
+    EXPECT_DEATH(interpret(k, st), "load out of bounds: a\\[2\\] size 2");
+}
+
+TEST(InterpErrors, UnboundIterVarAborts)
+{
+    using namespace ir;
+    KernelSource k;
+    k.name = "unbound-iv";
+    k.arrays = {{"a", 2, 8, false, false}};
+    // Loop 0's variable is read after the loop has ended.
+    k.body = {makeLoop(0, intConst(2),
+                       {makeStore("a", iterVar(0), intConst(1))}),
+              makeStore("a", iterVar(0), intConst(2))};
+    ArrayStore st(k);
+    EXPECT_DEATH(interpret(k, st), "unbound iter var i0");
+}
+
+TEST(InterpErrors, UnboundParamAborts)
+{
+    using namespace ir;
+    KernelSource k;
+    k.name = "unbound-param";
+    k.arrays = {{"a", 2, 8, false, false}};
+    k.body = {makeLoop(0, param("n"),
+                       {makeStore("a", iterVar(0), intConst(1))})};
+    ArrayStore st(k);
+    EXPECT_DEATH(interpret(k, st), "unbound param n");
+}
+
+TEST(InterpErrors, MissingArrayAborts)
+{
+    using namespace ir;
+    KernelSource k;
+    k.name = "missing-array";
+    k.arrays = {{"a", 2, 8, false, false}};
+    k.body = {makeStore("ghost", intConst(0), intConst(1))};
+    ArrayStore st(k);
+    EXPECT_DEATH(interpret(k, st), "no array 'ghost'");
+}
+
+TEST(InterpErrors, ReduceIntoUnboundScalarAborts)
+{
+    using namespace ir;
+    KernelSource k;
+    k.name = "unbound-reduce";
+    k.arrays = {{"a", 2, 8, false, false}};
+    k.body = {makeReduce("acc", OpCode::Add, intConst(1))};
+    ArrayStore st(k);
+    EXPECT_DEATH(interpret(k, st), "reduce into unbound scalar acc");
+}
+
+TEST(InterpErrors, AccumulateAsExpressionAborts)
+{
+    using namespace ir;
+    KernelSource k;
+    k.name = "acc-expr";
+    k.arrays = {{"a", 2, 8, false, false}};
+    k.body = {makeStore("a", intConst(0), unary(OpCode::Acc, intConst(1)))};
+    ArrayStore st(k);
+    EXPECT_DEATH(interpret(k, st), "accumulate is not an expression-level op");
+}
+
 TEST(DfgTextErrors, UnknownValueFatal)
 {
     EXPECT_EXIT(dfg::regionFromText("x = add ghost, #1\n"),

@@ -1374,6 +1374,21 @@ TEST(MultiProcessDse, WorkerSigkillMidBatchRecoversBitIdentically)
     EXPECT_GT(par.workerStats.redispatched + par.workerStats.degraded, 0u);
 }
 
+TEST(MultiProcessDse, MisfiledReplyKeyIsRefusedAndRecovered)
+{
+    auto serial = runPoolDse(0, {}, 0, 12, 4);
+    // Every worker process files its first reply entry under a key
+    // with one bit flipped, restarted ones included. The coordinator
+    // must refuse those replies as protocol errors, never memoize or
+    // append them, and recover through the ladder.
+    auto par = runPoolDse(2, {"DSA_FAULT=worker.reply.key:1"}, 0, 12, 4);
+    expectSameHistory(serial, par);
+    EXPECT_EQ(serial.best.toText(), par.best.toText());
+    EXPECT_DOUBLE_EQ(serial.bestObjective, par.bestObjective);
+    EXPECT_EQ(serial.stopReason, par.stopReason);
+    EXPECT_GT(par.workerStats.redispatched + par.workerStats.degraded, 0u);
+}
+
 TEST(MultiProcessDse, StaleRequestOnRespawnedSlotIsRedispatchedNotAwaited)
 {
     // Regression: a shard request is in flight on slot W when W dies

@@ -1,9 +1,11 @@
 /** @file Workload registry + golden-model tests (incl. FFT vs DFT). */
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <gtest/gtest.h>
 
+#include "base/hashing.h"
 #include "workloads/workload.h"
 
 namespace dsa::workloads {
@@ -55,6 +57,98 @@ TEST(Golden, AllWorkloadsInterpretCleanly)
                 nonzero |= v != 0;
         EXPECT_TRUE(nonzero) << w.name;
     }
+}
+
+/** Hash of every array of @p store, in name order. */
+uint64_t
+storeDigest(const Workload &w, const ir::ArrayStore &store)
+{
+    std::vector<std::string> names;
+    for (const auto &a : w.kernel.arrays)
+        names.push_back(a.name);
+    std::sort(names.begin(), names.end());
+    uint64_t h = 0;
+    for (const auto &n : names) {
+        h = hashCombine(h, n);
+        for (Value v : store.data(n))
+            h = hashCombine(h, static_cast<uint64_t>(v));
+    }
+    return h;
+}
+
+TEST(Golden, PinnedDigestsAndStats)
+{
+    // Recorded with the name-keyed tree-walking interpreter this one
+    // replaced: the final memory and every op count (which drive the
+    // host-core model and so every DSE objective) must not move.
+    struct Pinned
+    {
+        const char *name;
+        uint64_t seed;
+        uint64_t digest;
+        int64_t arithOps, loads, stores, branches, loopIters;
+    };
+    static const Pinned kPinned[] = {
+        {"md", 12345u, 0x6fad09560424f24dull, 1112064, 792576, 384, 0, 2176},
+        {"crs", 12345u, 0xfb036af38874b8f9ull, 11136, 5568, 464, 0, 2320},
+        {"ellpack", 12345u, 0x08b68a5c1a2c4c12ull, 11136, 5568, 464, 0, 2320},
+        {"mm", 12345u, 0x6fb0bfa9e77a699dull, 1581056, 524288, 4096, 0, 266304},
+        {"stencil-2d", 12345u, 0x6b350c2d0f5641ccull, 917504, 294912, 16384, 0, 16512},
+        {"stencil-3d", 12345u, 0xbd14b73e9c8a5164ull, 907200, 88200, 12600, 0, 13530},
+        {"histogram", 12345u, 0x06eb961aa89d480eull, 65536, 131072, 65536, 0, 65536},
+        {"join", 12345u, 0x8af8100c0da95428ull, 506, 3066, 1, 1280, 0},
+        {"qr", 12345u, 0x40aff55faf2b1ea2ull, 331872, 66560, 17424, 0, 34320},
+        {"chol", 12345u, 0x7862d7731d57032eull, 48864, 11936, 528, 0, 6512},
+        {"fft", 12345u, 0xde0483b1e39f0334ull, 286720, 81920, 20480, 0, 6143},
+        {"fir", 12345u, 0x1fdfd5b42b4aab07ull, 98304, 65536, 2048, 0, 34816},
+        {"solver", 12345u, 0xf61c21210dd767baull, 8320, 4160, 64, 0, 2144},
+        {"p-mm", 12345u, 0xb08b5eba0b4e2e6bull, 198656, 65536, 1024, 0, 33824},
+        {"2mm", 12345u, 0x04149a5f6fe5ce22ull, 397312, 131072, 2048, 0, 67648},
+        {"3mm", 12345u, 0x1d45a739328a4370ull, 595968, 196608, 3072, 0, 101472},
+        {"conv", 12345u, 0x4a2a50b910b81f08ull, 638976, 147456, 8192, 0, 8456},
+        {"pool", 12345u, 0xcab6cc784a4ab66eull, 90112, 8192, 2048, 0, 2184},
+        {"classifier", 12345u, 0x61d2474db7e763deull, 65600, 32768, 64, 0, 16448},
+        {"sparse-cnn", 12345u, 0xccd1df12788fb495ull, 149056, 116287, 49790, 1280, 34112},
+        {"prodcons", 12345u, 0x2350a5d5fba6aeeaull, 40960, 16384, 4096, 0, 8256},
+        {"repupdate", 12345u, 0x913b5a286655343aull, 16384, 24576, 8192, 0, 8320},
+        {"md", 7u, 0xb198a2784d1da103ull, 1112064, 792576, 384, 0, 2176},
+        {"crs", 7u, 0x64acc4cbeaf59762ull, 11136, 5568, 464, 0, 2320},
+        {"ellpack", 7u, 0x786e7e950bcef329ull, 11136, 5568, 464, 0, 2320},
+        {"mm", 7u, 0x8d3efb67fb923fe1ull, 1581056, 524288, 4096, 0, 266304},
+        {"stencil-2d", 7u, 0x4bb5275fbfa84dd6ull, 917504, 294912, 16384, 0, 16512},
+        {"stencil-3d", 7u, 0xfbba6beb8b96e3daull, 907200, 88200, 12600, 0, 13530},
+        {"histogram", 7u, 0xb300cf4a8afd5de8ull, 65536, 131072, 65536, 0, 65536},
+        {"join", 7u, 0x75471872630087a6ull, 524, 3072, 1, 1274, 0},
+        {"qr", 7u, 0xcafaca8e77cb13d4ull, 331872, 66560, 17424, 0, 34320},
+        {"chol", 7u, 0xc6a7945dd106c4daull, 48864, 11936, 528, 0, 6512},
+        {"fft", 7u, 0xdf230b1444d32e3bull, 286720, 81920, 20480, 0, 6143},
+        {"fir", 7u, 0x8d2b5e3c3ab0c8d1ull, 98304, 65536, 2048, 0, 34816},
+        {"solver", 7u, 0xb8c54c1851b5ade0ull, 8320, 4160, 64, 0, 2144},
+        {"p-mm", 7u, 0x84251225cfc01af6ull, 198656, 65536, 1024, 0, 33824},
+        {"2mm", 7u, 0xa800fde4e3347e78ull, 397312, 131072, 2048, 0, 67648},
+        {"3mm", 7u, 0x7f5d6df828203dc2ull, 595968, 196608, 3072, 0, 101472},
+        {"conv", 7u, 0x0d7a819e9ad7f9e3ull, 638976, 147456, 8192, 0, 8456},
+        {"pool", 7u, 0xbf7071802f655913ull, 90112, 8192, 2048, 0, 2184},
+        {"classifier", 7u, 0x2dcc54a2e842b979ull, 65600, 32768, 64, 0, 16448},
+        {"sparse-cnn", 7u, 0xdb0d38b0ea7252eaull, 149056, 116287, 49790, 1280, 34112},
+        {"prodcons", 7u, 0x0d8037916b1ec48aull, 40960, 16384, 4096, 0, 8256},
+        {"repupdate", 7u, 0x904ee93af1f4db00ull, 16384, 24576, 8192, 0, 8320},
+    };
+    size_t checked = 0;
+    for (const auto &p : kPinned) {
+        SCOPED_TRACE(std::string(p.name) + " seed " + std::to_string(p.seed));
+        const auto &w = workload(p.name);
+        auto run = runGolden(w, p.seed);
+        EXPECT_EQ(storeDigest(w, run.final), p.digest);
+        EXPECT_EQ(run.stats.arithOps, p.arithOps);
+        EXPECT_EQ(run.stats.loads, p.loads);
+        EXPECT_EQ(run.stats.stores, p.stores);
+        EXPECT_EQ(run.stats.branches, p.branches);
+        EXPECT_EQ(run.stats.loopIters, p.loopIters);
+        ++checked;
+    }
+    // Every registered workload, at both seeds.
+    EXPECT_EQ(checked, 2 * allWorkloads().size());
 }
 
 TEST(Golden, MmMatchesNaiveReference)

@@ -554,6 +554,12 @@ cmdDse(int argc, char **argv)
             pos.push_back(a);
         }
     }
+    // Only a memoizing run loads or appends a store, so the pair would
+    // silently drop the store; refuse it on fresh and resumed runs.
+    if (memoizeArg == 0 && cacheStoreArg)
+        throw StatusException(Status::invalidArgument(
+            "flags --no-caches and --cache-store conflict: a run without "
+            "caches neither loads nor appends an eval-cache store"));
     auto applyRunFlags = [&](dse::DseOptions &o) {
         if (memoizeArg >= 0)
             o.memoize = memoizeArg != 0;
@@ -742,7 +748,8 @@ usage()
         "      --no-dedup               disable batch deduplication\n"
         "      --no-caches              recompute everything: no eval\n"
         "                               cache, compile cache, cost memo\n"
-        "                               or batch deduplication\n"
+        "                               or batch deduplication (refused\n"
+        "                               with --cache-store)\n"
         "      --check-cost-oracle      verify memoized costs against\n"
         "                               the full model on every query\n"
         "  dse --resume <checkpoint> [--threads <n>] [--validate-sim]\n"
