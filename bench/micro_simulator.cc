@@ -6,7 +6,7 @@
  *
  * Every simulator benchmark is registered four times — `*_jit`
  * (runtime code generation: the armed period program lowered to C++,
- * compiled to a cached shared object, replay chunks run natively),
+ * compiled in process to a shared object, replay chunks run natively),
  * `*_compiled` (event-driven + per-region compute plans + interpreted
  * period replay, the PR 8 tier), `*_sparse` (event-driven with the
  * interpreted region tick), and `*_dense` (the original
@@ -15,10 +15,8 @@
  * in micro_scheduler.cc. All modes produce bit-identical results
  * (enforced by tests/test_sim_sparse.cc, tests/test_sim_compiled.cc,
  * and tests/test_sim_jit.cc); only wall-clock differs. The jit
- * fixtures prewarm synchronously (DSA_SIM_JIT_SYNC) so the timed
- * iterations measure native replay, not compiler latency; the one
- * compile per kernel shape is amortized through the on-disk object
- * cache in real runs.
+ * fixtures compile in an untimed prewarm run, so the timed iterations
+ * measure native replay, not compiler latency.
  *
  * The `cmdheavy_*` fixtures model a slow control core (high command
  * latency, fractional issue IPC), stretching the WaitCmd quiet spells
@@ -30,7 +28,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -92,15 +90,6 @@ struct SimFixture
 
 using sim::Engine;
 
-/** The jit fixtures block acquire() until the kernel is terminal
- *  (ready or failed): the prewarm run below then guarantees the timed
- *  iterations execute native replay, never a compile. Set before any
- *  simulation runs (the runtime reads it once, lazily). */
-const bool kJitSyncArmed = [] {
-    setenv("DSA_SIM_JIT_SYNC", "1", 0);
-    return true;
-}();
-
 void
 BM_Simulate(benchmark::State &state, const std::string &name,
             const std::string &target, HwTweak tweak, Engine engine)
@@ -114,9 +103,9 @@ BM_Simulate(benchmark::State &state, const std::string &name,
     opts.engine = engine;
     if (engine == Engine::Jit) {
         // Compile eagerly, and pay for it (plus the dlopen) once in an
-        // untimed prewarm run; the timed loop below is then all
-        // mem-hit native replay — the steady-state cost a long run or
-        // a warm-cache rerun actually sees.
+        // untimed prewarm run; the timed loop below then runs the
+        // registered kernel natively — the steady-state cost a long
+        // run sees once its kernels are compiled.
         opts.jitHotCycles = 0;
         auto img = sim::MemImage::build(f.w.kernel, f.golden.initial,
                                         f.placement);
@@ -154,9 +143,13 @@ BM_Interpret(benchmark::State &state, const std::string &name)
 {
     const auto &w = workloads::workload(name);
     auto golden = workloads::runGolden(w);
+    // One fresh input store per iteration, copied before the clock
+    // starts: the timed loop is the interpretation alone.
+    std::vector<ir::ArrayStore> stores(
+        static_cast<size_t>(state.max_iterations()), golden.initial);
+    size_t next = 0;
     for (auto _ : state) {
-        ir::ArrayStore st = golden.initial;
-        auto stats = ir::interpret(w.kernel, st);
+        auto stats = ir::interpret(w.kernel, stores[next++]);
         benchmark::DoNotOptimize(stats.arithOps);
     }
 }

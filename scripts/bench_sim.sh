@@ -3,14 +3,16 @@
 # machine-readable results in BENCH_simulator.json (google-benchmark
 # JSON format).
 #
-# The binary benchmarks every fixture three times — `*_compiled` (the
-# default engine: event-driven + per-region compute plans + period
-# replay), `*_sparse` (event-driven with the interpreted region tick)
-# and `*_dense` (the original cycle-by-cycle oracle loop) — so the
-# JSON carries its own tier-by-tier comparison, like
-# BENCH_scheduler.json does for the scheduler. The `cmdheavy_*` and
-# `fallback_*` fixtures are the quiet-spell-heavy configurations where
-# idle-cycle skipping pays off most.
+# The binary benchmarks every fixture on all four engines — `*_jit`
+# (the default: period replay run as compiled native kernels, whose
+# compile an untimed prewarm run pays), `*_compiled` (event-driven +
+# per-region compute plans + interpreted period replay), `*_sparse`
+# (event-driven with the interpreted region tick) and `*_dense` (the
+# original cycle-by-cycle oracle loop) — so the JSON carries its own
+# tier-by-tier comparison, like BENCH_scheduler.json does for the
+# scheduler. The `cmdheavy_*` and `fallback_*` fixtures are the
+# quiet-spell-heavy configurations where idle-cycle skipping pays off
+# most.
 #
 # Recorded numbers come from a Release build (build-release/): a
 # committed BENCH file is meaningless if the library was compiled
@@ -48,10 +50,7 @@ cmake --build "$BUILD" -j "$JOBS" --target micro_simulator
 # *_median rows. `library_build_type` is reported by the vendored
 # timing harness (bench/minibench) from its own NDEBUG — it describes
 # the code that ran the measurement loop; the repo's CMake build type
-# is recorded alongside it as `dsa_build_type`. The jit fixtures use a
-# throwaway object-cache directory so every recording pays (and
-# amortizes) its compiles the same way.
-DSA_SIM_JIT_DIR="$(mktemp -d)" \
+# is recorded alongside it as `dsa_build_type`.
 "./$BUILD/bench/micro_simulator" \
     --benchmark_repetitions="${BENCH_REPS:-5}" \
     --benchmark_report_aggregates_only=true \

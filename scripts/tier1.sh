@@ -75,6 +75,8 @@ echo "== tier-1: robustness, sparse-simulator, scheduler, base, ADG, DSE-cache a
 # use-after-free only ASan can see. The generated kernels themselves
 # are compiled by the system compiler without instrumentation; the
 # instrumented host still checks every byte the kernel hands back.
+# The regex also matches the test_sim_jit_* entries, the cases that
+# need a fresh kernel registry and so run in processes of their own.
 # The scheduler suites join as well: the probe path reads flat tables
 # hand-indexed by offset (per-region operand-slot route lengths,
 # timing plans, SSSP trees relaxed in place), where an off-by-one
@@ -83,8 +85,7 @@ echo "== tier-1: robustness, sparse-simulator, scheduler, base, ADG, DSE-cache a
 # thousands of place/unplace states, and the regexes also match the
 # *_nocache ctest names.
 # test_base joins for the durable-file module (base/files.h) that
-# checkpoints, the eval-cache store and the jit cache all write
-# through: its read/write buffers are indexed by hand across short
+# checkpoints and the eval-cache store write through: its read/write buffers are indexed by hand across short
 # reads and writes, and each FileLock owns a descriptor that must be
 # closed exactly once, including in the forked holders its tests kill.
 # test_adg joins for the ADG text parser, which sizes flat node and

@@ -1,7 +1,6 @@
 #include "adg/fingerprint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <variant>
 #include <vector>
 
@@ -108,16 +107,6 @@ uint64_t
 nodeParamHash(const AdgNode &node)
 {
     return std::visit([](const auto &p) { return hashProps(p); }, node.props);
-}
-
-std::string
-toString(const Fp128 &fp)
-{
-    char buf[36];
-    std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                  static_cast<unsigned long long>(fp.hi),
-                  static_cast<unsigned long long>(fp.lo));
-    return buf;
 }
 
 AdgKey

@@ -31,7 +31,6 @@
 #define DSA_ADG_FINGERPRINT_H
 
 #include <cstdint>
-#include <string>
 
 #include "adg/adg.h"
 
@@ -50,9 +49,6 @@ struct Fp128
         return hi != o.hi ? hi < o.hi : lo < o.lo;
     }
 };
-
-/** Hexadecimal rendering (checkpoints, stats, debugging). */
-std::string toString(const Fp128 &fp);
 
 /** Structural + labeling key of one design (see file comment). */
 struct AdgKey

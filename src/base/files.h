@@ -3,8 +3,8 @@
 // Durable file writes and single-writer locks.
 //
 // Everything this codebase keeps on disk across crashes and processes
-// (DSE checkpoints, the shared eval-cache store, the JIT object cache)
-// goes through these primitives, so two decisions live in one place:
+// (DSE checkpoints, the shared eval-cache store) goes through these
+// primitives, so two decisions live in one place:
 //
 //  - How a file is made durable. writeFileAtomic() writes `<path>.tmp`,
 //    fsyncs it, renames it over `path` and fsyncs the directory. A

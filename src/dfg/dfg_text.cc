@@ -1,10 +1,6 @@
 #include "dfg/dfg_text.h"
 
-#include <map>
 #include <sstream>
-
-#include "base/logging.h"
-#include "base/strings.h"
 
 namespace dsa::dfg {
 
@@ -114,218 +110,6 @@ regionToText(const Region &region)
         os << "\n";
     }
     return os.str();
-}
-
-namespace {
-
-struct Parser
-{
-    Region region;
-    std::map<std::string, VertexId> names;
-
-    Operand
-    operand(const std::string &tok) const
-    {
-        if (tok.empty())
-            DSA_FATAL("empty operand");
-        if (tok[0] == '#')
-            return Operand::immediate(
-                static_cast<Value>(std::stoll(tok.substr(1))));
-        auto dot = tok.find('.');
-        std::string name = tok.substr(0, dot);
-        int lane = dot == std::string::npos
-            ? 0 : std::stoi(tok.substr(dot + 1));
-        auto it = names.find(name);
-        if (it == names.end())
-            DSA_FATAL("unknown value '", name, "'");
-        return Operand::value(it->second, lane);
-    }
-
-    static std::map<std::string, std::string>
-    keyVals(const std::vector<std::string> &toks, size_t from)
-    {
-        std::map<std::string, std::string> kv;
-        for (size_t i = from; i < toks.size(); ++i) {
-            if (toks[i].empty())
-                continue;
-            auto eq = toks[i].find('=');
-            if (eq != std::string::npos)
-                kv[toks[i].substr(0, eq)] = toks[i].substr(eq + 1);
-        }
-        return kv;
-    }
-};
-
-uint8_t
-maskFromText(const std::string &s)
-{
-    return static_cast<uint8_t>(std::stoul(s, nullptr, 0));
-}
-
-} // namespace
-
-Region
-regionFromText(const std::string &text)
-{
-    Parser p;
-    for (const std::string &raw : split(text, '\n')) {
-        std::string line = trim(raw);
-        if (startsWith(line, "# region ")) {
-            p.region.name = trim(line.substr(9));
-            p.region.dfg.setName(p.region.name);
-            continue;
-        }
-        if (line.empty() || line[0] == '#')
-            continue;
-        auto toks = split(line, ' ');
-        // Strip commas glued to operand tokens.
-        for (auto &t : toks)
-            if (!t.empty() && t.back() == ',')
-                t.pop_back();
-
-        if (toks[0] == "input") {
-            auto kv = Parser::keyVals(toks, 2);
-            int lanes = std::stoi(kv.count("lanes") ? kv["lanes"] : "1");
-            int width = std::stoi(kv.count("width") ? kv["width"] : "64");
-            VertexId v = p.region.dfg.addInputPort(toks[1], lanes, width);
-            if (kv.count("reuse"))
-                p.region.dfg.vertex(v).reuse = std::stoll(kv["reuse"]);
-            p.names[toks[1]] = v;
-        } else if (toks[0] == "output") {
-            DSA_ASSERT(toks.size() >= 4 && toks[2] == "=",
-                       "malformed output line '", line, "'");
-            std::vector<Operand> srcs;
-            size_t i = 3;
-            for (; i < toks.size(); ++i) {
-                if (toks[i].find('=') != std::string::npos &&
-                    toks[i][0] != '#')
-                    break;
-                for (const auto &piece : split(toks[i], ','))
-                    if (!piece.empty())
-                        srcs.push_back(p.operand(piece));
-            }
-            auto kv = Parser::keyVals(toks, i);
-            int64_t every =
-                kv.count("every") ? std::stoll(kv["every"]) : 1;
-            int width = kv.count("width") ? std::stoi(kv["width"]) : 64;
-            VertexId v = p.region.dfg.addOutputPort(toks[1], srcs, every,
-                                                    width);
-            p.names[toks[1]] = v;
-        } else if (toks[0] == "stream") {
-            DSA_ASSERT(toks.size() >= 3, "malformed stream line");
-            Stream st;
-            std::string kindName = toks[1];
-            for (int k = 0;; ++k) {
-                DSA_ASSERT(k <= static_cast<int>(StreamKind::Iota),
-                           "unknown stream kind '", kindName, "'");
-                if (streamKindName(static_cast<StreamKind>(k)) ==
-                    kindName) {
-                    st.kind = static_cast<StreamKind>(k);
-                    break;
-                }
-            }
-            auto kv = Parser::keyVals(toks, 2);
-            DSA_ASSERT(kv.count("port"), "stream needs port=");
-            VertexId port = p.names.at(kv["port"]);
-            if (st.kind == StreamKind::IndirectWrite ||
-                st.kind == StreamKind::AtomicUpdate) {
-                st.valuePort = port;
-                st.port = port;
-            } else {
-                st.port = port;
-            }
-            st.name = kindName + "_" + kv["port"];
-            if (kv.count("space"))
-                st.space = kv["space"] == "main" ? MemSpace::Main
-                                                 : MemSpace::Spad;
-            auto geti = [&](const char *key, int64_t dflt) {
-                return kv.count(key) ? std::stoll(kv[key]) : dflt;
-            };
-            st.pattern.baseBytes = geti("base", 0);
-            st.pattern.elemBytes =
-                static_cast<int>(geti("elem", 8));
-            st.pattern.stride1 = geti("stride", 1);
-            st.pattern.len1 = geti("len", 1);
-            st.pattern.stride2 = geti("stride2", 0);
-            st.pattern.len2 = geti("len2", 1);
-            st.constValue = static_cast<Value>(geti("value", 0));
-            st.constCount = geti("count", 0);
-            st.recurrenceCount = geti("count", 0);
-            if (kv.count("src"))
-                st.srcPort = p.names.at(kv["src"]);
-            st.idxPattern.baseBytes = geti("idxbase", 0);
-            st.idxPattern.stride1 = geti("idxstride", 1);
-            st.idxPattern.len1 = geti("idxlen", 0);
-            st.idxElemBytes = static_cast<int>(geti("idxelem", 8));
-            st.idxPattern.elemBytes = st.idxElemBytes;
-            if (kv.count("op"))
-                st.updateOp = opFromName(kv["op"]);
-            st.scalarFallback = geti("fallback", 0) != 0;
-            p.region.addStream(st);
-        } else {
-            // Instruction: <name> = <op> operands... [attrs]
-            DSA_ASSERT(toks.size() >= 3 && toks[1] == "=",
-                       "malformed instruction line '", line, "'");
-            OpCode op = opFromName(toks[2]);
-            std::vector<Operand> operands;
-            size_t i = 3;
-            bool selfAcc = false;
-            Value accInit = 0;
-            int64_t accReset = 0;
-            CtrlSpec ctrl;
-            int width = 64;
-            for (; i < toks.size(); ++i) {
-                const std::string &t = toks[i];
-                if (t == "acc") {
-                    selfAcc = true;
-                    continue;
-                }
-                auto eq = t.find('=');
-                if (eq != std::string::npos && t[0] != '#') {
-                    std::string key = t.substr(0, eq);
-                    std::string val = t.substr(eq + 1);
-                    if (key == "init")
-                        accInit = static_cast<Value>(std::stoll(val));
-                    else if (key == "reset")
-                        accReset = std::stoll(val);
-                    else if (key == "width")
-                        width = std::stoi(val);
-                    else if (key == "ctrl")
-                        ctrl.source = val == "self"
-                            ? CtrlSpec::Source::Self
-                            : (ctrl.ctrlOperand =
-                                   std::stoi(val.substr(2)),
-                               CtrlSpec::Source::Operand);
-                    else if (key == "pop0")
-                        ctrl.popMask[0] = maskFromText(val);
-                    else if (key == "pop1")
-                        ctrl.popMask[1] = maskFromText(val);
-                    else if (key == "pop2")
-                        ctrl.popMask[2] = maskFromText(val);
-                    else if (key == "emit")
-                        ctrl.emitMask = maskFromText(val);
-                    continue;
-                }
-                if (!t.empty())
-                    operands.push_back(p.operand(t));
-            }
-            VertexId v;
-            if (selfAcc) {
-                DSA_ASSERT(operands.size() == 1,
-                           "accumulator takes one operand");
-                v = p.region.dfg.addAccumulator(op, operands[0], accInit,
-                                                accReset, toks[0], width);
-            } else if (ctrl.active()) {
-                v = p.region.dfg.addPredicatedInstruction(
-                    op, operands, ctrl, toks[0], width);
-            } else {
-                v = p.region.dfg.addInstruction(op, operands, toks[0],
-                                                width);
-            }
-            p.names[toks[0]] = v;
-        }
-    }
-    return p.region;
 }
 
 } // namespace dsa::dfg

@@ -1,10 +1,10 @@
 /**
  * @file
  * Textual dataflow-graph format, in the spirit of the original
- * framework's `.dfg` files: a human-readable/writable serialization of
- * a Region (computation DFG + stream bindings) so dataflow graphs can
- * be inspected, stored, and hand-authored independently of the
- * compiler.
+ * framework's `.dfg` files: a human-readable serialization of a Region
+ * (computation DFG + stream bindings) so the graphs the compiler
+ * lowers can be inspected. It is an output format only; nothing parses
+ * it back.
  *
  * Grammar (one statement per line, `#` comments):
  *
@@ -28,9 +28,6 @@ namespace dsa::dfg {
 
 /** Serialize a region (DFG + streams) to the textual format. */
 std::string regionToText(const Region &region);
-
-/** Parse the textual format; fatal on malformed input. */
-Region regionFromText(const std::string &text);
 
 } // namespace dsa::dfg
 

@@ -1291,14 +1291,19 @@ Explorer::validateBest(DseResult &result)
             so.engine = e;
             so.checkAgainst.reset();
             // Validation runs are short: compile eagerly so the native
-            // path is actually exercised (and its object lands in the
-            // shared cache for the next run).
+            // path is actually exercised.
             so.jitHotCycles = 0;
+            const double compileMs0 =
+                sim::jit::JitRuntime::instance().stats().compileMs;
             auto t0 = std::chrono::steady_clock::now();
             auto res = sim::simulate(prog, sched, result.best, img, so);
             double ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
+            // A jit run compiles inside simulate(): time the engine, not
+            // the compiler.
+            ms -= sim::jit::JitRuntime::instance().stats().compileMs -
+                  compileMs0;
             if (e == Engine::Dense) {
                 denseRes = std::move(res);
                 denseImg = std::move(img);

@@ -292,7 +292,8 @@ struct DseOptions
      * the best design for every workload once per sim::Engine (dense,
      * sparse, compiled, jit), check each faster engine against the
      * dense run with sim::firstDivergence, and record the per-workload
-     * dense/jit wall-clock speedup in DseResult::simSpeedups. A
+     * dense/jit wall-clock speedup, net of jit compile time, in
+     * DseResult::simSpeedups. A
      * divergence surfaces as an Internal DseResult::status naming the
      * engine, the workload and the differing field. Off by default (it
      * adds full simulation passes to the run). Not serialized into
@@ -421,12 +422,16 @@ struct DseResult
      *  point, in geomean-speedup x mm^2 x mW units. */
     double frontHypervolume = 0;
     /** Per-workload dense/jit simulator wall-clock speedup on the
-     *  best design (populated when DseOptions::simValidateBest). */
+     *  best design (populated when DseOptions::simValidateBest). The
+     *  jit run's time is net of the kernel compiles it paid for (its
+     *  JitStats::compileMs delta), so this is the native engine's
+     *  speed, not the compiler's. */
     std::map<std::string, double> simSpeedups;
-    /** JIT-tier activity during this run — object compiles and their
-     *  total latency, cache hits by level, degrade counts (see
-     *  sim/jit/jit_stats.h). Delta over the run, so a warm object
-     *  cache shows up as zero compiles. Observability only. */
+    /** JIT-tier activity during this run — kernel compiles and their
+     *  total latency, requests served natively, degrade counts (see
+     *  sim/jit/jit_stats.h). Delta over the run, so kernels an earlier
+     *  run in this process compiled show up as zero compiles.
+     *  Observability only. */
     sim::jit::JitStats jitStats;
     /** Cache hit/miss/insert counters (see DseCacheStats). */
     DseCacheStats cacheStats;

@@ -571,9 +571,7 @@ KernelBuilder::finish()
         return em;
     std::string src;
     src.reserve(body_.size() + 4096);
-    src += "// generated by the dsagen jit simulation tier (abi v";
-    src += num(kAbiVersion);
-    src += ")\n";
+    src += "// generated by the dsagen jit simulation tier\n";
     src += "typedef unsigned long long u64;\n";
     src += "typedef long long i64;\n";
     src += "typedef u64 (*OpFn)(u64, u64, u64, u64*);\n";

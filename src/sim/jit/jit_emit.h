@@ -52,8 +52,6 @@ using KernelFn = void (*)(long long m, long long *S, Value *const *P,
                           unsigned char *const *B, const OpFn *F,
                           TrapFn trap);
 
-/** Bump when the generated-code contract changes (cache key input). */
-constexpr int kAbiVersion = 1;
 constexpr const char *kKernelSymbol = "dsa_jit_kernel";
 
 /** How to (re)fill one S-table scalar before each kernel call. */

@@ -1,13 +1,13 @@
 #include "sim/jit/jit_runtime.h"
 
+#include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <map>
+#include <fstream>
 #include <mutex>
-#include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include <dlfcn.h>
 #include <sys/wait.h>
@@ -17,7 +17,6 @@
 #include "base/files.h"
 #include "base/hashing.h"
 #include "base/logging.h"
-#include "sim/jit/jit_cache.h"
 
 namespace dsa::sim::jit {
 
@@ -25,16 +24,6 @@ namespace {
 
 constexpr const char *kCompileFlags =
     "-O2 -fPIC -shared -std=c++17 -w";
-
-bool
-syncMode()
-{
-    static const bool v = [] {
-        const char *e = std::getenv("DSA_SIM_JIT_SYNC");
-        return e && *e && *e != '0';
-    }();
-    return v;
-}
 
 /** Run @p cmd through the shell, capturing combined output; true on
  *  exit status 0. */
@@ -91,31 +80,16 @@ struct JitRuntime::Impl
 {
     struct Entry
     {
-        enum State { Cold, Pending, Ready, Failed };
-        State state = Cold;
-        KernelFn fn = nullptr;
-        bool compileRequested = false;
+        KernelFn fn = nullptr; ///< null: the build failed, see diag
         std::string diag;
     };
 
-    struct Job
-    {
-        std::string dir, key, source, fingerprint;
-        bool allowCompile = false;
-    };
-
-    mutable std::mutex mu;
-    std::condition_variable cv;      ///< worker wakeup
-    std::condition_variable doneCv;  ///< sync-mode waiters
-    std::map<std::string, Entry> entries; ///< keyed "dir|key"
-    std::deque<Job> jobs;
+    std::mutex mu;
+    std::unordered_map<uint64_t, Entry> entries;
     JitStats stats;
-    std::thread worker;
-    bool workerStarted = false;
-    bool stopping = false;
+    uint64_t objects = 0; ///< objects built so far (names each one)
     bool cxxProbed = false;
-    std::string cxx;    ///< compiler command ("" = none usable)
-    std::string cxxId;  ///< its --version first line
+    std::string cxx; ///< compiler command ("" = none usable)
 
     void
     probeCompilerLocked()
@@ -137,48 +111,8 @@ struct JitRuntime::Impl
                            out) &&
                 !firstLine(out).empty()) {
                 cxx = c;
-                cxxId = firstLine(out);
                 return;
             }
-        }
-    }
-
-    void
-    ensureWorkerLocked()
-    {
-        if (workerStarted)
-            return;
-        workerStarted = true;
-        worker = std::thread([this] { run(); });
-    }
-
-    void
-    run()
-    {
-        std::unique_lock<std::mutex> lk(mu);
-        for (;;) {
-            cv.wait(lk, [&] { return stopping || !jobs.empty(); });
-            if (stopping && jobs.empty())
-                return;
-            Job job = std::move(jobs.front());
-            jobs.pop_front();
-            lk.unlock();
-            Entry done = process(job);
-            lk.lock();
-            Entry &e = entries[job.dir + "|" + job.key];
-            // A Cold verdict must not clobber an upgrade that raced in
-            // behind us: if compile permission arrived while we were
-            // probing, requeue instead of parking.
-            if (done.state == Entry::Cold && e.compileRequested) {
-                Job again = job;
-                again.allowCompile = true;
-                jobs.push_back(std::move(again));
-                continue;
-            }
-            e.state = done.state;
-            e.fn = done.fn;
-            e.diag = done.diag;
-            doneCv.notify_all();
         }
     }
 
@@ -207,203 +141,74 @@ struct JitRuntime::Impl
         return true;
     }
 
-    /** The whole native path for one key, off-thread: probe cache,
-     *  maybe compile, dlopen. Returns the terminal entry state. */
+    /** Compile and load the kernel for @p source in a private
+     *  directory, then delete the directory. Called with mu held. */
     Entry
-    process(const Job &job)
+    build(const std::string &source)
     {
         Entry out;
         auto fail = [&](const char *kind, const std::string &why,
                         int64_t JitStats::*ctr) {
-            std::lock_guard<std::mutex> g(mu);
             stats.*ctr += 1;
-            out.state = Entry::Failed;
             out.diag = std::string(kind) + ": " + why;
-            DSA_WARN("jit: ", out.diag, " (key ", job.key,
-                     "); staying on interpreted replay");
+            DSA_WARN("jit: ", out.diag, "; staying on interpreted replay");
             return out;
         };
-
-        if (Status st = makeDirs(job.dir); !st.ok())
-            return fail("cache", st.toString(),
-                        &JitStats::compileFailures);
-
-        std::string soPath, diag;
-        {
-            JitStats local;
-            ProbeResult pr =
-                probeObject(job.dir, job.key, local, &soPath, &diag);
-            {
-                std::lock_guard<std::mutex> g(mu);
-                stats.quarantined += local.quarantined;
-                if (pr == ProbeResult::Hit)
-                    ++stats.diskHits;
-            }
-            if (pr == ProbeResult::Hit) {
-                if (loadObject(soPath, out.fn, diag)) {
-                    out.state = Entry::Ready;
-                    return out;
-                }
-                return fail("dlopen", diag, &JitStats::dlopenFailures);
-            }
-        }
-
-        if (!job.allowCompile) {
-            out.state = Entry::Cold;
-            return out;
-        }
 
         if (fault::shouldFire("jit.compile.fail"))
             return fail("compile", "fault-injected compile failure",
                         &JitStats::compileFailures);
-
-        std::string cxxCmd, cxxVer;
-        {
-            std::lock_guard<std::mutex> g(mu);
-            probeCompilerLocked();
-            cxxCmd = cxx;
-            cxxVer = cxxId;
-        }
-        if (cxxCmd.empty())
+        probeCompilerLocked();
+        if (cxx.empty())
             return fail("compile", "no working C++ compiler found",
                         &JitStats::compileFailures);
 
-        const std::string claimPath = lockPath(job.dir, job.key);
-        FileLock claim;
-        auto won = claim.tryLock(claimPath);
-        if (!won.ok())
-            return fail("compile", "claim: " + won.status().toString(),
+        const char *tmp = std::getenv("TMPDIR");
+        std::string dir =
+            std::string(tmp && *tmp ? tmp : "/tmp") + "/dsagen-jit-XXXXXX";
+        if (!::mkdtemp(dir.data()))
+            return fail("compile",
+                        errnoStatus("jit.mkdtemp", errno).toString(),
                         &JitStats::compileFailures);
-        if (!*won) {
-            // Another live holder is compiling: wait for it to publish,
-            // then reuse its object. Bounded — a wedged holder
-            // degrades us to the interpreted tier, not a hang.
-            {
-                std::lock_guard<std::mutex> g(mu);
-                ++stats.lockWaits;
-            }
-            for (int spin = 0; spin < 500; ++spin) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-                JitStats local;
-                if (probeObject(job.dir, job.key, local, &soPath,
-                                &diag) == ProbeResult::Hit) {
-                    {
-                        std::lock_guard<std::mutex> g(mu);
-                        ++stats.diskHits;
-                    }
-                    if (loadObject(soPath, out.fn, diag)) {
-                        out.state = Entry::Ready;
-                        return out;
-                    }
-                    return fail("dlopen", diag,
-                                &JitStats::dlopenFailures);
-                }
-                if (auto again = claim.tryLock(claimPath);
-                    again.ok() && *again)
-                    break; // holder died without publishing: take over
-            }
-            if (!claim.held())
-                return fail("compile",
-                            "timed out waiting for a racing compile",
-                            &JitStats::compileFailures);
-        }
-
-        // We own the claim. Re-probe once under the lock (the previous
-        // owner may have published between our probe and the take).
-        {
-            JitStats local;
-            if (probeObject(job.dir, job.key, local, &soPath, &diag) ==
-                ProbeResult::Hit) {
-                claim.unlock();
-                {
-                    std::lock_guard<std::mutex> g(mu);
-                    ++stats.diskHits;
-                }
-                if (loadObject(soPath, out.fn, diag)) {
-                    out.state = Entry::Ready;
-                    return out;
-                }
-                return fail("dlopen", diag, &JitStats::dlopenFailures);
-            }
-        }
-
-        std::string pid = std::to_string(static_cast<long>(::getpid()));
-        std::string src = job.dir + "/src-" + job.key + "-" + pid + ".cc";
-        std::string tmpSo = job.dir + "/tmp-" + job.key + "-" + pid + ".so";
-        if (Status st = writeFileAtomic(src, job.source); !st.ok())
-            return fail("compile", "kernel source: " + st.toString(),
-                        &JitStats::compileFailures);
-
-        double t0 = nowMs();
-        std::string log;
-        bool okc = runCommand(shellQuote(cxxCmd) + " " + kCompileFlags +
-                                  " " + shellQuote(src) + " -o " +
-                                  shellQuote(tmpSo) + " 2>&1",
-                              log);
-        double elapsed = nowMs() - t0;
+        // glibc's dlopen() returns the already-loaded object for a
+        // pathname it has seen, so every object gets a new one. The
+        // mapping keeps the deleted file's inode alive, so its device
+        // and inode (glibc's other identity check) are never reused.
+        const std::string src = dir + "/kernel.cc";
+        const std::string obj =
+            dir + "/kernel-" + std::to_string(++objects) + ".so";
+        std::string log = "cannot write the kernel source";
+        bool compiled = false;
+        std::ofstream file(src, std::ios::binary);
+        file << source;
+        file.close();
+        if (file)
+            compiled = runCommand(shellQuote(cxx) + " " + kCompileFlags +
+                                      " " + shellQuote(src) + " -o " +
+                                      shellQuote(obj) + " 2>&1",
+                                  log);
+        std::string diag;
+        const bool loaded = compiled && loadObject(obj, out.fn, diag);
         ::unlink(src.c_str());
-        if (!okc) {
-            ::unlink(tmpSo.c_str());
+        ::unlink(obj.c_str());
+        ::rmdir(dir.c_str());
+        if (!compiled)
             return fail("compile", firstLine(log),
                         &JitStats::compileFailures);
-        }
-
-        ObjectMeta meta;
-        meta.key = job.key;
-        meta.fingerprint = job.fingerprint;
-        meta.compiler = cxxVer;
-        meta.flags = kCompileFlags;
-        if (Status st = publishObject(job.dir, job.key, tmpSo, meta);
-            !st.ok()) {
-            ::unlink(tmpSo.c_str());
-            return fail("compile", "publish: " + st.toString(),
-                        &JitStats::compileFailures);
-        }
-        claim.unlock();
-        {
-            std::lock_guard<std::mutex> g(mu);
-            ++stats.compiles;
-            stats.compileMs += elapsed;
-        }
-        if (loadObject(objectPath(job.dir, job.key), out.fn, diag))
-            out.state = Entry::Ready;
-        else
+        ++stats.compiles;
+        if (!loaded)
             return fail("dlopen", diag, &JitStats::dlopenFailures);
         return out;
     }
 };
+
+JitRuntime::JitRuntime() : impl_(new Impl) {}
 
 JitRuntime &
 JitRuntime::instance()
 {
     static JitRuntime rt;
     return rt;
-}
-
-JitRuntime::Impl *
-JitRuntime::impl()
-{
-    // Lazy so a process that never jits pays nothing.
-    static std::once_flag once;
-    std::call_once(once, [this] { impl_ = new Impl; });
-    return impl_;
-}
-
-JitRuntime::~JitRuntime()
-{
-    if (!impl_)
-        return;
-    {
-        std::lock_guard<std::mutex> g(impl_->mu);
-        impl_->stopping = true;
-        impl_->jobs.clear();
-    }
-    impl_->cv.notify_all();
-    if (impl_->worker.joinable())
-        impl_->worker.join();
-    // impl_ (and every loaded object) leaks deliberately: kernels may
-    // still be referenced by machines torn down after us.
 }
 
 bool
@@ -417,104 +222,55 @@ JitRuntime::hostSupported()
 #endif
 }
 
-const std::string &
-JitRuntime::compilerId()
+bool
+JitRuntime::hasCompiler()
 {
-    Impl *im = impl();
-    std::lock_guard<std::mutex> g(im->mu);
-    im->probeCompilerLocked();
-    return im->cxxId;
+    std::lock_guard<std::mutex> g(impl_->mu);
+    impl_->probeCompilerLocked();
+    return !impl_->cxx.empty();
 }
 
-std::string
-JitRuntime::makeKey(const std::string &source,
-                    const std::string &compilerId, uint64_t optionsHash)
+uint64_t
+JitRuntime::keyOf(const std::string &source)
 {
-    uint64_t h = xxhash64(source.data(), source.size(), /*seed=*/0x1515);
-    h = hashCombine(h, xxhash64(compilerId.data(), compilerId.size(), 0));
-    h = hashCombine(h, static_cast<uint64_t>(kAbiVersion));
-    h = hashCombine(h, optionsHash);
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return xxhash64(source.data(), source.size(), /*seed=*/0x1515);
 }
 
 KernelFn
-JitRuntime::acquire(const std::string &dir, const std::string &key,
-                    const std::string &source,
-                    const std::function<std::string()> &fingerprint,
+JitRuntime::acquire(uint64_t key, const std::string &source,
                     bool allowCompile)
 {
     if (!hostSupported())
         return nullptr;
-    Impl *im = impl();
-    std::unique_lock<std::mutex> lk(im->mu);
-    ++im->stats.requests;
-    std::string id = dir + "|" + key;
-    auto it = im->entries.find(id);
-    if (it != im->entries.end()) {
-        Impl::Entry &e = it->second;
-        if (allowCompile)
-            e.compileRequested = true;
-        if (e.state == Impl::Entry::Ready) {
-            ++im->stats.memHits;
-            return e.fn;
-        }
-        if (e.state == Impl::Entry::Failed)
+    std::lock_guard<std::mutex> g(impl_->mu);
+    ++impl_->stats.requests;
+    auto it = impl_->entries.find(key);
+    if (it == impl_->entries.end()) {
+        if (!allowCompile)
             return nullptr;
-        if (e.state == Impl::Entry::Cold && allowCompile) {
-            // Threshold crossed after the probe-only pass: upgrade.
-            e.state = Impl::Entry::Pending;
-            im->jobs.push_back({dir, key, source,
-                                fingerprint ? fingerprint()
-                                            : std::string(),
-                                true});
-            im->ensureWorkerLocked();
-            im->cv.notify_all();
-        } else if (e.state == Impl::Entry::Cold) {
-            return nullptr;
-        }
-    } else {
-        Impl::Entry e;
-        e.state = Impl::Entry::Pending;
-        e.compileRequested = allowCompile;
-        im->entries.emplace(id, e);
-        im->jobs.push_back({dir, key, source,
-                            fingerprint ? fingerprint() : std::string(),
-                            allowCompile});
-        im->ensureWorkerLocked();
-        im->cv.notify_all();
+        const double t0 = nowMs();
+        Impl::Entry built = impl_->build(source);
+        impl_->stats.compileMs += nowMs() - t0;
+        it = impl_->entries.emplace(key, std::move(built)).first;
     }
-    if (!syncMode())
-        return nullptr;
-    im->doneCv.wait(lk, [&] {
-        Impl::Entry &e = im->entries[id];
-        return e.state != Impl::Entry::Pending;
-    });
-    Impl::Entry &e = im->entries[id];
-    if (e.state == Impl::Entry::Ready) {
-        ++im->stats.memHits;
-        return e.fn;
-    }
-    return nullptr;
+    if (it->second.fn)
+        ++impl_->stats.memHits;
+    return it->second.fn;
 }
 
 std::string
-JitRuntime::diagnostic(const std::string &dir, const std::string &key)
+JitRuntime::diagnostic(uint64_t key)
 {
-    Impl *im = impl();
-    std::lock_guard<std::mutex> g(im->mu);
-    auto it = im->entries.find(dir + "|" + key);
-    return it == im->entries.end() ? std::string() : it->second.diag;
+    std::lock_guard<std::mutex> g(impl_->mu);
+    auto it = impl_->entries.find(key);
+    return it == impl_->entries.end() ? std::string() : it->second.diag;
 }
 
 JitStats
 JitRuntime::stats() const
 {
-    Impl *im = const_cast<JitRuntime *>(this)->impl();
-    std::lock_guard<std::mutex> g(im->mu);
-    return im->stats;
+    std::lock_guard<std::mutex> g(impl_->mu);
+    return impl_->stats;
 }
 
 extern "C" void

@@ -1,10 +1,10 @@
 /**
  * @file
  * Process-wide counters for the JIT simulation tier: how many kernel
- * requests were served from the in-memory registry, loaded from the
- * on-disk object cache, compiled fresh, or degraded (compile/dlopen
- * failure, quarantined object). Snapshots are plain value structs so
- * callers (DSE results, --sim-stats, tests) can diff before/after.
+ * requests were served a native kernel, how many kernels were compiled
+ * and how long that took, and how many builds degraded (compile or
+ * dlopen failure). Snapshots are plain value structs so callers (DSE
+ * results, --sim-stats, tests) can diff before/after.
  */
 
 #ifndef DSA_SIM_JIT_JIT_STATS_H
@@ -17,14 +17,18 @@ namespace dsa::sim::jit {
 struct JitStats
 {
     int64_t requests = 0;       ///< acquire() calls (per armed program)
-    int64_t memHits = 0;        ///< served by the in-process registry
-    int64_t diskHits = 0;       ///< dlopen'd from the object cache
+    /** Requests served a native kernel, including the one whose
+     *  compile registered it. */
+    int64_t memHits = 0;
+    /** Always 0: no object is loaded from another process. Kept only
+     *  because the end-to-end benchmark reports it. */
+    int64_t diskHits = 0;
     int64_t compiles = 0;       ///< compiler invocations that succeeded
     int64_t compileFailures = 0;///< compiler missing/failed/faulted
-    int64_t dlopenFailures = 0; ///< object built/loaded but not mappable
-    int64_t quarantined = 0;    ///< corrupt cache entries set aside
-    int64_t lockWaits = 0;      ///< found the compile claim held, waited
-    double compileMs = 0.0;     ///< total wall time inside the compiler
+    int64_t dlopenFailures = 0; ///< object built but not mappable
+    /** Wall time spent building kernels: compiler probe, compile and
+     *  dlopen, failed builds included. */
+    double compileMs = 0.0;
 
     JitStats
     operator-(const JitStats &o) const
@@ -36,8 +40,6 @@ struct JitStats
         d.compiles = compiles - o.compiles;
         d.compileFailures = compileFailures - o.compileFailures;
         d.dlopenFailures = dlopenFailures - o.dlopenFailures;
-        d.quarantined = quarantined - o.quarantined;
-        d.lockWaits = lockWaits - o.lockWaits;
         d.compileMs = compileMs - o.compileMs;
         return d;
     }

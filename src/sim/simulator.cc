@@ -9,12 +9,9 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "adg/fingerprint.h"
-#include "base/hashing.h"
 #include "base/logging.h"
 #include "base/strings.h"
 #include "sim/compute_plan.h"
-#include "sim/jit/jit_cache.h"
 #include "sim/jit/jit_emit.h"
 #include "sim/jit/jit_runtime.h"
 #include "sim/machine_state.h"
@@ -376,10 +373,11 @@ class Machine
 
     /// @name JIT tier: native execution of the armed period program
     ///
-    /// At arm time the period program is additionally lowered to C++
-    /// (sim/jit/jit_emit) and handed to the process-wide JitRuntime;
-    /// replayRun() dispatches whole chunks through the native kernel
-    /// once it is Ready, interpreting until then. The kernel performs
+    /// Once replay volume passes the amortization gate, the armed
+    /// period program is lowered to C++ (sim/jit/jit_emit) and handed
+    /// to the process-wide JitRuntime; replayRun() dispatches whole
+    /// chunks through the native kernel once acquire() returns one,
+    /// interpreting until then. The kernel performs
     /// exactly the hot loop's value mutations; the chunk-end fix-ups
     /// stay host-side and are shared between both paths, plus two
     /// host-side extras the interpreted loop does per element (sink
@@ -390,7 +388,7 @@ class Machine
      *  (cheap: actual lowering is deferred to jitTryNative so runs
      *  that never replay long enough to win never pay for it). */
     void jitArm(int r);
-    /** Lower the armed program (source text, cache key) — the
+    /** Lower the armed program (source text, registry key) — the
      *  expensive half of arming, run at most once per arm and only
      *  once replay volume passes the amortization gate. */
     void jitLower();
@@ -415,11 +413,6 @@ class Machine
     int jitRegion_ = -1;      ///< region of the current arm
     int64_t jitArmReplayed0_ = 0; ///< cyclesReplayed_ at arm time
     int64_t cyclesJit_ = 0;
-    std::string jitDir_;
-    /** Canonical ADG fingerprint, computed only if acquire() starts a
-     *  new compile job (manifest metadata; ~50µs structural walk). */
-    std::string jitFp_;
-    uint64_t jitOptsHash_ = 0;
     bool jitUsable_ = false; ///< armed program lowered successfully
     /** Minimum chunk size (in simulated cycles) worth running
      *  natively: every native call pays a table rebind proportional
@@ -427,7 +420,7 @@ class Machine
      *  faster through the interpreted loop. Set at arm time. */
     int64_t jitMinChunkCycles_ = 0;
     jit::Emitted jitEm_;
-    std::string jitKey_;
+    uint64_t jitKey_ = 0;
     jit::KernelFn jitFn_ = nullptr;
     /// Kernel argument tables, rebound before every native chunk.
     std::vector<long long> jitS_;
@@ -586,9 +579,6 @@ Machine::build()
                 opts_.engine == Engine::Jit;
     jitWanted_ = opts_.engine == Engine::Jit &&
                  jit::JitRuntime::hostSupported();
-    if (jitWanted_)
-        jitDir_ = opts_.jitCacheDir.empty() ? jit::defaultCacheDir()
-                                            : opts_.jitCacheDir;
     if (compiled_) {
         plans_.resize(regions_.size());
         for (size_t r = 0; r < regions_.size(); ++r)
@@ -1340,13 +1330,8 @@ Machine::jitLower()
     jit::Emitted em = b.finish();
     if (em.source.empty())
         return;
-    jitOptsHash_ =
-        hashCombine(static_cast<uint64_t>(opts_.scalarElementInterval),
-                    static_cast<uint64_t>(1));
     jitEm_ = std::move(em);
-    jitKey_ = jit::JitRuntime::makeKey(
-        jitEm_.source, jit::JitRuntime::instance().compilerId(),
-        jitOptsHash_);
+    jitKey_ = jit::JitRuntime::keyOf(jitEm_.source);
     // Break-even gate for jitTryNative: the per-call rebind walks
     // every operand-table slot, so a chunk must simulate at least on
     // the order of that many cycles before native execution wins.
@@ -1384,19 +1369,8 @@ Machine::jitTryNative(int64_t m)
     if (!jitFn_) {
         const bool allowCompile = opts_.jitHotCycles <= 0 ||
                                   cyclesReplayed_ >= opts_.jitHotCycles;
-        // The fingerprint lambda runs only when this acquire starts a
-        // new job (first sight of the key in this process): the
-        // structural walk costs ~50µs, which would dominate short
-        // runs if paid per Machine on warm hits.
         jitFn_ = jit::JitRuntime::instance().acquire(
-            jitDir_, jitKey_, jitEm_.source,
-            [this] {
-                if (jitFp_.empty())
-                    jitFp_ =
-                        adg::toString(adg::structuralFingerprint(adg_));
-                return jitFp_;
-            },
-            allowCompile);
+            jitKey_, jitEm_.source, allowCompile);
         if (!jitFn_)
             return false;
         jitS_.resize(jitEm_.state.size());

@@ -64,14 +64,15 @@ enum class Engine
      */
     Compiled,
     /**
-     * Compiled plus runtime code generation: an armed period program
-     * is lowered to C++, compiled to a shared object on a background
-     * thread (interpreted replay serves until it is ready), dlopen()ed,
-     * and whole replay chunks then run natively. Objects are
-     * content-addressed and cached on disk (sim/jit/jit_cache.h), so
-     * repeated runs and DSE worker pools compile each kernel shape
-     * once. Degrades silently to Compiled when the host has no
-     * compiler, compilation fails, or a fault site fires.
+     * Compiled plus runtime code generation: once a machine has
+     * replayed jitHotCycles cycles, an armed period program is lowered
+     * to C++, compiled to a shared object on the simulating thread,
+     * dlopen()ed, and whole replay chunks then run natively. Kernels
+     * are registered per process by a hash of their source
+     * (sim/jit/jit_runtime.h), so every machine in the process that
+     * arms the same program shares one compile; nothing is cached
+     * across processes. Degrades silently to Compiled when the host
+     * has no compiler, compilation fails, or a fault site fires.
      */
     Jit,
 };
@@ -127,14 +128,11 @@ struct SimOptions
      * image are `engine`'s. Do not combine with a limited deadline.
      */
     std::optional<Engine> checkAgainst;
-    /** JIT object-cache directory ("" = $DSA_SIM_JIT_DIR, else a
-     *  per-uid default under $TMPDIR). */
-    std::string jitCacheDir;
     /**
      * Jit compile threshold: invoke the compiler only once a machine
-     * has replayed at least this many cycles (cache probes still
-     * happen immediately, so previously compiled kernels load
-     * regardless). 0 compiles eagerly at arm.
+     * has replayed at least this many cycles (a kernel another machine
+     * in the process already compiled is used regardless). 0 compiles
+     * eagerly at arm.
      */
     int64_t jitHotCycles = 65536;
 };

@@ -1,5 +1,7 @@
 /** @file Tests for control-program codegen, DFG text format, reports. */
 
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "adg/prebuilt.h"
@@ -79,38 +81,6 @@ TEST(DfgText, RoundTripLoweredRegion)
     EXPECT_NE(text.find("input"), std::string::npos);
     EXPECT_NE(text.find("output"), std::string::npos);
     EXPECT_NE(text.find("acc"), std::string::npos);
-
-    dfg::Region parsed = dfg::regionFromText(text);
-    EXPECT_EQ(parsed.dfg.numInstructions(), reg.dfg.numInstructions());
-    EXPECT_EQ(parsed.dfg.inputPorts().size(),
-              reg.dfg.inputPorts().size());
-    EXPECT_EQ(parsed.dfg.outputPorts().size(),
-              reg.dfg.outputPorts().size());
-    EXPECT_EQ(parsed.streams.size(), reg.streams.size());
-    // Serialization is stable (fixed point after one round trip).
-    EXPECT_EQ(dfg::regionToText(parsed), text);
-}
-
-TEST(DfgText, HandAuthoredGraph)
-{
-    const char *text = R"(
-# doubler
-input a lanes=2 width=64
-m0 = mul a.0, #3
-m1 = mul a.1, #3
-s = add m0, m1
-acc0 = add s acc init=0 reset=4
-output o = acc0 every=4
-stream linear_read port=a space=main base=0 elem=8 stride=1 len=8
-stream linear_write port=o space=main base=128 elem=8 stride=1 len=2
-)";
-    dfg::Region reg = dfg::regionFromText(text);
-    EXPECT_TRUE(reg.validate().empty()) << reg.validate().front();
-    EXPECT_EQ(reg.dfg.numInstructions(), 4);
-    bool hasAcc = false;
-    for (const auto &vx : reg.dfg.vertices())
-        hasAcc |= vx.selfAcc && vx.accResetEvery == 4;
-    EXPECT_TRUE(hasAcc);
 }
 
 TEST(DfgText, JoinControlSurvivesRoundTrip)
@@ -119,25 +89,21 @@ TEST(DfgText, JoinControlSurvivesRoundTrip)
     const auto &reg = c.prog.regions[0];
     std::string text = dfg::regionToText(reg);
     EXPECT_NE(text.find("ctrl=self"), std::string::npos);
-    dfg::Region parsed = dfg::regionFromText(text);
-    int ctrlCount = 0, parsedCtrl = 0;
-    for (const auto &vx : reg.dfg.vertices())
-        ctrlCount += vx.ctrl.active();
-    for (const auto &vx : parsed.dfg.vertices()) {
+    // Every controlled instruction's line carries its emit mask.
+    int ctrlCount = 0;
+    for (const auto &vx : reg.dfg.vertices()) {
         if (!vx.ctrl.active())
             continue;
-        ++parsedCtrl;
-        // Masks preserved.
-        bool found = false;
-        for (const auto &orig : reg.dfg.vertices())
-            if (orig.name == vx.name) {
-                found = true;
-                EXPECT_EQ(orig.ctrl.emitMask, vx.ctrl.emitMask);
-                EXPECT_EQ(orig.ctrl.popMask[0], vx.ctrl.popMask[0]);
-            }
-        EXPECT_TRUE(found);
+        ++ctrlCount;
+        size_t line = text.find("\n" + vx.name + " = ");
+        ASSERT_NE(line, std::string::npos) << vx.name;
+        std::string body = text.substr(line + 1,
+                                       text.find('\n', line + 1) - line - 1);
+        char emit[16];
+        std::snprintf(emit, sizeof emit, " emit=0x%x", vx.ctrl.emitMask);
+        EXPECT_NE(body.find(emit), std::string::npos) << body;
     }
-    EXPECT_EQ(ctrlCount, parsedCtrl);
+    EXPECT_GT(ctrlCount, 0);
 }
 
 TEST(Report, UtilizationTables)

@@ -10,7 +10,6 @@
 
 #include "adg/prebuilt.h"
 #include "base/status.h"
-#include "dfg/dfg_text.h"
 #include "hwgen/config_path.h"
 #include "hwgen/verilog.h"
 #include "ir/interp.h"
@@ -160,12 +159,6 @@ TEST(InterpErrors, AccumulateAsExpressionAborts)
     k.body = {makeStore("a", intConst(0), unary(OpCode::Acc, intConst(1)))};
     ArrayStore st(k);
     EXPECT_DEATH(interpret(k, st), "accumulate is not an expression-level op");
-}
-
-TEST(DfgTextErrors, UnknownValueFatal)
-{
-    EXPECT_EXIT(dfg::regionFromText("x = add ghost, #1\n"),
-                ExitedWithCode(1), "unknown value");
 }
 
 TEST(OpcodeErrors, UnknownNameFatal)

@@ -224,6 +224,25 @@ cmdCompile(const std::string &workload, const std::string &target,
     return sched.cost.legal() ? 0 : 1;
 }
 
+/** The JIT counters, one line (two when a build degraded), each line
+ *  starting with @p indent; nothing when no kernel was requested. */
+void
+printJitStats(const sim::jit::JitStats &js, const char *indent)
+{
+    if (js.requests == 0)
+        return;
+    std::printf("%sjit kernels: %lld compiled (%.1f ms), %lld of %lld "
+                "requests served natively\n",
+                indent, static_cast<long long>(js.compiles), js.compileMs,
+                static_cast<long long>(js.memHits),
+                static_cast<long long>(js.requests));
+    if (js.compileFailures + js.dlopenFailures > 0)
+        std::printf("%sjit degrades: %lld compile failures, %lld dlopen "
+                    "failures\n",
+                    indent, static_cast<long long>(js.compileFailures),
+                    static_cast<long long>(js.dlopenFailures));
+}
+
 int
 cmdRun(const std::string &workload, const std::string &target, int unroll,
        const sim::SimOptions &simOpts, bool simStats)
@@ -278,25 +297,7 @@ cmdRun(const std::string &workload, const std::string &target, int unroll,
         std::printf("  idle (skipped):        %12lld (%5.1f%%)\n",
                     static_cast<long long>(res.cyclesSkipped),
                     pct(res.cyclesSkipped));
-        const sim::jit::JitStats js = sim::jit::JitRuntime::instance().stats();
-        if (js.requests > 0) {
-            int64_t hits = js.memHits + js.diskHits;
-            std::printf(
-                "  jit objects: %lld compiled (%.1f ms), %lld mem + "
-                "%lld disk hits of %lld requests\n",
-                static_cast<long long>(js.compiles), js.compileMs,
-                static_cast<long long>(js.memHits),
-                static_cast<long long>(js.diskHits),
-                static_cast<long long>(js.requests));
-            if (js.compileFailures + js.dlopenFailures + js.quarantined >
-                0)
-                std::printf("  jit degrades: %lld compile failures, "
-                            "%lld dlopen failures, %lld quarantined\n",
-                            static_cast<long long>(js.compileFailures),
-                            static_cast<long long>(js.dlopenFailures),
-                            static_cast<long long>(js.quarantined));
-            (void)hits;
-        }
+        printJitStats(sim::jit::JitRuntime::instance().stats(), "  ");
     }
     double host = model::estimateHostCycles(b.golden.stats);
     std::printf("\nspeedup vs host model: %.2fx\n",
@@ -421,25 +422,12 @@ finishDse(const dse::DseResult &res, const std::string &savePath,
     if (!res.simSpeedups.empty()) {
         std::printf(
             "simulator validation on best design (dense==sparse=="
-            "compiled==jit, wall-clock dense/jit):\n");
+            "compiled==jit, wall-clock dense/jit net of jit compile "
+            "time):\n");
         for (const auto &[name, sx] : res.simSpeedups)
             std::printf("  %-12s %.2fx\n", name.c_str(), sx);
     }
-    const sim::jit::JitStats &js = res.jitStats;
-    if (js.requests > 0) {
-        std::printf("jit objects: %lld compiled (%.1f ms), %lld mem + "
-                    "%lld disk hits of %lld requests\n",
-                    static_cast<long long>(js.compiles), js.compileMs,
-                    static_cast<long long>(js.memHits),
-                    static_cast<long long>(js.diskHits),
-                    static_cast<long long>(js.requests));
-        if (js.compileFailures + js.dlopenFailures + js.quarantined > 0)
-            std::printf("jit degrades: %lld compile failures, %lld "
-                        "dlopen failures, %lld quarantined\n",
-                        static_cast<long long>(js.compileFailures),
-                        static_cast<long long>(js.dlopenFailures),
-                        static_cast<long long>(js.quarantined));
-    }
+    printJitStats(res.jitStats, "");
     if (writeOutput(savePath, res.best.toText(), "design saved to") != 0)
         return 1;
     return res.stopReason == "error" ? 1 : 0;
@@ -703,8 +691,8 @@ usage()
         "                         of memory; fail on any divergence\n"
         "      --sim-stats        per-engine wall-cycle breakdown\n"
         "                         (compiled / replayed / jit-native /\n"
-        "                         interpreted / skipped) + jit object\n"
-        "                         cache and compile stats\n"
+        "                         interpreted / skipped) + jit kernel\n"
+        "                         compiles and requests served natively\n"
         "  dse <suite> [iters] [threads] [batch]\n"
         "      threads: evaluation workers (0 = all cores); results\n"
         "      are identical for any thread count\n"
@@ -735,6 +723,7 @@ usage()
         "      --validate-sim           simulate the best design on every\n"
         "                               engine, check each against dense\n"
         "                               and report dense/jit speedups\n"
+        "                               (net of jit compile time)\n"
         "      --pareto                 multi-objective search: keep a\n"
         "                               (perf, area, power) Pareto front\n"
         "                               and accept by hypervolume gain\n"
