@@ -23,8 +23,8 @@ namespace {
 // Frame header: 4 magic bytes + u32 little-endian payload length.
 constexpr char kMagic[4] = {'D', 'S', 'A', 'F'};
 constexpr size_t kHeaderSize = 8;
-// A frame carries at most one candidate batch (ADG texts + schedule
-// cache JSON); 256 MiB is far past any legitimate payload and catches
+// A frame carries at most one candidate batch (ADG texts + an encoded
+// repair cache); 256 MiB is far past any legitimate payload and catches
 // a corrupted length field before it turns into an allocation bomb.
 constexpr uint32_t kMaxFrameBytes = 256u << 20;
 

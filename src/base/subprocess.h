@@ -4,11 +4,10 @@
 //
 // Subprocess::spawn() forks and execs a program with its stdin/stdout
 // attached to a pair of pipes; the parent then exchanges frames (a fixed
-// magic + little-endian length header followed by an opaque payload, JSON
-// by convention in this codebase) and reaps the child's exit or signal
-// status. Reads honor a Deadline so a hung child turns into a
-// DeadlineExceeded status the caller can act on (kill + retry elsewhere)
-// instead of a wedged coordinator.
+// magic + little-endian length header followed by an opaque payload) and
+// reaps the child's exit or signal status. Reads honor a Deadline so a
+// hung child turns into a DeadlineExceeded status the caller can act on
+// (kill + retry elsewhere) instead of a wedged coordinator.
 
 #include <cstdint>
 #include <memory>

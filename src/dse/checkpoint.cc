@@ -67,8 +67,6 @@ resultToJson(const DseResult &r)
     return doc;
 }
 
-} // namespace
-
 Value
 dseOptionsToJson(const DseOptions &o)
 {
@@ -114,8 +112,6 @@ dseOptionsToJson(const DseOptions &o)
             Value::number(o.workerRequestTimeoutMs));
     return doc;
 }
-
-namespace {
 
 Value
 frontToJson(const ParetoFront &front)
@@ -426,13 +422,22 @@ frontFromJson(Reader &rd, const Value &doc)
 
 } // namespace
 
-Result<DseOptions>
-dseOptionsFromJson(const Value &doc)
+std::string
+dseOptionsToText(const DseOptions &opts)
 {
-    Reader rd;
-    if (!doc.isObject())
+    return dseOptionsToJson(opts).dump();
+}
+
+Result<DseOptions>
+dseOptionsFromText(const std::string &text)
+{
+    auto doc = json::parse(text);
+    if (!doc.ok())
+        return Status::dataLoss("options: " + doc.status().message());
+    if (!doc.value().isObject())
         return Status::dataLoss("options is not an object");
-    DseOptions o = optionsFromJson(rd, doc);
+    Reader rd;
+    DseOptions o = optionsFromJson(rd, doc.value());
     if (!rd.err.ok())
         return rd.err;
     return o;

@@ -63,18 +63,17 @@ json::Value checkpointToJson(const std::vector<std::string> &workloadNames,
                              const DseOptions &opts,
                              const DseRunState &state);
 
-/// @name Shared serializers
-/// Exported for the worker-pool pipe protocol, whose init frame ships
-/// the options to workers in exactly the checkpoint's bytes. Round-
-/// trips are exact — the bit-identity of multi-process runs rests on
-/// it. (Repair caches and eval entries use dse/entry_codec.h.)
+/// @name Options as text
+/// The worker-pool init frame ships the options to workers as exactly
+/// the checkpoint's JSON text. Round-trips are exact — the
+/// bit-identity of multi-process runs rests on it.
 /// @{
 
-/** Serialize exploration options (test-only knobs excluded). */
-json::Value dseOptionsToJson(const DseOptions &opts);
+/** The options' JSON text (test-only knobs excluded). */
+std::string dseOptionsToText(const DseOptions &opts);
 
-/** Rebuild exploration options; DataLoss on corrupt input. */
-Result<DseOptions> dseOptionsFromJson(const json::Value &doc);
+/** Rebuild options from dseOptionsToText; DataLoss on corrupt input. */
+Result<DseOptions> dseOptionsFromText(const std::string &text);
 
 /// @}
 

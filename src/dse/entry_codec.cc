@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/logging.h"
+
 namespace dsa::dse {
 
 namespace {
@@ -56,6 +58,13 @@ class Writer
     }
 
     void
+    text(std::string_view s)
+    {
+        count(s.size());
+        out_.append(s);
+    }
+
+    void
     key(const EvalKey &k)
     {
         u64(k.structural.hi);
@@ -96,6 +105,36 @@ class Writer
             i32(v);
     }
 
+    void
+    entry(const EvalKey &k, const EvalCacheEntry &e)
+    {
+        key(k);
+        f64(e.objective);
+        f64(e.perf);
+        f64(e.cost.areaMm2);
+        f64(e.cost.powerMw);
+        count(e.tasks.size());
+        for (const EvalTaskOutcome &t : e.tasks) {
+            u8((t.lowered ? kLowered : 0) | (t.legal ? kLegal : 0));
+            f64(t.cycles);
+            if (t.legal)
+                schedule(t.sched);
+        }
+    }
+
+    void
+    cache(const ScheduleCache &c)
+    {
+        count(c.size());
+        for (const auto &[version, e] : c) {
+            i32(version.first);
+            i32(version.second);
+            u8(e.hasLegal ? 1 : 0);
+            if (e.hasLegal)
+                schedule(e.sched);
+        }
+    }
+
     std::string take() { return std::move(out_); }
 
   private:
@@ -112,6 +151,17 @@ class Reader
     }
 
     bool ok() const { return err_.ok(); }
+
+    /** Record @p why as the error unless one is recorded; false. */
+    bool
+    fail(const std::string &why)
+    {
+        if (ok())
+            err_ = Status::dataLoss(std::string(what_) + ": " + why +
+                                    " at byte " + std::to_string(pos_) +
+                                    " of " + std::to_string(bytes_.size()));
+        return false;
+    }
 
     /** One byte that may only set bits of @p mask. */
     uint8_t
@@ -223,6 +273,58 @@ class Reader
         return s;
     }
 
+    std::string
+    text()
+    {
+        size_t n = count(1);
+        std::string s(bytes_.substr(pos_, n));
+        pos_ += n;
+        return s;
+    }
+
+    EvalStoreRecord
+    entry()
+    {
+        EvalStoreRecord rec;
+        rec.key = key();
+        auto e = std::make_shared<EvalCacheEntry>();
+        e->objective = f64();
+        e->perf = f64();
+        e->cost.areaMm2 = f64();
+        e->cost.powerMw = f64();
+        // Smallest task: the flag byte and the cycle count.
+        e->tasks.resize(count(9));
+        for (EvalTaskOutcome &t : e->tasks) {
+            uint8_t flags = u8(kLowered | kLegal);
+            t.lowered = flags & kLowered;
+            t.legal = flags & kLegal;
+            t.cycles = f64();
+            if (t.legal)
+                t.sched = schedule();
+        }
+        rec.entry = std::move(e);
+        return rec;
+    }
+
+    ScheduleCache
+    cache()
+    {
+        ScheduleCache c;
+        // Smallest entry: kernel, unroll and the flag byte.
+        size_t n = count(3);
+        for (size_t i = 0; i < n && ok(); ++i) {
+            int32_t kernel = i32();
+            int32_t unroll = i32();
+            ScheduleCacheEntry *e = slot(c, std::make_pair(kernel, unroll));
+            if (!e)
+                break;
+            e->hasLegal = u8(1) != 0;
+            if (e->hasLegal)
+                e->sched = schedule();
+        }
+        return c;
+    }
+
     /**
      * The value slot for @p key, appended at the end of @p map, or
      * null (and an error) unless @p key sorts after every key there:
@@ -285,16 +387,6 @@ class Reader
         return 0;
     }
 
-    bool
-    fail(const std::string &why)
-    {
-        if (ok())
-            err_ = Status::dataLoss(std::string(what_) + ": " + why +
-                                    " at byte " + std::to_string(pos_) +
-                                    " of " + std::to_string(bytes_.size()));
-        return false;
-    }
-
     std::string_view bytes_;
     size_t pos_ = 0;
     const char *what_;
@@ -307,18 +399,7 @@ std::string
 encodeEvalEntry(const EvalKey &key, const EvalCacheEntry &entry)
 {
     Writer w;
-    w.key(key);
-    w.f64(entry.objective);
-    w.f64(entry.perf);
-    w.f64(entry.cost.areaMm2);
-    w.f64(entry.cost.powerMw);
-    w.count(entry.tasks.size());
-    for (const EvalTaskOutcome &t : entry.tasks) {
-        w.u8((t.lowered ? kLowered : 0) | (t.legal ? kLegal : 0));
-        w.f64(t.cycles);
-        if (t.legal)
-            w.schedule(t.sched);
-    }
+    w.entry(key, entry);
     return w.take();
 }
 
@@ -326,27 +407,10 @@ Result<EvalStoreRecord>
 decodeEvalEntry(std::string_view bytes)
 {
     Reader rd(bytes, "eval entry");
-    EvalStoreRecord rec;
-    rec.key = rd.key();
-    auto entry = std::make_shared<EvalCacheEntry>();
-    entry->objective = rd.f64();
-    entry->perf = rd.f64();
-    entry->cost.areaMm2 = rd.f64();
-    entry->cost.powerMw = rd.f64();
-    // Smallest task: the flag byte and the cycle count.
-    entry->tasks.resize(rd.count(9));
-    for (EvalTaskOutcome &t : entry->tasks) {
-        uint8_t flags = rd.u8(kLowered | kLegal);
-        t.lowered = flags & kLowered;
-        t.legal = flags & kLegal;
-        t.cycles = rd.f64();
-        if (t.legal)
-            t.sched = rd.schedule();
-    }
+    EvalStoreRecord rec = rd.entry();
     Status s = rd.finish();
     if (!s.ok())
         return s;
-    rec.entry = std::move(entry);
     return rec;
 }
 
@@ -354,14 +418,7 @@ std::string
 encodeScheduleCache(const ScheduleCache &cache)
 {
     Writer w;
-    w.count(cache.size());
-    for (const auto &[version, entry] : cache) {
-        w.i32(version.first);
-        w.i32(version.second);
-        w.u8(entry.hasLegal ? 1 : 0);
-        if (entry.hasLegal)
-            w.schedule(entry.sched);
-    }
+    w.cache(cache);
     return w.take();
 }
 
@@ -369,24 +426,102 @@ Result<ScheduleCache>
 decodeScheduleCache(std::string_view bytes)
 {
     Reader rd(bytes, "schedule cache");
-    ScheduleCache cache;
-    // Smallest entry: kernel, unroll and the flag byte.
-    size_t n = rd.count(3);
-    for (size_t i = 0; i < n && rd.ok(); ++i) {
-        int32_t kernel = rd.i32();
-        int32_t unroll = rd.i32();
-        ScheduleCacheEntry *entry =
-            rd.slot(cache, std::make_pair(kernel, unroll));
-        if (!entry)
-            break;
-        entry->hasLegal = rd.u8(1) != 0;
-        if (entry->hasLegal)
-            entry->sched = rd.schedule();
-    }
+    ScheduleCache cache = rd.cache();
     Status s = rd.finish();
     if (!s.ok())
         return s;
     return cache;
+}
+
+std::string
+encodeFrame(const WorkerFrame &f)
+{
+    Writer w;
+    w.u8(static_cast<uint8_t>(f.type));
+    switch (f.type) {
+    case FrameType::Init:
+        w.count(f.workloads.size());
+        for (const std::string &name : f.workloads)
+            w.text(name);
+        w.text(f.options);
+        break;
+    case FrameType::Error:
+        w.text(f.message);
+        break;
+    case FrameType::Eval:
+        w.u64(f.id);
+        w.u8(f.repair ? 1 : 0);
+        w.cache(f.schedules);
+        w.count(f.cands.size());
+        for (const std::string &text : f.cands)
+            w.text(text);
+        break;
+    case FrameType::Result:
+        w.u64(f.id);
+        w.count(f.outcomes.size());
+        for (const FrameOutcome &o : f.outcomes) {
+            w.u8(static_cast<uint8_t>(o.status.code()));
+            if (o.status.ok()) {
+                DSA_ASSERT(o.record.entry, "an OK outcome carries its entry");
+                w.entry(o.record.key, *o.record.entry);
+            } else {
+                w.text(o.status.message());
+            }
+        }
+        break;
+    default: // ready, shutdown: the type byte alone
+        break;
+    }
+    return w.take();
+}
+
+Result<WorkerFrame>
+decodeFrame(std::string_view bytes)
+{
+    Reader rd(bytes, "worker frame");
+    WorkerFrame f;
+    f.type = static_cast<FrameType>(rd.u8(0xff));
+    if (f.type < FrameType::Init || f.type > FrameType::Shutdown)
+        rd.fail("unknown frame type");
+    switch (f.type) {
+    case FrameType::Init:
+        f.workloads.resize(rd.count(1));
+        for (std::string &name : f.workloads)
+            name = rd.text();
+        f.options = rd.text();
+        break;
+    case FrameType::Error:
+        f.message = rd.text();
+        break;
+    case FrameType::Eval:
+        f.id = rd.u64();
+        f.repair = rd.u8(1) != 0;
+        f.schedules = rd.cache();
+        f.cands.resize(rd.count(1));
+        for (std::string &text : f.cands)
+            text = rd.text();
+        break;
+    case FrameType::Result:
+        f.id = rd.u64();
+        // Smallest outcome: an error code and an empty message.
+        f.outcomes.resize(rd.count(2));
+        for (FrameOutcome &o : f.outcomes) {
+            auto code = static_cast<StatusCode>(rd.u8(0xff));
+            if (code > StatusCode::Internal)
+                rd.fail("unknown status code");
+            else if (code == StatusCode::Ok)
+                o.record = rd.entry();
+            else
+                o.status = Status(code, rd.text());
+        }
+        break;
+    default:
+        break;
+    }
+    Status s = rd.finish();
+    if (!s.ok())
+        return s;
+    return f;
 }
 
 } // namespace dsa::dse

@@ -102,10 +102,12 @@ struct DseOptions
     int candidateBatch = 1;
     /**
      * Annealing chains per scheduling run (SchedOptions::chains).
-     * Chains run on a dedicated pool shared by all evaluation tasks
-     * (created iff > 1), so cold evaluations exploit idle cores;
-     * results are deterministic for any thread count, and 1 is
-     * bit-identical to the single-chain scheduler.
+     * At threads 1 the chains run on a dedicated pool (created iff
+     * > 1), so cold evaluations use idle cores; at threads > 1 the
+     * schedulers are themselves pool tasks and their chains run one
+     * after another, since a parallelFor issued from a pool task runs
+     * inline. Results are deterministic for any thread count, and 1
+     * is bit-identical to the single-chain scheduler.
      */
     int schedChains = 1;
 
@@ -289,15 +291,14 @@ struct DseOptions
     /// @{
     /**
      * After the exploration loop, run the cycle-level simulator on
-     * the best design for every workload once per sim::Engine (dense,
-     * sparse, compiled, jit), check each faster engine against the
-     * dense run with sim::firstDivergence, and record the per-workload
-     * dense/jit wall-clock speedup, net of jit compile time, in
-     * DseResult::simSpeedups. A
-     * divergence surfaces as an Internal DseResult::status naming the
-     * engine, the workload and the differing field. Off by default (it
-     * adds full simulation passes to the run). Not serialized into
-     * checkpoints.
+     * the best design for every workload in three rounds of every
+     * sim::Engine (dense, sparse, compiled, jit), check every run
+     * against the first dense run with sim::firstDivergence, and
+     * record the per-workload dense/jit wall-clock speedup of each
+     * engine's fastest run in DseResult::simSpeedups. A divergence
+     * surfaces as an Internal DseResult::status naming the engine, the
+     * workload and the differing field. Off by default (it adds full
+     * simulation passes to the run). Not serialized into checkpoints.
      */
     bool simValidateBest = false;
     /** Simulator knobs for the validation runs (engine, checkAgainst
@@ -422,10 +423,10 @@ struct DseResult
      *  point, in geomean-speedup x mm^2 x mW units. */
     double frontHypervolume = 0;
     /** Per-workload dense/jit simulator wall-clock speedup on the
-     *  best design (populated when DseOptions::simValidateBest). The
-     *  jit run's time is net of the kernel compiles it paid for (its
-     *  JitStats::compileMs delta), so this is the native engine's
-     *  speed, not the compiler's. */
+     *  best design (populated when DseOptions::simValidateBest): the
+     *  fastest of three dense runs over the fastest of three jit runs,
+     *  interleaved. Only the first jit run compiles its kernel, so the
+     *  fastest is the native engine's speed, not the compiler's. */
     std::map<std::string, double> simSpeedups;
     /** JIT-tier activity during this run — kernel compiles and their
      *  total latency, requests served natively, degrade counts (see
@@ -656,10 +657,10 @@ class Explorer
     /** Shared pool for grid and batch evaluation (nested calls run
      *  inline on the worker, so the two axes compose safely). */
     std::unique_ptr<ThreadPool> pool_;
-    /** Chain pool for SchedOptions::chains (null when schedChains
-     *  <= 1). Separate from pool_: parallelFor from inside a pool_
-     *  worker would run inline/serially, while an outside pool is
-     *  merely serialized across concurrent submitters. */
+    /** Chain pool for SchedOptions::chains; null unless schedChains
+     *  > 1 and pool_ has one thread. A parallelFor issued from inside
+     *  any pool's task runs inline, so at threads > 1, where the
+     *  schedulers run as pool_ tasks, a chain pool would run nothing. */
     std::unique_ptr<ThreadPool> chainPool_;
     /** Scheduler counters accumulated across evaluations (see
      *  DseResult::schedStats). Guarded by schedStatsMu_: candidate

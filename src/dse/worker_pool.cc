@@ -9,7 +9,6 @@
 #include "adg/fingerprint.h"
 #include "base/fault.h"
 #include "base/logging.h"
-#include "base/strings.h"
 #include "dse/checkpoint.h"
 #include "dse/entry_codec.h"
 #include "workloads/workload.h"
@@ -37,15 +36,6 @@ sleepMs(int64_t ms)
         ::usleep(static_cast<useconds_t>(ms) * 1000);
 }
 
-const json::Value *
-objField(const json::Value &doc, const char *key, json::Value::Kind kind)
-{
-    const json::Value *v = doc.find(key);
-    if (!v || v->kind() != kind)
-        return nullptr;
-    return v;
-}
-
 Status
 protocolError(const std::string &what)
 {
@@ -70,14 +60,19 @@ WorkerPool::noteError(const Status &s)
         stats_.firstError = s;
 }
 
+bool
+WorkerPool::live(size_t i) const
+{
+    return workers_[i].ready && workers_[i].proc;
+}
+
 Status
 WorkerPool::spawnWorker(size_t i)
 {
     Worker &w = workers_[i];
-    ++w.gen;
     w.proc.reset();
     w.ready = false;
-    w.pending.clear();
+    w.inFlight = 0;
 
     Subprocess::Options so;
     so.argv = {opts_.program, kWorkerArg};
@@ -90,37 +85,24 @@ WorkerPool::spawnWorker(size_t i)
     w.proc = std::move(spawned.value());
     ++stats_.spawned;
 
-    json::Value init = json::Value::object();
-    init.set("type", json::Value::str("init"));
-    json::Value wl = json::Value::array();
-    for (const std::string &name : opts_.workloadNames)
-        wl.push(json::Value::str(name));
-    init.set("workloads", std::move(wl));
-    init.set("options", dseOptionsToJson(opts_.dse));
-    Status ws = w.proc->writeFrame(init.dump());
-    if (!ws.ok()) {
-        failWorker(i, ws);
-        return ws;
+    WorkerFrame init;
+    init.type = FrameType::Init;
+    init.workloads = opts_.workloadNames;
+    init.options = dseOptionsToText(opts_.dse);
+    Status s = w.proc->writeFrame(encodeFrame(init));
+    if (s.ok()) {
+        auto bytes = w.proc->readFrame(Deadline::afterMs(kInitTimeoutMs));
+        auto reply = bytes.ok() ? decodeFrame(bytes.value())
+                                : Result<WorkerFrame>(bytes.status());
+        if (!reply.ok())
+            s = reply.status();
+        else if (reply.value().type == FrameType::Error)
+            s = protocolError("worker handshake failed: " +
+                              reply.value().message);
+        else if (reply.value().type != FrameType::Ready)
+            s = protocolError("worker handshake failed: unexpected reply");
     }
-
-    auto reply = w.proc->readFrame(Deadline::afterMs(kInitTimeoutMs));
-    if (!reply.ok()) {
-        failWorker(i, reply.status());
-        return reply.status();
-    }
-    auto doc = json::parse(reply.value());
-    if (!doc.ok()) {
-        failWorker(i, doc.status());
-        return doc.status();
-    }
-    const json::Value *type =
-        objField(doc.value(), "type", json::Value::Kind::String);
-    if (!type || type->asString() != "ready") {
-        const json::Value *msg =
-            objField(doc.value(), "msg", json::Value::Kind::String);
-        Status s = protocolError("worker handshake failed: " +
-                                 (msg ? msg->asString()
-                                      : std::string("unexpected reply")));
+    if (!s.ok()) {
         failWorker(i, s);
         return s;
     }
@@ -135,20 +117,20 @@ WorkerPool::start()
     started_ = true;
     workers_.resize(static_cast<size_t>(opts_.workers));
     Status lastErr;
-    size_t live = 0;
+    size_t alive = 0;
     for (size_t i = 0; i < workers_.size(); ++i) {
         Status s = spawnWorker(i);
         if (s.ok())
-            ++live;
+            ++alive;
         else
             lastErr = s;
     }
-    if (live == 0)
+    if (alive == 0)
         return lastErr.ok()
             ? Status::internal("worker pool: no worker came up")
             : lastErr;
-    if (live < workers_.size())
-        DSA_WARN("worker pool: only ", live, " of ", workers_.size(),
+    if (alive < workers_.size())
+        DSA_WARN("worker pool: only ", alive, " of ", workers_.size(),
                  " workers came up: ", lastErr.toString());
     return Status();
 }
@@ -157,7 +139,6 @@ void
 WorkerPool::failWorker(size_t i, const Status &why)
 {
     Worker &w = workers_[i];
-    ++w.gen;
     noteError(why);
     if (w.proc) {
         w.proc->kill(SIGKILL);
@@ -165,16 +146,7 @@ WorkerPool::failWorker(size_t i, const Status &why)
         w.proc.reset();
     }
     w.ready = false;
-    w.pending.clear();
-}
-
-int
-WorkerPool::pickLiveWorker(size_t except) const
-{
-    for (size_t i = 0; i < workers_.size(); ++i)
-        if (i != except && workers_[i].ready && workers_[i].proc)
-            return static_cast<int>(i);
-    return -1;
+    w.inFlight = 0;
 }
 
 std::vector<WorkerEvalOutcome>
@@ -189,10 +161,6 @@ WorkerPool::evaluateBatch(
         return out;
     DSA_ASSERT(started_, "WorkerPool::evaluateBatch before start()");
 
-    // Encoded once per batch; each request embeds a copy.
-    json::Value schedHex =
-        json::Value::str(toHex(encodeScheduleCache(schedules)));
-
     // Fixed draw-order sharding: candidate i -> shard i % N, independent
     // of which workers happen to be alive. (Placement never influences
     // results — every rung of the ladder produces the same entries — but
@@ -202,222 +170,123 @@ WorkerPool::evaluateBatch(
     for (size_t i = 0; i < cands.size(); ++i)
         shards[i % nShards].push_back(i);
 
-    // A worker is the target of its own shard when alive, else the
-    // first live worker (several shards may then queue on one pipe —
-    // the worker drains them in order).
-    auto pickTarget = [&](size_t preferred) {
-        if (workers_[preferred].ready && workers_[preferred].proc)
-            return static_cast<int>(preferred);
-        return pickLiveWorker(preferred);
-    };
+    WorkerFrame req;
+    req.type = FrameType::Eval;
+    req.repair = repair;
+    req.schedules = schedules;
 
-    auto sendShard = [&](size_t w,
-                         const std::vector<size_t> &idx) -> Result<uint64_t> {
-        uint64_t id = nextRequestId_++;
-        json::Value req = json::Value::object();
-        req.set("type", json::Value::str("eval"));
-        req.set("id", json::Value::number(static_cast<int64_t>(id)));
-        req.set("repair", json::Value::boolean(repair));
-        req.set("schedules", schedHex);
-        json::Value arr = json::Value::array();
-        for (size_t i : idx)
-            arr.push(json::Value::str(cands[i]->toText()));
-        req.set("cands", std::move(arr));
-        Status s = workers_[w].proc->writeFrame(req.dump());
-        if (!s.ok()) {
-            ++stats_.deaths;
-            failWorker(w, s);
-            return s;
-        }
-        ++stats_.dispatched;
-        return id;
-    };
-
-    // Wait for request @p id, sent to slot @p w under generation
-    // @p gen; fills out[] on success. Any failure (timeout, EOF,
-    // malformed reply) retires the worker and reports false so the
-    // ladder can retry the shard elsewhere.
-    auto awaitShard = [&](size_t w, uint64_t gen, uint64_t id,
-                          const std::vector<size_t> &idx) -> bool {
+    // Send shard @p s to idle worker @p w; false (worker retired) when
+    // the pipe refuses the frame.
+    auto sendShard = [&](size_t w, size_t s) {
         Worker &wk = workers_[w];
-        json::Value resp;
-        for (;;) {
-            auto it = wk.pending.find(id);
-            if (it != wk.pending.end()) {
-                resp = std::move(it->second);
-                wk.pending.erase(it);
-                break;
-            }
-            // The slot may have been retired — or retired *and
-            // respawned* — while an earlier shard's recovery ran
-            // through it (its death was counted then). A respawned
-            // slot has a live process that never received this
-            // request, so reading its pipe would block until the
-            // watchdog (forever with the unlimited default); the
-            // generation mismatch reports the loss to the ladder
-            // instead.
-            if (!wk.proc || wk.gen != gen)
-                return false;
-            Deadline dl = opts_.requestTimeoutMs > 0
-                ? Deadline::afterMs(opts_.requestTimeoutMs)
-                : Deadline::never();
-            auto frame = wk.proc->readFrame(dl);
-            if (!frame.ok()) {
-                if (frame.status().code() == StatusCode::DeadlineExceeded)
-                    ++stats_.timeouts;
-                else
-                    ++stats_.deaths;
-                failWorker(w, frame.status());
-                return false;
-            }
-            auto doc = json::parse(frame.value());
-            if (!doc.ok()) {
-                ++stats_.deaths;
-                failWorker(w, doc.status());
-                return false;
-            }
-            const json::Value *type =
-                objField(doc.value(), "type", json::Value::Kind::String);
-            const json::Value *rid =
-                objField(doc.value(), "id", json::Value::Kind::Number);
-            if (!type || type->asString() != "result" || !rid) {
-                ++stats_.deaths;
-                failWorker(w, protocolError("unexpected frame type"));
-                return false;
-            }
-            uint64_t got = static_cast<uint64_t>(rid->asInt64());
-            if (got == id) {
-                resp = std::move(doc.value());
-                break;
-            }
-            // A reply to a request this shard (or another) abandoned
-            // after a redispatch; keep it in case its id comes up.
-            wk.pending[got] = std::move(doc.value());
-        }
-
-        const json::Value *rs = resp.find("results");
-        if (!rs || !rs->isArray() || rs->size() != idx.size()) {
+        DSA_ASSERT(wk.inFlight == 0, "worker ", w,
+                   " already has a request outstanding");
+        req.id = nextRequestId_++;
+        req.cands.clear();
+        for (size_t i : shards[s])
+            req.cands.push_back(cands[i]->toText());
+        Status st = wk.proc->writeFrame(encodeFrame(req));
+        if (!st.ok()) {
             ++stats_.deaths;
-            failWorker(w, protocolError("result count mismatch"));
+            failWorker(w, st);
             return false;
         }
-        // Decode all-or-nothing: a half-garbled reply must not leave a
-        // half-written batch behind.
-        std::vector<WorkerEvalOutcome> decoded(idx.size());
-        for (size_t j = 0; j < idx.size(); ++j) {
-            const json::Value &item = rs->at(j);
-            const json::Value *code =
-                objField(item, "code", json::Value::Kind::Number);
-            if (!item.isObject() || !code) {
-                failWorker(w, protocolError("malformed result item"));
-                return false;
-            }
-            int64_t c = code->asInt64();
-            if (c < 0 || c > static_cast<int64_t>(StatusCode::Internal)) {
-                failWorker(w, protocolError("result status out of range"));
-                return false;
-            }
-            if (c == 0) {
-                const json::Value *entry =
-                    objField(item, "entry", json::Value::Kind::String);
-                if (!entry) {
-                    failWorker(w, protocolError("ok result without entry"));
-                    return false;
-                }
-                auto bytes = fromHex(entry->asString());
-                if (!bytes) {
-                    failWorker(w, protocolError("result entry is not hex"));
-                    return false;
-                }
-                auto rec = decodeEvalEntry(*bytes);
-                if (!rec.ok()) {
-                    failWorker(w, rec.status());
-                    return false;
-                }
-                if (keys && !(rec.value().key == (*keys)[idx[j]])) {
-                    failWorker(w, protocolError(
-                                      "result key does not match its "
-                                      "candidate"));
-                    return false;
-                }
-                decoded[j] = {Status(), rec.value().entry};
-            } else {
-                const json::Value *msg =
-                    objField(item, "msg", json::Value::Kind::String);
-                decoded[j] = {Status(static_cast<StatusCode>(c),
-                                     msg ? msg->asString() : "worker eval"),
-                              nullptr};
-            }
-        }
-        for (size_t j = 0; j < idx.size(); ++j)
-            out[idx[j]] = std::move(decoded[j]);
+        wk.inFlight = req.id;
+        ++stats_.dispatched;
         return true;
     };
 
-    // Overlap phase: one request per shard, all in flight at once.
-    struct InFlight
-    {
-        size_t worker = 0;
-        uint64_t gen = 0;
-        uint64_t id = 0;
-        bool sent = false;
-        bool done = false;
-    };
-    std::vector<InFlight> flight(nShards);
-    for (size_t s = 0; s < nShards; ++s) {
-        if (shards[s].empty()) {
-            flight[s].done = true;
-            continue;
+    // Await worker @p w's reply to shard @p s, its one outstanding
+    // request; fills out[] on success. Any failure retires the worker
+    // and reports false so the shard can be retried elsewhere.
+    auto awaitShard = [&](size_t w, size_t s) {
+        Worker &wk = workers_[w];
+        const std::vector<size_t> &idx = shards[s];
+        auto bytes = wk.proc->readFrame(
+            opts_.requestTimeoutMs > 0
+                ? Deadline::afterMs(opts_.requestTimeoutMs)
+                : Deadline::never());
+        if (!bytes.ok()) {
+            if (bytes.status().code() == StatusCode::DeadlineExceeded)
+                ++stats_.timeouts;
+            else
+                ++stats_.deaths;
+            failWorker(w, bytes.status());
+            return false;
         }
-        int w = pickTarget(s);
-        if (w < 0)
-            continue; // ladder below restarts or degrades
-        auto sent = sendShard(static_cast<size_t>(w), shards[s]);
-        if (sent.ok())
-            flight[s] = {static_cast<size_t>(w), workers_[w].gen,
-                         sent.value(), true, false};
-    }
+        auto reply = decodeFrame(bytes.value());
+        Status bad;
+        if (!reply.ok())
+            bad = reply.status();
+        else if (reply.value().type != FrameType::Result ||
+                 reply.value().id != wk.inFlight)
+            bad = protocolError("reply does not answer the request");
+        else if (reply.value().outcomes.size() != idx.size())
+            bad = protocolError("result count mismatch");
+        if (!bad.ok()) {
+            ++stats_.deaths;
+            failWorker(w, bad);
+            return false;
+        }
+        // All-or-nothing: a misfiled entry must not leave a
+        // half-written batch behind.
+        std::vector<FrameOutcome> &outcomes = reply.value().outcomes;
+        for (size_t j = 0; j < idx.size(); ++j) {
+            if (keys && outcomes[j].status.ok() &&
+                !(outcomes[j].record.key == (*keys)[idx[j]])) {
+                failWorker(w, protocolError(
+                                  "result key does not match its candidate"));
+                return false;
+            }
+        }
+        for (size_t j = 0; j < idx.size(); ++j)
+            out[idx[j]] = {std::move(outcomes[j].status),
+                           std::move(outcomes[j].record.entry)};
+        wk.inFlight = 0;
+        return true;
+    };
 
-    // Collect + recovery ladder, shard by shard in fixed order:
-    // re-dispatch to a live worker, restart with capped backoff, and
-    // finally degrade into in-process evaluation.
-    for (size_t s = 0; s < nShards; ++s) {
-        InFlight &f = flight[s];
-        if (f.done)
-            continue;
-        bool done =
-            f.sent && awaitShard(f.worker, f.gen, f.id, shards[s]);
+    // 1. Dispatch: shard s to worker s while it is live.
+    std::vector<bool> sent(nShards, false);
+    for (size_t s = 0; s < nShards; ++s)
+        sent[s] = !shards[s].empty() && live(s) && sendShard(s, s);
+
+    // 2. Collect in shard order; a failure defers the shard.
+    std::vector<size_t> deferred;
+    for (size_t s = 0; s < nShards; ++s)
+        if (!shards[s].empty() && !(sent[s] && awaitShard(s, s)))
+            deferred.push_back(s);
+
+    // 3. Recover one shard at a time on a live worker (all are idle
+    //    now) or the shard's own slot restarted with capped backoff,
+    //    then degrade to in-process evaluation. Every failed attempt
+    //    retires a worker and live workers only come from the capped
+    //    restarts, so the loop ends.
+    for (size_t s : deferred) {
+        bool done = false;
         int restartsUsed = 0;
         int64_t backoff = kBackoffBaseMs;
-        size_t attempts = done ? 0 : 1;
-        const size_t maxAttempts =
-            nShards + static_cast<size_t>(kMaxRestarts) + 1;
-        while (!done && attempts <= maxAttempts) {
-            int w = pickTarget(s);
-            if (w < 0) {
+        while (!done) {
+            size_t w = 0;
+            while (w < nShards && !live(w))
+                ++w;
+            if (w == nShards) {
                 if (restartsUsed >= kMaxRestarts)
                     break;
                 ++restartsUsed;
                 ++stats_.restarts;
                 sleepMs(backoff);
                 backoff = std::min(backoff * 2, kBackoffCapMs);
-                if (!spawnWorker(s).ok()) {
-                    ++attempts;
+                if (!spawnWorker(s).ok())
                     continue;
-                }
-                w = static_cast<int>(s);
+                w = s;
             }
-            ++attempts;
             ++stats_.redispatched;
-            auto sent = sendShard(static_cast<size_t>(w), shards[s]);
-            if (sent.ok() &&
-                awaitShard(static_cast<size_t>(w), workers_[w].gen,
-                           sent.value(), shards[s])) {
-                done = true;
-                break;
+            done = sendShard(w, s) && awaitShard(w, s);
+            if (!done) {
+                sleepMs(backoff);
+                backoff = std::min(backoff * 2, kBackoffCapMs);
             }
-            sleepMs(backoff);
-            backoff = std::min(backoff * 2, kBackoffCapMs);
         }
         if (!done) {
             for (size_t i : shards[s])
@@ -431,20 +300,17 @@ WorkerPool::evaluateBatch(
 void
 WorkerPool::shutdown()
 {
-    for (size_t i = 0; i < workers_.size(); ++i) {
-        Worker &w = workers_[i];
+    WorkerFrame bye;
+    bye.type = FrameType::Shutdown;
+    for (Worker &w : workers_) {
         if (!w.proc)
             continue;
-        if (w.ready) {
-            json::Value bye = json::Value::object();
-            bye.set("type", json::Value::str("shutdown"));
-            (void)w.proc->writeFrame(bye.dump());
-        }
+        if (w.ready)
+            (void)w.proc->writeFrame(encodeFrame(bye));
         w.proc->closePipes();
         w.proc->wait(Deadline::afterMs(2000));
         w.proc.reset(); // destructor SIGKILLs a straggler
         w.ready = false;
-        w.pending.clear();
     }
     workers_.clear();
     started_ = false;
@@ -455,26 +321,12 @@ WorkerPool::shutdown()
 
 namespace {
 
-/** One worker's protocol state after a successful init. */
-struct WorkerState
-{
-    std::unique_ptr<Explorer> explorer;
-    bool repairDefault = true;
-};
-
 Status
-workerInit(const json::Value &doc, WorkerState &st)
+workerInit(const WorkerFrame &init, std::unique_ptr<Explorer> &explorer)
 {
-    const json::Value *wl = doc.find("workloads");
-    const json::Value *oj = doc.find("options");
-    if (!wl || !wl->isArray() || !oj || !oj->isObject())
-        return protocolError("init frame missing workloads/options");
-
     std::vector<const workloads::Workload *> set;
-    for (const json::Value &n : wl->items()) {
-        if (n.kind() != json::Value::Kind::String)
-            return protocolError("init workload name is not a string");
-        auto found = workloads::findWorkload(n.asString());
+    for (const std::string &name : init.workloads) {
+        auto found = workloads::findWorkload(name);
         if (!found.ok())
             return Status(found.status().code(),
                           "worker: " + found.status().message());
@@ -483,7 +335,7 @@ workerInit(const json::Value &doc, WorkerState &st)
     if (set.empty())
         return protocolError("init frame carries no workloads");
 
-    auto opts = dseOptionsFromJson(*oj);
+    auto opts = dseOptionsFromText(init.options);
     if (!opts.ok())
         return opts.status();
     DseOptions o = std::move(opts.value());
@@ -501,92 +353,43 @@ workerInit(const json::Value &doc, WorkerState &st)
     o.haltAfterCheckpoints = 0;
     o.simValidateBest = false;
 
-    st.repairDefault = o.useRepair;
-    st.explorer = std::make_unique<Explorer>(std::move(set), o);
+    explorer = std::make_unique<Explorer>(std::move(set), o);
     return Status();
 }
 
-json::Value
-workerEval(const json::Value &doc, WorkerState &st)
+WorkerFrame
+workerEval(const WorkerFrame &req, Explorer &explorer)
 {
-    json::Value reply = json::Value::object();
-    reply.set("type", json::Value::str("result"));
-    const json::Value *rid = doc.find("id");
-    reply.set("id", rid && rid->kind() == json::Value::Kind::Number
-                  ? *rid
-                  : json::Value::number(static_cast<int64_t>(0)));
-    json::Value results = json::Value::array();
-
-    const json::Value *sj = doc.find("schedules");
-    const json::Value *cj = doc.find("cands");
-    const json::Value *rj = doc.find("repair");
-    ScheduleCache base;
-    Status reqStatus;
-    if (!sj || sj->kind() != json::Value::Kind::String || !cj ||
-        !cj->isArray())
-        reqStatus = protocolError("eval frame missing schedules/cands");
-    if (reqStatus.ok()) {
-        auto bytes = fromHex(sj->asString());
-        auto sc = bytes ? decodeScheduleCache(*bytes)
-                        : Result<ScheduleCache>(
-                              protocolError("eval schedules are not hex"));
-        if (!sc.ok())
-            reqStatus = sc.status();
-        else
-            base = std::move(sc.value());
-    }
+    WorkerFrame reply;
+    reply.type = FrameType::Result;
+    reply.id = req.id;
     // Every candidate repairs from the same base cache: hash it once.
-    uint64_t baseHash = reqStatus.ok() ? hashScheduleCache(base) : 0;
-    bool repair = rj && rj->kind() == json::Value::Kind::Bool
-        ? rj->asBool()
-        : st.repairDefault;
-
-    size_t n = reqStatus.ok() ? cj->size() : 0;
-    for (size_t i = 0; i < n; ++i) {
+    const uint64_t baseHash = hashScheduleCache(req.schedules);
+    for (const std::string &text : req.cands) {
         // The test harness's crash lever: die exactly where a real
         // OOM-kill or machine loss would hit — mid-batch, schedules
         // half-computed, the reply never sent.
         fault::maybeKill("worker.eval.kill");
 
-        json::Value r = json::Value::object();
-        WorkerEvalOutcome out;
-        EvalKey key;
+        FrameOutcome o;
         try {
-            adg::Adg adg = adg::Adg::fromText(cj->at(i).asString());
-            out = st.explorer->evaluateDesign(adg, base, repair);
+            adg::Adg adg = adg::Adg::fromText(text);
+            WorkerEvalOutcome out =
+                explorer.evaluateDesign(adg, req.schedules, req.repair);
+            o.status = out.status;
             if (out.status.ok())
-                key = st.explorer->makeEvalKey(adg::canonicalKey(adg),
-                                               baseHash, repair);
+                o.record = {explorer.makeEvalKey(adg::canonicalKey(adg),
+                                                 baseHash, req.repair),
+                            std::move(out.entry)};
         } catch (...) {
-            out = {Status::fromCurrentException(), nullptr};
+            o = {Status::fromCurrentException(), {}};
         }
-        r.set("code", json::Value::number(
-                          static_cast<int64_t>(out.status.code())));
-        if (!out.status.ok())
-            r.set("msg", json::Value::str(out.status.message()));
-        if (out.entry) {
-            // The coordinator's reply check lever: an entry filed
-            // under a key its candidate does not have.
-            if (fault::shouldFire("worker.reply.key"))
-                key.labeling ^= 1;
-            r.set("entry",
-                  json::Value::str(toHex(encodeEvalEntry(key, *out.entry))));
-        }
-        results.push(std::move(r));
+        // The coordinator's reply check lever: an entry filed under a
+        // key its candidate does not have.
+        if (o.status.ok() && fault::shouldFire("worker.reply.key"))
+            o.record.key.labeling ^= 1;
+        reply.outcomes.push_back(std::move(o));
     }
-    if (!reqStatus.ok() && cj && cj->isArray()) {
-        // Per-candidate error items for a request we could not parse:
-        // the coordinator treats the reply as authoritative and falls
-        // back in-process candidate by candidate.
-        for (size_t i = 0; i < cj->size(); ++i) {
-            json::Value r = json::Value::object();
-            r.set("code", json::Value::number(static_cast<int64_t>(
-                              reqStatus.code())));
-            r.set("msg", json::Value::str(reqStatus.message()));
-            results.push(std::move(r));
-        }
-    }
-    reply.set("results", std::move(results));
     return reply;
 }
 
@@ -603,51 +406,44 @@ workerMain()
         return 1;
     ::dup2(2, 1);
 
-    WorkerState st;
-    bool inited = false;
+    std::unique_ptr<Explorer> explorer;
     for (;;) {
-        auto frame = readFrameFd(0, Deadline::never());
-        if (!frame.ok())
+        auto bytes = readFrameFd(0, Deadline::never());
+        if (!bytes.ok())
             return 0; // coordinator closed our stdin: clean exit
-        auto doc = json::parse(frame.value());
-        if (!doc.ok()) {
-            DSA_WARN("dse worker: dropping malformed frame: ",
-                     doc.status().toString());
-            continue;
+        auto frame = decodeFrame(bytes.value());
+        if (!frame.ok()) {
+            DSA_WARN("dse worker: ", frame.status().toString());
+            return 1;
         }
-        const json::Value *type =
-            objField(doc.value(), "type", json::Value::Kind::String);
-        if (!type)
-            continue;
-        const std::string &t = type->asString();
-        if (t == "shutdown")
+        WorkerFrame reply;
+        switch (frame.value().type) {
+        case FrameType::Shutdown:
             return 0;
-        if (t == "init") {
-            Status s = workerInit(doc.value(), st);
-            inited = s.ok();
-            json::Value reply = json::Value::object();
-            reply.set("type", json::Value::str(inited ? "ready" : "error"));
-            if (!s.ok())
-                reply.set("msg", json::Value::str(s.toString()));
-            if (!writeFrameFd(proto, reply.dump()).ok())
-                return 1;
-            continue;
+        case FrameType::Init: {
+            Status s = workerInit(frame.value(), explorer);
+            reply.type = s.ok() ? FrameType::Ready : FrameType::Error;
+            reply.message = s.ok() ? "" : s.toString();
+            break;
         }
-        if (t == "eval") {
-            if (!inited) {
+        case FrameType::Eval:
+            if (!explorer) {
                 DSA_WARN("dse worker: eval before init");
                 return 1;
             }
-            json::Value reply = workerEval(doc.value(), st);
+            reply = workerEval(frame.value(), *explorer);
             // Deterministic hang lever for the coordinator's watchdog
             // tests: the reply exists but never leaves the process in
             // time.
             fault::maybeStallMs("worker.pipe.stall", 5000);
-            if (!writeFrameFd(proto, reply.dump()).ok())
-                return 1; // coordinator gone (timeout kill, shutdown)
-            continue;
+            break;
+        default:
+            DSA_WARN("dse worker: unexpected frame type ",
+                     static_cast<int>(frame.value().type));
+            return 1;
         }
-        DSA_WARN("dse worker: unknown frame type '", t, "'");
+        if (!writeFrameFd(proto, encodeFrame(reply)).ok())
+            return 1; // coordinator gone (timeout kill, shutdown)
     }
 }
 

@@ -3,23 +3,22 @@
  * Crash-isolated multi-process candidate evaluation.
  *
  * A WorkerPool supervises N worker subprocesses (the host binary
- * re-exec'ed with the `__dse-worker` argv marker), speaking a JSON
- * pipe protocol in Subprocess frames:
+ * re-exec'ed with the `__dse-worker` argv marker). Each Subprocess
+ * frame on their pipes carries one WorkerFrame in the binary encoding
+ * of dse/entry_codec.h, whose strict decoder reads both ends:
  *
- *   coordinator -> worker   {type:"init", workloads:[...], options:{...}}
- *   worker -> coordinator   {type:"ready"}
- *   coordinator -> worker   {type:"eval", id:N, repair:b,
- *                            schedules:"<hex>", cands:["<adg text>", ...]}
- *   worker -> coordinator   {type:"result", id:N,
- *                            results:[{code,msg,entry:"<hex>"?}, ...]}
- *   coordinator -> worker   {type:"shutdown"}
+ *   coordinator -> worker   init(workload names, options text)
+ *   worker -> coordinator   ready, or error(message)
+ *   coordinator -> worker   eval(id, repair, repair cache, ADG texts)
+ *   worker -> coordinator   result(id, per candidate: status code and
+ *                           message, or the encoded entry with its key)
+ *   coordinator -> worker   shutdown
  *
- * The two heavy fields travel in the binary encoding of
- * dse/entry_codec.h, as hex text inside the JSON envelope: `schedules`
- * is the encoded repair cache and each result's `entry` a full encoded
- * EvalCacheEntry with its key — the same bytes the cache store writes
- * per record. A field that is not hex or does not decode is a corrupt
- * frame.
+ * The options text is dseOptionsToText (dse/checkpoint.h), the
+ * checkpoint's JSON for them; a result's entry is the same bytes a
+ * cache-store record holds. A worker that reads a frame it cannot
+ * decode, or one it does not expect, exits with code 1 rather than
+ * wait for a frame that may never come.
  *
  * A worker is a bare Explorer::evaluateDesign: it evaluates each
  * candidate with no eval cache and no cache store, and replies with
@@ -29,13 +28,19 @@
  * the same code, the exploring process stays the store's only writer,
  * and traces are bit-identical to `--workers 0` by construction.
  *
- * Failure handling per shard (a worker death, pipe EOF, corrupt frame,
- * a reply entry under another candidate's key, or response timeout)
- * walks a capped-backoff ladder:
- *   1. re-dispatch the shard to the next live worker;
- *   2. restart the dead worker (up to two times) and re-dispatch;
- *   3. degrade: evaluate the shard in-process via the caller-supplied
- *      fallback.
+ * A worker has at most one request outstanding, so a reply always
+ * answers it. evaluateBatch runs in three steps:
+ *   1. dispatch: shard s goes to worker s if it is live; otherwise
+ *      the shard is deferred;
+ *   2. collect: every dispatched shard is awaited in shard order. A
+ *      timeout, EOF, undecodable frame, or a reply with another id,
+ *      another candidate count, or an entry under another candidate's
+ *      key retires the worker (SIGKILL) and defers the shard;
+ *   3. recover: deferred shards go one at a time, each awaited before
+ *      the next is sent, to a live (hence idle) worker, or, when none
+ *      is left, to the shard's own slot restarted with capped backoff
+ *      (up to two restarts per shard). A shard that still fails is
+ *      evaluated in-process by the caller-supplied fallback.
  * Workers are stateless between requests (each eval ships the full
  * repair cache), so any retry is safe, and every rung produces the
  * same entries — only latency differs.
@@ -46,12 +51,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "base/json.h"
 #include "base/status.h"
 #include "base/subprocess.h"
 #include "dse/eval_cache.h"
@@ -120,22 +123,15 @@ class WorkerPool
     {
         std::unique_ptr<Subprocess> proc;
         bool ready = false;
-        /** Slot incarnation, bumped on every spawn and retirement. A
-         *  request records the generation it was sent under; a mismatch
-         *  at await time means the slot was respawned in between — the
-         *  live process never saw the request, so waiting on it would
-         *  block forever (or SIGKILL an innocent worker on timeout). */
-        uint64_t gen = 0;
-        /** Out-of-order responses (a redispatched shard's reply can
-         *  arrive behind the reply of the shard we are waiting on). */
-        std::map<uint64_t, json::Value> pending;
+        /** Id of the one request the worker has not answered yet; 0
+         *  when it is idle. */
+        uint64_t inFlight = 0;
     };
 
     Status spawnWorker(size_t i);
     void failWorker(size_t i, const Status &why);
     void noteError(const Status &s);
-    /** First live worker != @p except; -1 when none. */
-    int pickLiveWorker(size_t except) const;
+    bool live(size_t i) const;
 
     WorkerPoolOptions opts_;
     std::vector<Worker> workers_;

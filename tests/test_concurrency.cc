@@ -53,6 +53,29 @@ TEST(Concurrency, PoolConcurrentIssuers)
         EXPECT_EQ(h.load(), 1);
 }
 
+TEST(Concurrency, NestedParallelForOnAnotherPoolRunsOnTheCallingThread)
+{
+    // The nested-call guard is per thread, not per pool: a parallelFor
+    // on pool B issued from a pool-A task runs every index inline on
+    // the task's thread. So a chain pool handed to schedulers that run
+    // as pool tasks would run nothing (the Explorer makes one only at
+    // threads 1).
+    ThreadPool a(4);
+    ThreadPool b(4);
+    std::atomic<int> ran{0};
+    std::atomic<int> elsewhere{0};
+    a.parallelFor(4, [&](size_t) {
+        const std::thread::id caller = std::this_thread::get_id();
+        b.parallelFor(4, [&](size_t) {
+            ran.fetch_add(1);
+            if (std::this_thread::get_id() != caller)
+                elsewhere.fetch_add(1);
+        });
+    });
+    EXPECT_EQ(ran.load(), 16);
+    EXPECT_EQ(elsewhere.load(), 0);
+}
+
 TEST(Concurrency, ParallelGridEvaluation)
 {
     // Fans the (kernel, unroll) grid out over 4 workers; under TSan

@@ -1198,6 +1198,107 @@ TEST(EntryCodec, CraftedPayloadsAreDataLoss)
               npos);
 }
 
+// ---------------------------------------------------------------------
+// Worker-pipe frames: the same strict codec, every frame type swept
+// ---------------------------------------------------------------------
+
+/** One frame of each type, with every field of its layout filled. */
+std::vector<dse::WorkerFrame>
+frameOfEachType()
+{
+    std::vector<dse::WorkerFrame> frames(6);
+    frames[0].type = dse::FrameType::Init;
+    frames[0].workloads = {"mm", "crs"};
+    frames[0].options = dse::dseOptionsToText(tinyDse());
+    frames[1].type = dse::FrameType::Ready;
+    frames[2].type = dse::FrameType::Error;
+    frames[2].message = "not-found: worker: no workload 'x'";
+    frames[3].type = dse::FrameType::Eval;
+    frames[3].id = 7;
+    frames[3].repair = true;
+    frames[3].schedules = realMachSuiteEval().schedules;
+    // The frame carries ADG text as opaque bytes; Adg::fromText
+    // parses it after the frame has decoded.
+    frames[3].cands = {"candidate 0", ""};
+    frames[4].type = dse::FrameType::Result;
+    frames[4].id = 7;
+    frames[4].outcomes = {
+        {Status(),
+         {synthKey(1), std::make_shared<dse::EvalCacheEntry>(synthEntry(1))}},
+        {Status::deadlineExceeded("candidate time cap"), {}},
+    };
+    frames[5].type = dse::FrameType::Shutdown;
+    return frames;
+}
+
+TEST(WorkerFrame, TruncationsAndByteFlipsDecodeOrAreDataLoss)
+{
+    for (const dse::WorkerFrame &f : frameOfEachType()) {
+        SCOPED_TRACE("frame type " + std::to_string(static_cast<int>(f.type)));
+        sweepCorruptions(
+            dse::encodeFrame(f),
+            [](std::string_view b) { return dse::decodeFrame(b); },
+            [](const dse::WorkerFrame &g) { return dse::encodeFrame(g); });
+    }
+}
+
+TEST(WorkerFrame, RoundTripKeepsEveryField)
+{
+    auto frames = frameOfEachType();
+    auto init = dse::decodeFrame(dse::encodeFrame(frames[0]));
+    ASSERT_TRUE(init.ok()) << init.status().toString();
+    EXPECT_EQ(init.value().workloads, frames[0].workloads);
+    auto opts = dse::dseOptionsFromText(init.value().options);
+    ASSERT_TRUE(opts.ok()) << opts.status().toString();
+    EXPECT_EQ(dse::dseOptionsToText(opts.value()), frames[0].options);
+
+    auto eval = dse::decodeFrame(dse::encodeFrame(frames[3]));
+    ASSERT_TRUE(eval.ok()) << eval.status().toString();
+    EXPECT_EQ(eval.value().id, 7u);
+    EXPECT_TRUE(eval.value().repair);
+    EXPECT_EQ(eval.value().cands, frames[3].cands);
+    EXPECT_EQ(dse::hashScheduleCache(eval.value().schedules),
+              dse::hashScheduleCache(frames[3].schedules));
+
+    auto result = dse::decodeFrame(dse::encodeFrame(frames[4]));
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    const auto &outs = result.value().outcomes;
+    ASSERT_EQ(outs.size(), 2u);
+    EXPECT_TRUE(outs[0].status.ok());
+    EXPECT_TRUE(outs[0].record.key == synthKey(1));
+    ASSERT_NE(outs[0].record.entry, nullptr);
+    EXPECT_EQ(outs[0].record.entry->objective, synthEntry(1).objective);
+    EXPECT_EQ(outs[1].status.code(), StatusCode::DeadlineExceeded);
+    EXPECT_EQ(outs[1].status.message(), "candidate time cap");
+    EXPECT_EQ(outs[1].record.entry, nullptr);
+}
+
+TEST(WorkerFrame, CraftedFramesAreDataLoss)
+{
+    auto loss = [](const std::string &b) {
+        return dataLossMessage(
+            [](std::string_view x) { return dse::decodeFrame(x); }, b);
+    };
+    const auto npos = std::string::npos;
+    const std::string id(8, '\0');
+    EXPECT_NE(loss("").find("truncated"), npos);
+    EXPECT_NE(loss(std::string(1, '\0')).find("unknown frame type"), npos);
+    EXPECT_NE(loss("\x07").find("unknown frame type"), npos);
+    EXPECT_NE(loss("\x06\x06").find("trailing"), npos); // shutdown + 1
+    // An eval frame whose repair flag sets bit 1.
+    EXPECT_NE(loss("\x04" + id + "\x02" + std::string(2, '\0'))
+                  .find("undefined bits"),
+              npos);
+    // A result outcome whose status code is past the last one.
+    EXPECT_NE(loss("\x05" + id + "\x01\x09" + std::string(1, '\0'))
+                  .find("unknown status code"),
+              npos);
+    // Two outcomes announced, the bytes for one at most.
+    EXPECT_NE(loss("\x05" + id + "\x02\x01" + std::string(1, '\0'))
+                  .find("exceeds"),
+              npos);
+}
+
 TEST(Hex, RoundTripsAndRejectsMalformedText)
 {
     std::string all;
@@ -1391,29 +1492,27 @@ TEST(MultiProcessDse, MisfiledReplyKeyIsRefusedAndRecovered)
 
 TEST(MultiProcessDse, StaleRequestOnRespawnedSlotIsRedispatchedNotAwaited)
 {
-    // Regression: a shard request is in flight on slot W when W dies
-    // before replying, and an *earlier* shard's recovery ladder
-    // restarts slot W. The respawned process never received the
-    // request, so awaiting its reply with the unlimited default
-    // timeout hung the coordinator forever (and with a finite timeout
-    // SIGKILLed the innocent restarted worker). The per-slot
-    // generation check must instead report the shard lost so the
-    // ladder redispatches it.
+    // Regression, kept for its walk through deaths and restarts: a
+    // ladder that queued a second shard behind a live one on the same
+    // pipe could respawn that slot in an earlier shard's recovery and
+    // then await the queued request, which the new process never saw.
+    // That case can no longer arise: a worker has at most one request
+    // outstanding, and each deferred shard is sent and awaited before
+    // the next one is sent, so a slot is respawned only when nothing
+    // is outstanding on it.
     //
     // Every worker process dies at its 3rd candidate (the fault
     // counts candidates, and restarted processes re-arm), and the
     // batch sequence walks the pool deterministically into that
     // state. Batches 1+2 (one candidate per shard) bring both workers
     // to two evals. Batch 3 (one candidate) kills worker 0 on
-    // receipt, then the redispatch kills worker 1 too, and the ladder
+    // receipt, then the retry kills worker 1 too, and the ladder
     // restarts slot 0 — leaving slot 1 dead and slot 0 fresh at one
-    // eval. Batch 4 (two two-candidate shards) queues both shards on
-    // slot 0, which evaluates the first candidate of shard 0 — slow,
-    // since a worker keeps no cache and every evaluation is a real
-    // one, so shard 1's request is queued on its pipe long before —
-    // then hits its 3rd-eval fault mid-request, and shard 0's
-    // recovery respawns slot 0. Shard 1 is now awaiting a request the
-    // new process never saw.
+    // eval. Batch 4 (two two-candidate shards) sends shard 0 to slot
+    // 0 and defers shard 1; slot 0 dies at its 3rd eval, mid-request.
+    // Shard 0 then recovers on a restarted slot 0. Shard 1 goes next
+    // to that same worker, which dies at its 3rd eval, and recovers on
+    // a restarted slot 1.
     auto set = workloads::suiteWorkloads("PolyBench");
     dse::WorkerPoolOptions po;
     po.workers = 2;
@@ -1457,6 +1556,34 @@ TEST(MultiProcessDse, StaleRequestOnRespawnedSlotIsRedispatchedNotAwaited)
     EXPECT_GT(pool.stats().deaths, 0u);
     EXPECT_GT(pool.stats().restarts, 0u);
     EXPECT_GT(pool.stats().redispatched, 0u);
+}
+
+TEST(MultiProcessDse, WorkerExitsNonZeroOnAFrameItCannotServe)
+{
+    // An undecodable frame, one of a type a worker never receives, and
+    // an eval before init each end the worker with code 1, so a
+    // coordinator with the default unlimited timeout sees EOF instead
+    // of waiting for a reply that will never come.
+    dse::WorkerFrame ready;
+    ready.type = dse::FrameType::Ready;
+    dse::WorkerFrame eval;
+    eval.type = dse::FrameType::Eval;
+    const std::vector<std::string> payloads = {
+        "\x7f", std::string("\x04\x01", 2), dse::encodeFrame(ready),
+        dse::encodeFrame(eval)};
+    for (const std::string &payload : payloads) {
+        SCOPED_TRACE("payload of " + std::to_string(payload.size()) +
+                     " bytes");
+        Subprocess::Options so;
+        so.argv = {Subprocess::selfExe(), dse::kWorkerArg};
+        auto spawned = Subprocess::spawn(std::move(so));
+        ASSERT_TRUE(spawned.ok()) << spawned.status().toString();
+        std::unique_ptr<Subprocess> child = std::move(spawned.value());
+        ASSERT_TRUE(child->writeFrame(payload).ok());
+        auto ended = child->wait(Deadline::afterMs(60000));
+        EXPECT_TRUE(ended.exited) << ended.describe();
+        EXPECT_EQ(ended.code, 1);
+    }
 }
 
 TEST(MultiProcessDse, StalledWorkerTimesOutAndRecoversBitIdentically)

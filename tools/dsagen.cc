@@ -422,8 +422,8 @@ finishDse(const dse::DseResult &res, const std::string &savePath,
     if (!res.simSpeedups.empty()) {
         std::printf(
             "simulator validation on best design (dense==sparse=="
-            "compiled==jit, wall-clock dense/jit net of jit compile "
-            "time):\n");
+            "compiled==jit, wall-clock dense/jit, fastest of 3 runs "
+            "each):\n");
         for (const auto &[name, sx] : res.simSpeedups)
             std::printf("  %-12s %.2fx\n", name.c_str(), sx);
     }
@@ -723,7 +723,7 @@ usage()
         "      --validate-sim           simulate the best design on every\n"
         "                               engine, check each against dense\n"
         "                               and report dense/jit speedups\n"
-        "                               (net of jit compile time)\n"
+        "                               (fastest of 3 runs each)\n"
         "      --pareto                 multi-objective search: keep a\n"
         "                               (perf, area, power) Pareto front\n"
         "                               and accept by hypervolume gain\n"
