@@ -97,25 +97,6 @@ cloneSubgraph(Adg &g, const std::vector<NodeId> &nodes)
 }
 
 std::vector<NodeId>
-adjacentSwitches(const Adg &g, NodeId id)
-{
-    std::set<NodeId> found;
-    if (!g.nodeAlive(id))
-        return {};
-    for (EdgeId e : g.outEdges(id)) {
-        NodeId n = g.edge(e).dst;
-        if (g.nodeAlive(n) && g.node(n).kind == NodeKind::Switch)
-            found.insert(n);
-    }
-    for (EdgeId e : g.inEdges(id)) {
-        NodeId n = g.edge(e).src;
-        if (g.nodeAlive(n) && g.node(n).kind == NodeKind::Switch)
-            found.insert(n);
-    }
-    return {found.begin(), found.end()};
-}
-
-std::vector<NodeId>
 attachedPes(const Adg &g, NodeId sw)
 {
     std::set<NodeId> found;

@@ -54,12 +54,6 @@ std::vector<NodeId> fabricNeighborhood(const Adg &g, NodeId seed,
 SubgraphClone cloneSubgraph(Adg &g, const std::vector<NodeId> &nodes);
 
 /**
- * The switches adjacent to @p id (union of in- and out-neighbours),
- * ascending, deduplicated. Used by rewire moves to pick local targets.
- */
-std::vector<NodeId> adjacentSwitches(const Adg &g, NodeId id);
-
-/**
  * PEs directly attached to switch @p sw (either direction), ascending,
  * deduplicated — the "tile" a grow/shrink move replicates or retires.
  */

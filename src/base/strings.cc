@@ -51,44 +51,6 @@ join(const std::vector<std::string> &parts, const std::string &sep)
     return os.str();
 }
 
-std::string
-toHex(std::string_view bytes)
-{
-    static constexpr char kDigits[] = "0123456789abcdef";
-    std::string out(bytes.size() * 2, '\0');
-    for (size_t i = 0; i < bytes.size(); ++i) {
-        auto b = static_cast<unsigned char>(bytes[i]);
-        out[2 * i] = kDigits[b >> 4];
-        out[2 * i + 1] = kDigits[b & 0xf];
-    }
-    return out;
-}
-
-std::optional<std::string>
-fromHex(std::string_view hex)
-{
-    auto digit = [](char c) -> int {
-        if (c >= '0' && c <= '9')
-            return c - '0';
-        if (c >= 'a' && c <= 'f')
-            return c - 'a' + 10;
-        if (c >= 'A' && c <= 'F')
-            return c - 'A' + 10;
-        return -1;
-    };
-    if (hex.size() % 2 != 0)
-        return std::nullopt;
-    std::string out(hex.size() / 2, '\0');
-    for (size_t i = 0; i < out.size(); ++i) {
-        int hi = digit(hex[2 * i]);
-        int lo = digit(hex[2 * i + 1]);
-        if (hi < 0 || lo < 0)
-            return std::nullopt;
-        out[i] = static_cast<char>(hi << 4 | lo);
-    }
-    return out;
-}
-
 size_t
 editDistance(const std::string &a, const std::string &b)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * String helpers used by the ADG serializer, command printers and
- * the worker-pipe and checkpoint encodings of binary payloads.
+ * the command line's name and number parsing.
  */
 
 #ifndef DSA_BASE_STRINGS_H
@@ -10,7 +10,6 @@
 #include <charconv>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -45,15 +44,6 @@ parseNumber(const std::string &s)
         return std::nullopt;
     return v;
 }
-
-/** Lower-case hexadecimal text of @p bytes, two digits per byte. */
-std::string toHex(std::string_view bytes);
-
-/**
- * The bytes @p hex spells (either case), or nullopt when its length
- * is odd or it holds a character that is not a hex digit.
- */
-std::optional<std::string> fromHex(std::string_view hex);
 
 /** Levenshtein edit distance between @p a and @p b. */
 size_t editDistance(const std::string &a, const std::string &b);

@@ -117,20 +117,6 @@ Dfg::addAccumulator(OpCode op, Operand value, Value accInit,
     return vertices_.back().id;
 }
 
-void
-Dfg::setCtrl(VertexId v, const CtrlSpec &ctrl)
-{
-    Vertex &vx = vertex(v);
-    DSA_ASSERT(vx.kind == VertexKind::Instruction,
-               "ctrl only applies to instructions");
-    if (ctrl.source == CtrlSpec::Source::Operand) {
-        DSA_ASSERT(ctrl.ctrlOperand >= 0 &&
-                   ctrl.ctrlOperand < static_cast<int>(vx.operands.size()),
-                   "bad ctrl operand index");
-    }
-    vx.ctrl = ctrl;
-}
-
 const Vertex &
 Dfg::vertex(VertexId v) const
 {
@@ -161,16 +147,6 @@ Dfg::outputPorts() const
     std::vector<VertexId> out;
     for (const auto &v : vertices_)
         if (v.kind == VertexKind::OutputPort)
-            out.push_back(v.id);
-    return out;
-}
-
-std::vector<VertexId>
-Dfg::instructions() const
-{
-    std::vector<VertexId> out;
-    for (const auto &v : vertices_)
-        if (v.kind == VertexKind::Instruction)
             out.push_back(v.id);
     return out;
 }

@@ -205,8 +205,6 @@ class Dfg
                                       const CtrlSpec &ctrl,
                                       const std::string &name = "",
                                       int widthBits = 64);
-    /** Attach stream-join control to an instruction. */
-    void setCtrl(VertexId v, const CtrlSpec &ctrl);
     /// @}
 
     /// @name Access
@@ -218,7 +216,6 @@ class Dfg
 
     std::vector<VertexId> inputPorts() const;
     std::vector<VertexId> outputPorts() const;
-    std::vector<VertexId> instructions() const;
 
     /** Vertices consuming @p v's value (with operand index). */
     struct Use { VertexId user; int operandIdx; };

@@ -65,6 +65,14 @@ class Writer
     }
 
     void
+    texts(const std::vector<std::string> &v)
+    {
+        count(v.size());
+        for (const std::string &s : v)
+            text(s);
+    }
+
+    void
     key(const EvalKey &k)
     {
         u64(k.structural.hi);
@@ -111,8 +119,7 @@ class Writer
         key(k);
         f64(e.objective);
         f64(e.perf);
-        f64(e.cost.areaMm2);
-        f64(e.cost.powerMw);
+        cost(e.cost);
         count(e.tasks.size());
         for (const EvalTaskOutcome &t : e.tasks) {
             u8((t.lowered ? kLowered : 0) | (t.legal ? kLegal : 0));
@@ -133,6 +140,108 @@ class Writer
             if (e.hasLegal)
                 schedule(e.sched);
         }
+    }
+
+    void
+    options(const DseOptions &o)
+    {
+        i32(o.maxIters);
+        i32(o.noImproveExit);
+        i32(o.infeasibleExit);
+        u64(o.seed);
+        i32(o.schedIters);
+        i32(o.initSchedIters);
+        u8(o.useRepair);
+        f64(o.areaBudgetMm2);
+        f64(o.powerBudgetMw);
+        ints(o.unrollFactors);
+        i32(o.threads);
+        i32(o.candidateBatch);
+        i32(o.schedChains);
+        text(o.checkpointPath);
+        i32(o.checkpointEvery);
+        u64(static_cast<uint64_t>(o.wallBudgetMs));
+        u64(static_cast<uint64_t>(o.candidateTimeMs));
+        u8(o.memoize);
+        u8(o.dedupBatch);
+        u8(o.checkCostOracle);
+        u8(o.pareto);
+        i32(o.paretoFrontSize);
+        u8(o.structuredMoves);
+        f64(o.powerObjectiveWeight);
+        i32(o.workers);
+        text(o.cacheStoreDir);
+        u64(static_cast<uint64_t>(o.workerRequestTimeoutMs));
+    }
+
+    void
+    cost(const model::ComponentCost &c)
+    {
+        f64(c.areaMm2);
+        f64(c.powerMw);
+    }
+
+    void
+    result(const DseResult &r)
+    {
+        text(r.best.toText());
+        f64(r.bestObjective);
+        f64(r.bestPerf);
+        cost(r.bestCost);
+        f64(r.initialObjective);
+        cost(r.initialCost);
+        count(r.history.size());
+        for (const DseIterRecord &h : r.history) {
+            i32(h.iter);
+            f64(h.areaMm2);
+            f64(h.powerMw);
+            f64(h.perf);
+            f64(h.objective);
+            u8(h.accepted);
+            f64(h.hypervolume);
+        }
+        i32(r.evalFailures);
+        i32(r.checkpointsWritten);
+        text(r.stopReason);
+        u8(static_cast<uint8_t>(r.status.code()));
+        text(r.status.message());
+    }
+
+    void
+    front(const ParetoFront &f)
+    {
+        f64(f.refAreaMm2());
+        f64(f.refPowerMw());
+        i32(f.maxSize());
+        count(f.points().size());
+        for (const ParetoPoint &p : f.points()) {
+            text(p.adg.toText());
+            f64(p.perf);
+            f64(p.areaMm2);
+            f64(p.powerMw);
+            f64(p.objective);
+            i32(p.iter);
+            u64(p.seq);
+        }
+    }
+
+    void
+    checkpoint(const std::vector<std::string> &workloads,
+               const DseOptions &o, const DseRunState &st)
+    {
+        texts(workloads);
+        options(o);
+        text(st.current.toText());
+        f64(st.curObj);
+        i32(st.iter);
+        i32(st.noImprove);
+        i32(st.infeasibleStreak);
+        i32(st.acceptedSinceCkpt);
+        text(st.rng.saveState());
+        cache(st.schedules);
+        result(st.result);
+        if (o.pareto)
+            front(st.front);
     }
 
     std::string take() { return std::move(out_); }
@@ -243,7 +352,7 @@ class Reader
         // Smallest region: the flag byte and five empty counts.
         s.regions.resize(count(6));
         for (mapper::RegionSchedule &r : s.regions) {
-            r.serialized = u8(1) != 0;
+            r.serialized = flag();
             ints(r.vertexMap);
             ints(r.streamMap);
             ints(r.vertexTime);
@@ -282,6 +391,45 @@ class Reader
         return s;
     }
 
+    std::vector<std::string>
+    texts()
+    {
+        std::vector<std::string> v(count(1));
+        for (std::string &s : v)
+            s = text();
+        return v;
+    }
+
+    bool flag() { return u8(1) != 0; }
+
+    /** A status code byte, then the message. */
+    Status
+    status()
+    {
+        auto code = static_cast<StatusCode>(u8(0xff));
+        if (code > StatusCode::Internal) {
+            fail("unknown status code");
+            return Status();
+        }
+        return Status(code, text());
+    }
+
+    /** ADG text, parsed; a parse error names @p field and the line. */
+    adg::Adg
+    adg(const char *field)
+    {
+        std::string t = text();
+        if (!ok())
+            return adg::Adg();
+        try {
+            return adg::Adg::fromText(t);
+        } catch (...) {
+            fail(std::string(field) + " holds unparseable ADG text: " +
+                 Status::fromCurrentException().message());
+            return adg::Adg();
+        }
+    }
+
     EvalStoreRecord
     entry()
     {
@@ -290,8 +438,7 @@ class Reader
         auto e = std::make_shared<EvalCacheEntry>();
         e->objective = f64();
         e->perf = f64();
-        e->cost.areaMm2 = f64();
-        e->cost.powerMw = f64();
+        e->cost = cost();
         // Smallest task: the flag byte and the cycle count.
         e->tasks.resize(count(9));
         for (EvalTaskOutcome &t : e->tasks) {
@@ -318,11 +465,131 @@ class Reader
             ScheduleCacheEntry *e = slot(c, std::make_pair(kernel, unroll));
             if (!e)
                 break;
-            e->hasLegal = u8(1) != 0;
+            e->hasLegal = flag();
             if (e->hasLegal)
                 e->sched = schedule();
         }
         return c;
+    }
+
+    DseOptions
+    options()
+    {
+        DseOptions o;
+        o.maxIters = i32();
+        o.noImproveExit = i32();
+        o.infeasibleExit = i32();
+        o.seed = u64();
+        o.schedIters = i32();
+        o.initSchedIters = i32();
+        o.useRepair = flag();
+        o.areaBudgetMm2 = f64();
+        o.powerBudgetMw = f64();
+        ints(o.unrollFactors);
+        o.threads = i32();
+        o.candidateBatch = i32();
+        o.schedChains = i32();
+        o.checkpointPath = text();
+        o.checkpointEvery = i32();
+        o.wallBudgetMs = static_cast<int64_t>(u64());
+        o.candidateTimeMs = static_cast<int64_t>(u64());
+        o.memoize = flag();
+        o.dedupBatch = flag();
+        o.checkCostOracle = flag();
+        o.pareto = flag();
+        o.paretoFrontSize = i32();
+        o.structuredMoves = flag();
+        o.powerObjectiveWeight = f64();
+        o.workers = i32();
+        o.cacheStoreDir = text();
+        o.workerRequestTimeoutMs = static_cast<int64_t>(u64());
+        return o;
+    }
+
+    model::ComponentCost
+    cost()
+    {
+        model::ComponentCost c;
+        c.areaMm2 = f64();
+        c.powerMw = f64();
+        return c;
+    }
+
+    DseResult
+    result()
+    {
+        DseResult r;
+        r.best = adg("result best");
+        r.bestObjective = f64();
+        r.bestPerf = f64();
+        r.bestCost = cost();
+        r.initialObjective = f64();
+        r.initialCost = cost();
+        // Smallest record: the iteration, five doubles and the flag.
+        r.history.resize(count(42));
+        for (DseIterRecord &h : r.history) {
+            h.iter = i32();
+            h.areaMm2 = f64();
+            h.powerMw = f64();
+            h.perf = f64();
+            h.objective = f64();
+            h.accepted = flag();
+            h.hypervolume = f64();
+        }
+        r.evalFailures = i32();
+        r.checkpointsWritten = i32();
+        r.stopReason = text();
+        r.status = status();
+        return r;
+    }
+
+    ParetoFront
+    front()
+    {
+        double refArea = f64();
+        double refPower = f64();
+        int maxSize = i32();
+        // Smallest point: empty text, four doubles, iteration, seq.
+        std::vector<ParetoPoint> points(count(42));
+        for (ParetoPoint &p : points) {
+            p.adg = adg("pareto point");
+            p.perf = f64();
+            p.areaMm2 = f64();
+            p.powerMw = f64();
+            p.objective = f64();
+            p.iter = i32();
+            p.seq = u64();
+        }
+        // What the ParetoFront constructor asserts.
+        if (ok() && !(refArea > 0 && refPower > 0 && maxSize >= 2))
+            fail("pareto front header is malformed");
+        if (!ok())
+            return ParetoFront();
+        return ParetoFront::restore(refArea, refPower, maxSize,
+                                    std::move(points));
+    }
+
+    DseCheckpoint
+    checkpoint()
+    {
+        DseCheckpoint ck;
+        ck.workloadNames = texts();
+        ck.options = options();
+        DseRunState &st = ck.state;
+        st.current = adg("state current");
+        st.curObj = f64();
+        st.iter = i32();
+        st.noImprove = i32();
+        st.infeasibleStreak = i32();
+        st.acceptedSinceCkpt = i32();
+        std::string rng = text();
+        if (ok() && !st.rng.loadState(rng))
+            fail("state rng stream is malformed");
+        st.schedules = cache();
+        st.result = result();
+        if (ck.options.pareto)
+            st.front = front();
+        return ck;
     }
 
     /**
@@ -440,10 +707,8 @@ encodeFrame(const WorkerFrame &f)
     w.u8(static_cast<uint8_t>(f.type));
     switch (f.type) {
     case FrameType::Init:
-        w.count(f.workloads.size());
-        for (const std::string &name : f.workloads)
-            w.text(name);
-        w.text(f.options);
+        w.texts(f.workloads);
+        w.options(f.options);
         break;
     case FrameType::Error:
         w.text(f.message);
@@ -452,9 +717,7 @@ encodeFrame(const WorkerFrame &f)
         w.u64(f.id);
         w.u8(f.repair ? 1 : 0);
         w.cache(f.schedules);
-        w.count(f.cands.size());
-        for (const std::string &text : f.cands)
-            w.text(text);
+        w.texts(f.cands);
         break;
     case FrameType::Result:
         w.u64(f.id);
@@ -485,21 +748,17 @@ decodeFrame(std::string_view bytes)
         rd.fail("unknown frame type");
     switch (f.type) {
     case FrameType::Init:
-        f.workloads.resize(rd.count(1));
-        for (std::string &name : f.workloads)
-            name = rd.text();
-        f.options = rd.text();
+        f.workloads = rd.texts();
+        f.options = rd.options();
         break;
     case FrameType::Error:
         f.message = rd.text();
         break;
     case FrameType::Eval:
         f.id = rd.u64();
-        f.repair = rd.u8(1) != 0;
+        f.repair = rd.flag();
         f.schedules = rd.cache();
-        f.cands.resize(rd.count(1));
-        for (std::string &text : f.cands)
-            text = rd.text();
+        f.cands = rd.texts();
         break;
     case FrameType::Result:
         f.id = rd.u64();
@@ -522,6 +781,26 @@ decodeFrame(std::string_view bytes)
     if (!s.ok())
         return s;
     return f;
+}
+
+std::string
+encodeCheckpoint(const std::vector<std::string> &workloadNames,
+                 const DseOptions &opts, const DseRunState &state)
+{
+    Writer w;
+    w.checkpoint(workloadNames, opts, state);
+    return w.take();
+}
+
+Result<DseCheckpoint>
+decodeCheckpoint(std::string_view bytes)
+{
+    Reader rd(bytes, "record");
+    DseCheckpoint ck = rd.checkpoint();
+    Status s = rd.finish();
+    if (!s.ok())
+        return s;
+    return ck;
 }
 
 } // namespace dsa::dse

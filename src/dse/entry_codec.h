@@ -1,16 +1,17 @@
 /**
  * @file
- * Binary codec for eval-cache entries, repair caches and worker-pipe
- * frames.
+ * Binary codec for everything the DSE persists or ships: eval-cache
+ * entries, repair caches, worker-pipe frames, exploration options and
+ * checkpoints.
  *
- * One encoding serves every place an evaluation outcome or a repair
- * cache leaves the process: cache-store record payloads
- * (dse/cache_store.h), the worker-pipe frames (dse/worker_pool.h),
- * which carry them as raw codec bytes, and a checkpoint's repair
- * cache (dse/checkpoint.h), the one place that keeps them as hex
- * text (toHex in base/strings.h) inside its JSON. Round-trips are
- * exact — the bit-identity of multi-process runs and resumes rests
- * on it.
+ * One encoding serves every place an evaluation outcome, a repair
+ * cache or the exploration state leaves the process: cache-store
+ * record payloads (dse/cache_store.h), the worker-pipe frames
+ * (dse/worker_pool.h) and checkpoint files (dse/checkpoint.h, which
+ * put a magic and the version in front of the checkpoint record).
+ * Entries, repair caches and options ride inside frames and
+ * checkpoints as raw codec bytes. Round-trips are exact — the
+ * bit-identity of multi-process runs and resumes rests on it.
  *
  * Layout, field by field in this order:
  *
@@ -32,7 +33,7 @@
  *   route    = count, int* edge ids
  *
  *   frame    = u8 type, then by type:
- *     init     count, text* workload names, text options
+ *     init     count, text* workload names, options
  *     ready    nothing
  *     error    text message
  *     eval     u64 id, u8 repair, cache, count, text* candidate ADGs
@@ -41,10 +42,38 @@
  *     shutdown nothing
  *   text     = count, byte*
  *
+ *   options  = int maxIters, int noImproveExit, int infeasibleExit,
+ *              u64 seed, int schedIters, int initSchedIters,
+ *              u8 useRepair, f64 areaBudgetMm2, f64 powerBudgetMw,
+ *              count, int* unrollFactors, int threads,
+ *              int candidateBatch, int schedChains,
+ *              text checkpointPath, int checkpointEvery,
+ *              u64 wallBudgetMs, u64 candidateTimeMs, u8 memoize,
+ *              u8 dedupBatch, u8 checkCostOracle, u8 pareto,
+ *              int paretoFrontSize, u8 structuredMoves,
+ *              f64 powerObjectiveWeight, int workers,
+ *              text cacheStoreDir, u64 workerRequestTimeoutMs
+ *              (test-only knobs and post-run validation stay out)
+ *   checkpoint = count, text* workload names, options, text current
+ *              ADG, f64 curObj, int iter, int noImprove,
+ *              int infeasibleStreak, int acceptedSinceCkpt, text rng
+ *              (Rng::saveState), cache, result, front iff pareto
+ *   result   = text best ADG, f64 bestObjective, f64 bestPerf,
+ *              f64 bestArea, f64 bestPower, f64 initialObjective,
+ *              f64 initialArea, f64 initialPower, count, history*,
+ *              int evalFailures, int checkpointsWritten,
+ *              text stopReason, u8 status code, text status message
+ *   history  = int iter, f64 area, f64 power, f64 perf, f64 objective,
+ *              u8 accepted, f64 hypervolume
+ *   front    = f64 refArea, f64 refPower, int maxSize, count,
+ *              (text ADG, f64 perf, f64 area, f64 power,
+ *               f64 objective, int iter, u64 seq)*
+ *
  * `count` is an unsigned LEB128 varint; `int` is a zigzag varint of a
  * 32-bit value, so the unassigned id -1 takes one byte; u64 is eight
  * little-endian bytes and f64 the little-endian IEEE-754 bits, so
- * every double round-trips exactly.
+ * every double round-trips exactly; an int64 time limit is the u64 of
+ * its two's-complement bits.
  *
  * Decoders trust nothing. Every count is checked against the bytes
  * that remain (times its element's smallest encoding) before anything
@@ -52,9 +81,13 @@
  * flags may only set their defined bits, frame types and status
  * codes must be defined values, map keys must strictly ascend, and a
  * payload that ends early or has bytes left over is
- * DataLoss. Any byte string therefore decodes to exactly the value
- * that encodes to it, or to DataLoss — never a crash, and never an
- * allocation larger than the input justifies.
+ * DataLoss. Any byte string therefore decodes to exactly the entry,
+ * cache or frame that encodes to it, or to DataLoss — never a crash,
+ * and never an allocation larger than the input justifies. A
+ * checkpoint also holds text that other parsers read (ADG text, the
+ * RNG state), so it decodes or is DataLoss, naming the line of bad
+ * ADG text; its Pareto front must have a positive reference point and
+ * room for two points.
  */
 
 #ifndef DSA_DSE_ENTRY_CODEC_H
@@ -67,6 +100,7 @@
 #include <vector>
 
 #include "base/status.h"
+#include "dse/checkpoint.h"
 #include "dse/eval_cache.h"
 
 namespace dsa::dse {
@@ -115,7 +149,7 @@ struct WorkerFrame
 {
     FrameType type = FrameType::Shutdown;
     std::vector<std::string> workloads; ///< init: workload names
-    std::string options;                ///< init: dseOptionsToText
+    DseOptions options;                 ///< init: exploration options
     std::string message;                ///< error: why init failed
     uint64_t id = 0;                    ///< eval, result: request id
     bool repair = false;                ///< eval: repair or start fresh
@@ -129,6 +163,15 @@ std::string encodeFrame(const WorkerFrame &frame);
 
 /** Decode all of @p bytes as one frame; DataLoss on corrupt input. */
 Result<WorkerFrame> decodeFrame(std::string_view bytes);
+
+/** Encode a checkpoint record (the body of a checkpoint file). */
+std::string encodeCheckpoint(const std::vector<std::string> &workloadNames,
+                             const DseOptions &opts,
+                             const DseRunState &state);
+
+/** Decode all of @p bytes as a checkpoint record; DataLoss on corrupt
+ *  input. */
+Result<DseCheckpoint> decodeCheckpoint(std::string_view bytes);
 
 } // namespace dsa::dse
 

@@ -73,10 +73,8 @@ struct ScheduleCacheEntry
 
 using ScheduleCache = std::map<std::pair<int, int>, ScheduleCacheEntry>;
 
-/** Exact content hash of a schedule (routes, maps, times, cost). */
-uint64_t hashSchedule(const mapper::Schedule &s);
-
-/** Exact content hash of a repair cache (keys + entries, in order). */
+/** Content hash of a repair cache: the xxhash64 of its codec bytes
+ *  (encodeScheduleCache in dse/entry_codec.h). */
 uint64_t hashScheduleCache(const ScheduleCache &cache);
 
 /** Key of one memoized evaluation (see file comment). */

@@ -1,9 +1,11 @@
 #include "dse/explorer.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -1284,24 +1286,32 @@ Explorer::validateBest(DseResult &result)
         if (!sched.cost.legal())
             continue;
 
-        // Each run takes milliseconds, so one run per engine swings
-        // with the host. Time the fastest of kValidationRuns rounds,
-        // each running every engine once, so dense and jit sample the
-        // same stretches of host time. The first jit run compiles the
-        // kernel and the registry serves it to the later ones, so the
-        // fastest jit run is native code.
-        constexpr int kValidationRuns = 3;
+        // A run takes a millisecond or less, so one run per engine
+        // swings with the host. Run rounds of every engine once, so
+        // dense and jit sample the same stretches of host time: at
+        // least kMinRounds, and more until every engine has
+        // kMinTimedMs of timed runs. Each engine's fastest run counts.
+        // The first jit run compiles the kernel and the registry serves
+        // it to the later ones, so the fastest jit run is native code.
+        constexpr int kMinRounds = 3;
+        constexpr double kMinTimedMs = 20;
+        constexpr Engine kEngines[] = {Engine::Dense, Engine::Sparse,
+                                       Engine::Compiled, Engine::Jit};
+        constexpr size_t kNumEngines = std::size(kEngines);
+        std::array<double, kNumEngines> fastestMs;
+        fastestMs.fill(std::numeric_limits<double>::infinity());
+        std::array<double, kNumEngines> timedMs{};
         sim::SimResult denseRes;
         sim::MemImage denseImg;
-        double denseMs = std::numeric_limits<double>::infinity();
-        double jitMs = denseMs;
-        for (int run = 0; run < kValidationRuns; ++run) {
-            for (Engine e : {Engine::Dense, Engine::Sparse,
-                             Engine::Compiled, Engine::Jit}) {
+        for (int round = 0;
+             round < kMinRounds ||
+             *std::min_element(timedMs.begin(), timedMs.end()) < kMinTimedMs;
+             ++round) {
+            for (size_t k = 0; k < kNumEngines; ++k) {
                 auto img = sim::MemImage::build(w->kernel, golden.initial,
                                                 placement);
                 sim::SimOptions so = opts_.sim;
-                so.engine = e;
+                so.engine = kEngines[k];
                 so.checkAgainst.reset();
                 // Validation runs are short: compile eagerly so the
                 // native path is actually exercised.
@@ -1311,12 +1321,10 @@ Explorer::validateBest(DseResult &result)
                 double ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
-                if (e == Engine::Dense)
-                    denseMs = std::min(denseMs, ms);
-                else if (e == Engine::Jit)
-                    jitMs = std::min(jitMs, ms);
+                fastestMs[k] = std::min(fastestMs[k], ms);
+                timedMs[k] += ms;
                 // Every run is checked against the first dense run.
-                if (e == Engine::Dense && run == 0) {
+                if (k == 0 && round == 0) {
                     denseRes = std::move(res);
                     denseImg = std::move(img);
                     continue;
@@ -1325,11 +1333,13 @@ Explorer::validateBest(DseResult &result)
                     sim::firstDivergence(denseRes, res, denseImg, img);
                 if (!diff.empty() && result.status.ok())
                     result.status = Status::internal(
-                        std::string(sim::engineName(e)) +
+                        std::string(sim::engineName(kEngines[k])) +
                         "/dense simulator divergence on workload '" +
                         w->name + "' of the best design: " + diff);
             }
         }
+        double denseMs = fastestMs.front();
+        double jitMs = fastestMs.back();
         result.simSpeedups[w->name] = jitMs > 0 ? denseMs / jitMs : 0.0;
     }
 }

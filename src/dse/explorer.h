@@ -155,7 +155,7 @@ struct DseOptions
     /**
      * When non-empty, the explorer atomically serializes its full
      * resumable state (current/best ADG, objective, iteration trace,
-     * RNG stream position, repair-cache schedules) to this JSON file
+     * RNG stream position, repair-cache schedules) to this file
      * via write-temp-then-rename, every checkpointEvery accepted
      * steps and at run end. `dsagen dse --resume <file>` (or
      * Explorer::resume) continues bit-identically with what the
@@ -291,11 +291,13 @@ struct DseOptions
     /// @{
     /**
      * After the exploration loop, run the cycle-level simulator on
-     * the best design for every workload in three rounds of every
-     * sim::Engine (dense, sparse, compiled, jit), check every run
-     * against the first dense run with sim::firstDivergence, and
-     * record the per-workload dense/jit wall-clock speedup of each
-     * engine's fastest run in DseResult::simSpeedups. A divergence
+     * the best design for every workload in rounds of every
+     * sim::Engine (dense, sparse, compiled, jit) — at least three,
+     * and more until every engine has 20 ms of timed runs — check
+     * every run against the first dense run with
+     * sim::firstDivergence, and record the per-workload dense/jit
+     * wall-clock speedup of each engine's fastest run in
+     * DseResult::simSpeedups. A divergence
      * surfaces as an Internal DseResult::status naming the engine, the
      * workload and the differing field. Off by default (it adds full
      * simulation passes to the run). Not serialized into checkpoints.
@@ -424,9 +426,10 @@ struct DseResult
     double frontHypervolume = 0;
     /** Per-workload dense/jit simulator wall-clock speedup on the
      *  best design (populated when DseOptions::simValidateBest): the
-     *  fastest of three dense runs over the fastest of three jit runs,
-     *  interleaved. Only the first jit run compiles its kernel, so the
-     *  fastest is the native engine's speed, not the compiler's. */
+     *  fastest dense run over the fastest jit run, interleaved in
+     *  rounds (see simValidateBest). Only the first jit run compiles
+     *  its kernel, so the fastest is the native engine's speed, not
+     *  the compiler's. */
     std::map<std::string, double> simSpeedups;
     /** JIT-tier activity during this run — kernel compiles and their
      *  total latency, requests served natively, degrade counts (see

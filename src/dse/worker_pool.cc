@@ -9,7 +9,6 @@
 #include "adg/fingerprint.h"
 #include "base/fault.h"
 #include "base/logging.h"
-#include "dse/checkpoint.h"
 #include "dse/entry_codec.h"
 #include "workloads/workload.h"
 
@@ -67,7 +66,7 @@ WorkerPool::live(size_t i) const
 }
 
 Status
-WorkerPool::spawnWorker(size_t i)
+WorkerPool::launchWorker(size_t i)
 {
     Worker &w = workers_[i];
     w.proc.reset();
@@ -88,20 +87,28 @@ WorkerPool::spawnWorker(size_t i)
     WorkerFrame init;
     init.type = FrameType::Init;
     init.workloads = opts_.workloadNames;
-    init.options = dseOptionsToText(opts_.dse);
+    init.options = opts_.dse;
     Status s = w.proc->writeFrame(encodeFrame(init));
-    if (s.ok()) {
-        auto bytes = w.proc->readFrame(Deadline::afterMs(kInitTimeoutMs));
-        auto reply = bytes.ok() ? decodeFrame(bytes.value())
-                                : Result<WorkerFrame>(bytes.status());
-        if (!reply.ok())
-            s = reply.status();
-        else if (reply.value().type == FrameType::Error)
-            s = protocolError("worker handshake failed: " +
-                              reply.value().message);
-        else if (reply.value().type != FrameType::Ready)
-            s = protocolError("worker handshake failed: unexpected reply");
-    }
+    if (!s.ok())
+        failWorker(i, s);
+    return s;
+}
+
+Status
+WorkerPool::awaitReady(size_t i)
+{
+    Worker &w = workers_[i];
+    auto bytes = w.proc->readFrame(Deadline::afterMs(kInitTimeoutMs));
+    auto reply = bytes.ok() ? decodeFrame(bytes.value())
+                            : Result<WorkerFrame>(bytes.status());
+    Status s;
+    if (!reply.ok())
+        s = reply.status();
+    else if (reply.value().type == FrameType::Error)
+        s = protocolError("worker handshake failed: " +
+                          reply.value().message);
+    else if (reply.value().type != FrameType::Ready)
+        s = protocolError("worker handshake failed: unexpected reply");
     if (!s.ok()) {
         failWorker(i, s);
         return s;
@@ -111,19 +118,32 @@ WorkerPool::spawnWorker(size_t i)
 }
 
 Status
+WorkerPool::spawnWorker(size_t i)
+{
+    Status s = launchWorker(i);
+    return s.ok() ? awaitReady(i) : s;
+}
+
+Status
 WorkerPool::start()
 {
     DSA_ASSERT(!started_, "WorkerPool::start called twice");
     started_ = true;
     workers_.resize(static_cast<size_t>(opts_.workers));
+    // Launch every worker before awaiting any, so their start-ups
+    // (exec plus the Explorer construction) overlap.
+    std::vector<Status> up(workers_.size());
+    for (size_t i = 0; i < workers_.size(); ++i)
+        up[i] = launchWorker(i);
     Status lastErr;
     size_t alive = 0;
     for (size_t i = 0; i < workers_.size(); ++i) {
-        Status s = spawnWorker(i);
-        if (s.ok())
+        if (up[i].ok())
+            up[i] = awaitReady(i);
+        if (up[i].ok())
             ++alive;
         else
-            lastErr = s;
+            lastErr = up[i];
     }
     if (alive == 0)
         return lastErr.ok()
@@ -335,10 +355,7 @@ workerInit(const WorkerFrame &init, std::unique_ptr<Explorer> &explorer)
     if (set.empty())
         return protocolError("init frame carries no workloads");
 
-    auto opts = dseOptionsFromText(init.options);
-    if (!opts.ok())
-        return opts.status();
-    DseOptions o = std::move(opts.value());
+    DseOptions o = init.options;
     // The worker is a pure evaluation engine: never nested workers,
     // never a cache store (the coordinator memoizes and appends every
     // reply), never checkpoints, never post-run validation — and one

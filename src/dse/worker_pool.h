@@ -7,18 +7,19 @@
  * frame on their pipes carries one WorkerFrame in the binary encoding
  * of dse/entry_codec.h, whose strict decoder reads both ends:
  *
- *   coordinator -> worker   init(workload names, options text)
+ *   coordinator -> worker   init(workload names, options record)
  *   worker -> coordinator   ready, or error(message)
  *   coordinator -> worker   eval(id, repair, repair cache, ADG texts)
  *   worker -> coordinator   result(id, per candidate: status code and
  *                           message, or the encoded entry with its key)
  *   coordinator -> worker   shutdown
  *
- * The options text is dseOptionsToText (dse/checkpoint.h), the
- * checkpoint's JSON for them; a result's entry is the same bytes a
- * cache-store record holds. A worker that reads a frame it cannot
- * decode, or one it does not expect, exits with code 1 rather than
- * wait for a frame that may never come.
+ * The options record is the one a checkpoint holds, and a result's
+ * entry is the same bytes a cache-store record holds. Workers start
+ * together: start() launches every worker, then awaits each ready in
+ * worker order. A worker that reads a frame it cannot decode, or one
+ * it does not expect, exits with code 1 rather than wait for a frame
+ * that may never come.
  *
  * A worker is a bare Explorer::evaluateDesign: it evaluates each
  * candidate with no eval cache and no cache store, and replies with
@@ -92,9 +93,10 @@ class WorkerPool
     WorkerPool &operator=(const WorkerPool &) = delete;
 
     /**
-     * Spawn + handshake every worker. OK when at least one worker came
-     * up; the full-failure error otherwise (callers then run entirely
-     * in-process).
+     * Spawn every worker and send each its init frame, then await
+     * each handshake in worker order. OK when at least one worker
+     * came up; the full-failure error otherwise (callers then run
+     * entirely in-process).
      */
     Status start();
 
@@ -128,6 +130,11 @@ class WorkerPool
         uint64_t inFlight = 0;
     };
 
+    /** Spawn worker @p i and send it the init frame. */
+    Status launchWorker(size_t i);
+    /** Await launched worker @p i's handshake. */
+    Status awaitReady(size_t i);
+    /** launchWorker, then awaitReady (a restart). */
     Status spawnWorker(size_t i);
     void failWorker(size_t i, const Status &why);
     void noteError(const Status &s);

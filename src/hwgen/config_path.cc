@@ -78,15 +78,6 @@ ConfigPathSet::maxLength() const
     return longest;
 }
 
-int
-ConfigPathSet::totalLength() const
-{
-    int total = 0;
-    for (const auto &p : paths)
-        total += static_cast<int>(p.size());
-    return total;
-}
-
 ConfigPathSet
 generateConfigPaths(const Adg &adg, int numPaths, int iters, uint64_t seed)
 {

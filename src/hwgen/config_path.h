@@ -32,8 +32,6 @@ struct ConfigPathSet
 
     /** Steps of the longest path. */
     int maxLength() const;
-    /** Sum of steps over all paths. */
-    int totalLength() const;
 };
 
 /**

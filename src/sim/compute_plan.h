@@ -16,7 +16,8 @@
  * cannot specialize (stream-join control) becomes an InstGeneric step
  * that calls the shared generic fire routine, so the contract holds
  * by construction. The simulator's oracle chain (dense -> sparse ->
- * compiled) enforces it end to end via SimOptions::checkCompiled.
+ * compiled) enforces it end to end: a run with SimOptions::checkAgainst
+ * set compares against the reference engine.
  */
 
 #ifndef DSA_SIM_COMPUTE_PLAN_H
@@ -118,129 +119,6 @@ void runPlan(RegionSim &rs, const RegionPlan &plan, int64_t now,
 void runPlanRecord(RegionSim &rs, const RegionPlan &plan, int64_t now,
                    bool &activity, int64_t *peFiredCycle,
                    uint64_t &fired, uint64_t &latched);
-
-/**
- * Replay one recorded step action with no gate evaluation: performs
- * exactly the state mutation runPlan would have performed for a step
- * whose gates passed (@p fired) and/or whose PortSimple refill ran
- * (@p latched). Only specialized step kinds are replayable; the
- * replay tier never arms a plan containing generic steps. Defined
- * inline: the replay inner loop calls it per recorded action, and the
- * call overhead would otherwise dominate the replayed cycle.
- */
-inline void
-fireStep(RegionSim &rs, PlanStep &s, int64_t now, bool fired,
-         bool latched, int64_t *peFiredCycle)
-{
-    // Gate-free action replay. Each case performs exactly the state
-    // mutation of the corresponding runPlanT case's success path; the
-    // period-recurrence proof in the replay tier guarantees the gates
-    // would have passed.
-    (void)peFiredCycle;
-    switch (s.kind) {
-      case PlanStep::PortSimple: {
-        PortSim &ps = *s.port;
-        if (latched) {
-            ps.current[0] = ps.buf[ps.bufHead];
-            ps.bufHead = (ps.bufHead + 1) & ps.bufMask;
-            --ps.bufCount;
-            ps.reuseLeft = 1;
-        }
-        if (fired) {
-            Value v = ps.current[0];
-            for (int j = 0; j < s.nOut; ++j)
-                s.outs[j]->push(now, v);
-            ps.reuseLeft = 0;
-            ps.lastPop = now;
-            ++ps.pops;
-        }
-        break;
-      }
-      case PlanStep::InstSimple:
-      case PlanStep::InstAcc: {
-        InstSim &is = *s.inst;
-        if (s.peStamp)
-            *s.peStamp = now;
-        is.lastFire = now;
-        Value a = s.in[0] ? s.in[0]->front() : s.imm[0];
-        Value b = s.nIn > 1
-            ? (s.in[1] ? s.in[1]->front() : s.imm[1]) : 0;
-        Value c = s.nIn > 2
-            ? (s.in[2] ? s.in[2]->front() : s.imm[2]) : 0;
-        Value r = s.fn(a, b, c,
-                       s.kind == PlanStep::InstAcc ? &is.acc : nullptr);
-        for (int j = 0; j < s.nIn; ++j)
-            if (s.in[j])
-                s.in[j]->pop();
-        ++is.fires;
-        for (int j = 0; j < s.nOut; ++j)
-            s.outs[j]->push(now, r);
-        break;
-      }
-      case PlanStep::InstSelfAcc: {
-        InstSim &is = *s.inst;
-        if (s.peStamp)
-            *s.peStamp = now;
-        is.lastFire = now;
-        Value v = s.in[0] ? s.in[0]->front() : s.imm[0];
-        is.acc = s.fn(is.acc, v, 0, nullptr);
-        Value r = is.acc;
-        for (int j = 0; j < s.nIn; ++j)
-            if (s.in[j])
-                s.in[j]->pop();
-        ++is.fires;
-        for (int j = 0; j < s.nOut; ++j)
-            s.outs[j]->push(now, r);
-        if (s.accResetEvery > 0 && is.fires % s.accResetEvery == 0)
-            is.acc = s.accInit;
-        break;
-      }
-      case PlanStep::OutSimple: {
-        OutPortSim &op = *s.outPort;
-        for (int j = 0; j < s.nOut; ++j) {
-            Value v = s.outs[j]->front();
-            s.outs[j]->pop();
-            op.deliverElement(v);
-        }
-        ++op.fires;
-        break;
-      }
-      case PlanStep::OutLast: {
-        OutPortSim &op = *s.outPort;
-        if (op.lastVec.size() != static_cast<size_t>(s.nOut))
-            op.lastVec.resize(s.nOut);
-        for (int j = 0; j < s.nOut; ++j) {
-            op.lastVec[static_cast<size_t>(j)] = s.outs[j]->front();
-            s.outs[j]->pop();
-        }
-        ++op.fires;
-        op.lastValid = true;
-        break;
-      }
-      case PlanStep::OutEvery: {
-        OutPortSim &op = *s.outPort;
-        bool keep = (op.fires + 1) % op.outputEvery == 0;
-        if (keep) {
-            for (int j = 0; j < s.nOut; ++j) {
-                Value v = s.outs[j]->front();
-                s.outs[j]->pop();
-                op.deliverElement(v);
-            }
-        } else {
-            for (int j = 0; j < s.nOut; ++j)
-                s.outs[j]->pop();
-        }
-        ++op.fires;
-        break;
-      }
-      case PlanStep::PortGeneric:
-      case PlanStep::InstGeneric:
-      case PlanStep::OutGeneric:
-        DSA_ASSERT(false, "generic plan step in a replayed period");
-        break;
-    }
-    (void)rs;
-}
 
 } // namespace dsa::sim::detail
 

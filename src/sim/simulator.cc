@@ -90,8 +90,6 @@ class Machine
     void pumpForwards(int64_t now, bool &activity);
     /** Whole program retired? */
     bool allDone() const;
-    /** Periodic DSA_SIM_TRACE state dump. */
-    void traceDump(int64_t now) const;
 
     /** The original dense time-stepped loop (the oracle). */
     SimResult runDense();
@@ -195,8 +193,6 @@ class Machine
     /** Per-region compiled compute plans (Compiled and Jit engines). */
     std::vector<RegionPlan> plans_;
     bool compiled_ = false;
-    /** DSA_SIM_TRACE read once at build. */
-    bool trace_ = false;
     /// @name Engine accounting (reported via SimResult)
     /// @{
     int64_t cyclesCompiled_ = 0;
@@ -570,8 +566,6 @@ Machine::build()
         memPlans_.push_back(std::move(plan));
     }
 
-    trace_ = std::getenv("DSA_SIM_TRACE") != nullptr;
-
     // Compiled steady-state tier: lower each region's dataflow into a
     // flat micro-op plan (the dense and sparse engines never consult
     // plans).
@@ -829,7 +823,7 @@ Machine::rpDemote(int64_t now)
 int64_t
 Machine::replayTop(int64_t now, int64_t burstHzn, bool deadlineLimited)
 {
-    if (trace_ || activeRegions_.size() != 1) {
+    if (activeRegions_.size() != 1) {
         rpDemote(now);
         return 0;
     }
@@ -2393,35 +2387,6 @@ Machine::allDone() const
     return true;
 }
 
-void
-Machine::traceDump(int64_t now) const
-{
-    // DSA_SIM_TRACE=1 dumps periodic machine state (debugging aid).
-    if (now % 64 != 0)
-        return;
-    for (const RegionSim &rs : regions_) {
-        std::fprintf(stderr,
-                     "[sim %lld] region %d state=%d lastAct=%lld",
-                     static_cast<long long>(now), rs.idx,
-                     static_cast<int>(rs.state),
-                     static_cast<long long>(rs.lastActivity));
-        for (const StreamExec &se : rs.streams)
-            std::fprintf(stderr, " s%d:%zu/%zu(wb=%zu)",
-                         se.st->id, se.pos, se.addrs.size(),
-                         se.writeBuf.size());
-        for (size_t v = 0; v < rs.inPorts.size(); ++v)
-            if (!rs.inPorts[v].lanePipes.empty())
-                std::fprintf(stderr, " p%zu:buf=%d pops=%lld",
-                             v, rs.inPorts[v].bufSize(),
-                             static_cast<long long>(
-                                 rs.inPorts[v].pops));
-        for (const InstSim &is : rs.insts)
-            std::fprintf(stderr, " i%d:fires=%lld", is.vx->id,
-                         static_cast<long long>(is.fires));
-        std::fprintf(stderr, "\n");
-    }
-}
-
 SimResult
 Machine::run()
 {
@@ -2463,9 +2428,6 @@ Machine::runDense()
         for (RegionSim &rs : regions_)
             tickRegion(rs, now, activity);
         ++cyclesGeneric_;
-
-        if (trace_)
-            traceDump(now);
 
         if (allDone())
             break;
@@ -2651,9 +2613,6 @@ Machine::runSparse()
                 tickRegion(regions_[r], now, activity);
             ++cyclesGeneric_;
         }
-
-        if (trace_)
-            traceDump(now);
 
         // allDone only flips on a region transition, so an unchanged
         // burst cycle cannot have completed the program.

@@ -68,38 +68,42 @@ expect_config_error show-adg bad-token.adg
 # --resume: settings that never change results apply, search-shaping
 # flags and positionals are refused. The wall budget stops the run
 # right after its first step, leaving a checkpoint mid-run.
-if ! "$dsagen" dse PolyBench 6 1 1 --checkpoint ck.json \
+if ! "$dsagen" dse PolyBench 6 1 1 --checkpoint ck.ckpt \
         --wall-budget-ms 1 >/dev/null 2>&1; then
     echo "FAIL: could not write a checkpoint to resume" >&2
     fail=1
 fi
-cp ck.json ck.orig
-expect_config_error dse --resume ck.json PolyBench
-expect_config_error dse --resume ck.json --no-caches --cache-store store.d
+cp ck.ckpt ck.orig
+expect_config_error dse --resume ck.ckpt PolyBench
+expect_config_error dse --resume ck.ckpt --no-caches --cache-store store.d
 for flag in --pareto "--front-size 4" "--power-weight 1" --no-structured \
             "--sched-chains 2" "--candidate-time-ms 5"; do
     # shellcheck disable=SC2086 # a flag and its value are two words
-    expect_config_error dse --resume ck.json $flag
+    expect_config_error dse --resume ck.ckpt $flag
 done
-out="$("$dsagen" dse --resume ck.json --wall-budget-ms 0 \
-           --checkpoint other.json 2>&1)"
+out="$("$dsagen" dse --resume ck.ckpt --wall-budget-ms 0 \
+           --checkpoint other.ckpt 2>&1)"
 rc=$?
 if [ "$rc" -ne 0 ] || ! printf '%s\n' "$out" | grep -q "stopped: max-iters" ||
-        [ ! -f other.json ] || ! cmp -s ck.json ck.orig; then
+        [ ! -f other.ckpt ] || ! cmp -s ck.ckpt ck.orig; then
     echo "FAIL: resume ignored --wall-budget-ms/--checkpoint (exit $rc)" >&2
     fail=1
 else
-    echo "ok: dsagen dse --resume ck.json --wall-budget-ms 0" \
-         "--checkpoint other.json"
+    echo "ok: dsagen dse --resume ck.ckpt --wall-budget-ms 0" \
+         "--checkpoint other.ckpt"
 fi
-# Checkpoints from older builds and unknown workloads are refused.
-for v in 1 2; do
-    sed "s/\"version\":3/\"version\":$v/" ck.orig > "version-$v.json"
-    expect_config_error dse --resume "version-$v.json"
-done
-sed 's/"workloads":\["[^"]*"/"workloads":["no-such-kernel"/' ck.orig \
-    > unknown-workload.json
-expect_config_error dse --resume unknown-workload.json
+# Checkpoints of other formats and unknown workloads are refused. Older
+# builds wrote JSON, version 3 the last of it. A binary file is "DSCK",
+# the version byte, then the record; the record starts with the
+# workload count and the first name's length and text. The byte edits
+# below keep every length in the record valid.
+printf '{"format":"dsagen-dse-checkpoint","version":3,"workloads":["mm"],%s\n' \
+    '"options":{},"state":{}}' > version-3.json
+expect_config_error dse --resume version-3.json
+{ printf 'DSCK\005'; tail -c +6 ck.orig; } > version-5.ckpt
+expect_config_error dse --resume version-5.ckpt
+LC_ALL=C sed '1s/^\(.\{7\}\)./\1~/' ck.orig > unknown-workload.ckpt
+expect_config_error dse --resume unknown-workload.ckpt
 
 expect_runtime_error() {
     local out err rc
@@ -121,9 +125,8 @@ expect_runtime_error() {
 }
 
 # A checkpoint whose design text is mangled is corrupt state.
-sed 's/"current":"[^"]*"/"current":"adg v1\\nnode 0 pe bogus\\n"/' \
-    ck.orig > bad-design.json
-expect_runtime_error dse --resume bad-design.json
+LC_ALL=C sed '0,/node 0 /s//node X /' ck.orig > bad-design.ckpt
+expect_runtime_error dse --resume bad-design.ckpt
 expect_runtime_error hwgen softbrain /nonexistent-dir/out.v
 # A directory squatting on the temp name makes the design write fail.
 rm -f dsagen_PolyBench.adg

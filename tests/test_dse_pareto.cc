@@ -235,7 +235,7 @@ TEST(ParetoExplorer, FrontSurvivesKillAndResumeBitIdentically)
 {
     auto set = workloads::suiteWorkloads("PolyBench");
     auto refOpts = paretoOpts();
-    refOpts.checkpointPath = "pareto_ref.ckpt.json";
+    refOpts.checkpointPath = "pareto_ref.ckpt";
     refOpts.checkpointEvery = 1;
     Explorer ref(set, refOpts);
     auto refRes = ref.run(adg::buildDseInitial());
@@ -243,7 +243,7 @@ TEST(ParetoExplorer, FrontSurvivesKillAndResumeBitIdentically)
     ASSERT_FALSE(refRes.front.empty());
 
     auto crashOpts = refOpts;
-    crashOpts.checkpointPath = "pareto_crash.ckpt.json";
+    crashOpts.checkpointPath = "pareto_crash.ckpt";
     crashOpts.haltAfterCheckpoints = 1;
     Explorer crashed(set, crashOpts);
     auto crashRes = crashed.run(adg::buildDseInitial());

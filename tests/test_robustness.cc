@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -63,7 +65,7 @@ using namespace dsa::ir;
 std::string
 tmpPath(const std::string &tag)
 {
-    return "robustness_" + tag + ".ckpt.json";
+    return "robustness_" + tag + ".ckpt";
 }
 
 std::string
@@ -420,87 +422,130 @@ TEST(DseFaults, WallBudgetStopsRunCleanly)
 // Checkpoint files: round trip + corruption
 // ---------------------------------------------------------------------
 
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
 TEST(Checkpoint, SaveLoadRoundTripIsExact)
 {
     auto set = workloads::suiteWorkloads("PolyBench");
-    auto opts = tinyDse();
-    opts.checkpointPath = tmpPath("roundtrip");
-    opts.checkpointEvery = 1;
-    dse::Explorer ex(set, opts);
-    auto res = ex.run(adg::buildDseInitial());
-    ASSERT_GT(res.checkpointsWritten, 0);
+    for (bool pareto : {false, true}) {
+        SCOPED_TRACE(pareto ? "pareto" : "scalar");
+        auto opts = tinyDse();
+        opts.pareto = pareto;
+        opts.checkpointPath = tmpPath("roundtrip");
+        opts.checkpointEvery = 1;
+        dse::Explorer ex(set, opts);
+        auto res = ex.run(adg::buildDseInitial());
+        ASSERT_GT(res.checkpointsWritten, 0);
 
-    auto loaded = dse::loadCheckpoint(opts.checkpointPath);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    const dse::DseCheckpoint &ck = loaded.value();
-    ASSERT_EQ(ck.workloadNames.size(), set.size());
-    EXPECT_EQ(ck.workloadNames.front(), set.front()->name);
-    EXPECT_EQ(ck.options.maxIters, opts.maxIters);
-    EXPECT_EQ(ck.options.seed, opts.seed);
-    EXPECT_EQ(ck.state.result.best.toText(), res.best.toText());
-    // Serializing the loaded checkpoint again reproduces the file
-    // byte-for-byte: every double and int64 survived exactly.
-    std::string again =
-        dse::checkpointToJson(ck.workloadNames, ck.options, ck.state)
-            .dump() +
-        "\n";
-    EXPECT_EQ(readAll(opts.checkpointPath), again);
-    std::remove(opts.checkpointPath.c_str());
+        auto loaded = dse::loadCheckpoint(opts.checkpointPath);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+        const dse::DseCheckpoint &ck = loaded.value();
+        ASSERT_EQ(ck.workloadNames.size(), set.size());
+        EXPECT_EQ(ck.workloadNames.front(), set.front()->name);
+        EXPECT_EQ(ck.options.maxIters, opts.maxIters);
+        EXPECT_EQ(ck.options.seed, opts.seed);
+        EXPECT_EQ(ck.state.result.best.toText(), res.best.toText());
+        EXPECT_EQ(ck.state.front.size(), pareto ? res.front.size() : 0u);
+        // Saving the loaded checkpoint again reproduces the file
+        // byte-for-byte: every double and int64 survived exactly.
+        std::string again = tmpPath("roundtrip_again");
+        ASSERT_TRUE(dse::saveCheckpoint(ck.workloadNames, ck.options,
+                                        ck.state, again)
+                        .ok());
+        EXPECT_EQ(readAll(again), readAll(opts.checkpointPath));
+        std::remove(again.c_str());
+        std::remove(opts.checkpointPath.c_str());
+    }
 }
 
 TEST(Checkpoint, CorruptFilesRejectedWithCleanStatus)
 {
-    auto missing = dse::loadCheckpoint("no_such_checkpoint.json");
+    auto missing = dse::loadCheckpoint("no_such_checkpoint.ckpt");
     EXPECT_FALSE(missing.ok());
     EXPECT_EQ(missing.status().code(), StatusCode::NotFound);
 
     std::string path = tmpPath("corrupt");
-    auto writeFile = [&](const std::string &text) {
-        std::ofstream out(path, std::ios::trunc);
-        out << text;
+    ASSERT_TRUE(
+        dse::saveCheckpoint({"mm"}, tinyDse(), dse::DseRunState{}, path).ok());
+    const std::string good = readAll(path);
+    ASSERT_TRUE(dse::loadCheckpoint(path).ok());
+    auto load = [&](const std::string &bytes) {
+        writeBytes(path, bytes);
+        return dse::loadCheckpoint(path);
     };
 
-    writeFile("{\"format\": \"dsagen-dse-che");  // truncated mid-token
-    auto truncated = dse::loadCheckpoint(path);
-    EXPECT_FALSE(truncated.ok());
-    EXPECT_EQ(truncated.status().code(), StatusCode::DataLoss);
-
-    writeFile("{\"format\": \"something-else\", \"version\": 1}");
-    auto wrongFormat = dse::loadCheckpoint(path);
-    EXPECT_FALSE(wrongFormat.ok());
-    EXPECT_EQ(wrongFormat.status().code(), StatusCode::InvalidArgument);
-
-    writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": 99}");
-    auto wrongVersion = dse::loadCheckpoint(path);
-    EXPECT_FALSE(wrongVersion.ok());
-    EXPECT_EQ(wrongVersion.status().code(), StatusCode::InvalidArgument);
-
-    // Files from older builds are refused, naming both versions:
-    // version 1 still embedded the eval cache, version 2 held the
-    // repair cache as a JSON array.
-    for (int old : {1, 2}) {
-        writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": " +
-                  std::to_string(old) +
-                  ", \"workloads\": [\"mm\"], \"options\": {}, "
-                  "\"state\": {}}");
-        auto refused = dse::loadCheckpoint(path);
-        EXPECT_FALSE(refused.ok());
-        EXPECT_EQ(refused.status().code(), StatusCode::InvalidArgument);
-        EXPECT_NE(refused.status().message().find("version " +
-                                                  std::to_string(old)),
-                  std::string::npos);
-        EXPECT_NE(refused.status().message().find("version 3"),
-                  std::string::npos);
+    for (size_t cut : {size_t(0), size_t(3), size_t(5), good.size() / 2,
+                       good.size() - 1}) {
+        auto truncated = load(good.substr(0, cut));
+        EXPECT_FALSE(truncated.ok()) << cut;
+        EXPECT_EQ(truncated.status().code(), StatusCode::DataLoss)
+            << truncated.status().toString();
     }
 
-    writeFile("{\"format\": \"dsagen-dse-checkpoint\", \"version\": 3, "
-              "\"workloads\": [\"mm\"], \"options\": {}, \"state\": {}}");
-    auto missingFields = dse::loadCheckpoint(path);
-    EXPECT_FALSE(missingFields.ok());
-    EXPECT_EQ(missingFields.status().code(), StatusCode::DataLoss);
-    EXPECT_NE(missingFields.status().message().find("missing field"),
+    auto wrongFormat = load("DSE2" + good.substr(4));
+    EXPECT_FALSE(wrongFormat.ok());
+    EXPECT_EQ(wrongFormat.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(wrongFormat.status().message().find("not a DSE checkpoint"),
               std::string::npos);
+
+    // Another version of the binary format, and the JSON files of
+    // versions 1 to 3 from older builds, are refused naming both
+    // versions.
+    const std::string current = "version " + std::to_string(
+                                                 dse::kCheckpointVersion);
+    for (int other : {3, 5, 99}) {
+        std::string bytes = good;
+        bytes[4] = static_cast<char>(other);
+        auto refused = load(bytes);
+        EXPECT_FALSE(refused.ok());
+        EXPECT_EQ(refused.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(refused.status().message().find(
+                      "version " + std::to_string(other)),
+                  std::string::npos)
+            << refused.status().toString();
+        EXPECT_NE(refused.status().message().find(current), std::string::npos);
+    }
+    for (int old : {1, 2, 3}) {
+        auto refused =
+            load("{\"format\": \"dsagen-dse-checkpoint\", \"version\": " +
+                 std::to_string(old) +
+                 ", \"workloads\": [\"mm\"], \"options\": {}, "
+                 "\"state\": {}}\n");
+        EXPECT_FALSE(refused.ok());
+        EXPECT_EQ(refused.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(refused.status().message().find("version 3"),
+                  std::string::npos)
+            << refused.status().toString();
+        EXPECT_NE(refused.status().message().find(current), std::string::npos);
+    }
+
+    auto trailing = load(good + '\0');
+    EXPECT_FALSE(trailing.ok());
+    EXPECT_EQ(trailing.status().code(), StatusCode::DataLoss);
     std::remove(path.c_str());
+}
+
+/** A default run state whose Pareto front holds one point, so the
+ *  front's encoding is part of what a test covers. */
+dse::DseRunState
+stateWithFront(const dse::DseOptions &opts)
+{
+    dse::DseRunState state;
+    state.front = dse::ParetoFront(opts.areaBudgetMm2, opts.powerBudgetMw,
+                                   opts.paretoFrontSize);
+    dse::ParetoPoint p;
+    p.perf = 1.5;
+    p.areaMm2 = 2.0;
+    p.powerMw = 300.0;
+    p.objective = 0.5625;
+    p.iter = 7;
+    state.front.add(std::move(p));
+    return state;
 }
 
 TEST(Checkpoint, MalformedDesignTextLoadsAsDataLoss)
@@ -508,12 +553,15 @@ TEST(Checkpoint, MalformedDesignTextLoadsAsDataLoss)
     // Checkpoints embed designs as ADG text: a mangled one must come
     // back as DataLoss naming the bad line, never abort the process.
     dse::DseRunState state;
-    json::Value doc = dse::checkpointToJson({"mm"}, tinyDse(), state);
-    ASSERT_TRUE(dse::checkpointFromJson(doc).ok());
-    json::Value st = *doc.find("state");
-    st.set("current", json::Value::str("adg v1\nnode 0 pe bogus\n"));
-    doc.set("state", std::move(st));
-    auto loaded = dse::checkpointFromJson(doc);
+    std::string good = state.current.toText();
+    std::string bad = "adg v1\nnode 0 pe bogus\n";
+    ASSERT_LT(good.size(), 0x80u); // both lengths are one-byte counts
+    std::string bytes = dse::encodeCheckpoint({"mm"}, tinyDse(), state);
+    ASSERT_TRUE(dse::decodeCheckpoint(bytes).ok());
+    size_t at = bytes.find(static_cast<char>(good.size()) + good);
+    ASSERT_NE(at, std::string::npos);
+    bytes.replace(at, 1 + good.size(), static_cast<char>(bad.size()) + bad);
+    auto loaded = dse::decodeCheckpoint(bytes);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::DataLoss);
     EXPECT_NE(loaded.status().message().find("node 0 pe bogus"),
@@ -521,41 +569,176 @@ TEST(Checkpoint, MalformedDesignTextLoadsAsDataLoss)
         << loaded.status().toString();
 }
 
-TEST(Checkpoint, MalformedScheduleCacheLoadsAsDataLoss)
-{
-    // The repair cache is hex codec bytes: bad hex, bytes that do not
-    // decode, and the version-2 JSON array are all DataLoss.
-    dse::DseRunState state;
-    json::Value doc = dse::checkpointToJson({"mm"}, tinyDse(), state);
-    ASSERT_TRUE(dse::checkpointFromJson(doc).ok());
-    for (json::Value bad :
-         {json::Value::str("0"), json::Value::str("zz"),
-          json::Value::str("01"), json::Value::str("0000"),
-          json::Value::array()}) {
-        json::Value st = *doc.find("state");
-        st.set("schedules", bad);
-        json::Value mangled = doc;
-        mangled.set("state", std::move(st));
-        auto loaded = dse::checkpointFromJson(mangled);
-        ASSERT_FALSE(loaded.ok()) << bad.dump();
-        EXPECT_EQ(loaded.status().code(), StatusCode::DataLoss)
-            << loaded.status().toString();
-    }
-}
-
-TEST(Checkpoint, ParetoStateWithoutFrontIsDataLoss)
+TEST(Checkpoint, ParetoStateWithoutValidFrontIsDataLoss)
 {
     // Pareto runs always write their front; one without it is corrupt,
     // not a run to restart with an empty archive.
     auto opts = tinyDse();
     opts.pareto = true;
-    auto loaded = dse::checkpointFromJson(
-        dse::checkpointToJson({"mm"}, opts, dse::DseRunState{}));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::DataLoss);
-    EXPECT_NE(loaded.status().message().find("missing field 'front'"),
+    auto empty = dse::decodeCheckpoint(
+        dse::encodeCheckpoint({"mm"}, opts, dse::DseRunState{}));
+    ASSERT_FALSE(empty.ok());
+    EXPECT_EQ(empty.status().code(), StatusCode::DataLoss);
+    EXPECT_NE(empty.status().message().find("pareto front header"),
               std::string::npos)
-        << loaded.status().toString();
+        << empty.status().toString();
+
+    // A Pareto record cut where a scalar one ends has no front at all.
+    dse::DseRunState state = stateWithFront(opts);
+    std::string withFront = dse::encodeCheckpoint({"mm"}, opts, state);
+    ASSERT_TRUE(dse::decodeCheckpoint(withFront).ok());
+    std::string scalar = dse::encodeCheckpoint({"mm"}, tinyDse(), state);
+    auto cut = dse::decodeCheckpoint(withFront.substr(0, scalar.size()));
+    ASSERT_FALSE(cut.ok());
+    EXPECT_EQ(cut.status().code(), StatusCode::DataLoss);
+
+    // A NaN reference point is refused, not handed to the ParetoFront
+    // constructor's assertion. The front's reference area is the last
+    // copy of the area budget's bits in the record.
+    auto bitsOf = [](double v) {
+        std::string b(8, '\0');
+        auto u = std::bit_cast<uint64_t>(v);
+        for (int i = 0; i < 8; ++i)
+            b[i] = static_cast<char>(u >> (8 * i));
+        return b;
+    };
+    size_t ref = withFront.rfind(bitsOf(opts.areaBudgetMm2));
+    ASSERT_NE(ref, std::string::npos);
+    withFront.replace(ref, 8, bitsOf(std::nan("")));
+    auto nan = dse::decodeCheckpoint(withFront);
+    ASSERT_FALSE(nan.ok());
+    EXPECT_NE(nan.status().message().find("pareto front header"),
+              std::string::npos)
+        << nan.status().toString();
+}
+
+TEST(Checkpoint, TruncationsAndByteFlipsLoadOrAreRefused)
+{
+    // Every prefix and every one-byte flip (all bits, the low bit, the
+    // high bit) of a small Pareto checkpoint loads or is refused with
+    // DataLoss or InvalidArgument; none crashes. A copy whose file
+    // header ("DSCK" and the version byte) is intact is decoded in
+    // memory, as loadCheckpoint decodes the rest of such a file; the
+    // others go through loadCheckpoint itself.
+    auto opts = tinyDse();
+    opts.pareto = true;
+    std::string path = tmpPath("sweep");
+    ASSERT_TRUE(
+        dse::saveCheckpoint({"mm"}, opts, stateWithFront(opts), path).ok());
+    const std::string good = readAll(path);
+    const size_t header = 5;
+    auto loads = [&](const std::string &bytes) {
+        bool intact = bytes.size() > header &&
+                      bytes.compare(0, header, good, 0, header) == 0;
+        if (!intact)
+            writeBytes(path, bytes);
+        auto r = intact ? dse::decodeCheckpoint(
+                              std::string_view(bytes).substr(header))
+                        : dse::loadCheckpoint(path);
+        if (!r.ok()) {
+            EXPECT_TRUE(r.status().code() == StatusCode::DataLoss ||
+                        r.status().code() == StatusCode::InvalidArgument)
+                << r.status().toString();
+        }
+        return r.ok();
+    };
+    for (size_t n = 0; n < good.size(); ++n)
+        EXPECT_FALSE(loads(good.substr(0, n))) << n;
+    size_t loaded = 0;
+    std::string flipped = good;
+    for (size_t i = 0; i < good.size(); ++i) {
+        for (unsigned mask : {0xffu, 0x01u, 0x80u}) {
+            flipped[i] = static_cast<char>(good[i] ^ mask);
+            loaded += loads(flipped);
+        }
+        flipped[i] = good[i];
+    }
+    // Doubles and the RNG's digits take most flips.
+    EXPECT_GT(loaded, 0u);
+    std::remove(path.c_str());
+}
+
+/** The DseOptions fields a checkpoint and an init frame carry. */
+#define DSE_SERIALIZED_OPTIONS(X)                                          \
+    X(maxIters) X(noImproveExit) X(infeasibleExit) X(seed) X(schedIters)   \
+    X(initSchedIters) X(useRepair) X(areaBudgetMm2) X(powerBudgetMw)       \
+    X(unrollFactors) X(threads) X(candidateBatch) X(schedChains)           \
+    X(checkpointPath) X(checkpointEvery) X(wallBudgetMs)                   \
+    X(candidateTimeMs) X(memoize) X(dedupBatch) X(checkCostOracle)         \
+    X(pareto) X(paretoFrontSize) X(structuredMoves)                        \
+    X(powerObjectiveWeight) X(workers) X(cacheStoreDir)                    \
+    X(workerRequestTimeoutMs)
+
+#define COUNT_FIELD(f) +1
+static_assert(0 DSE_SERIALIZED_OPTIONS(COUNT_FIELD) == 27);
+#undef COUNT_FIELD
+
+/** Every serialized option set to a value that is not its default. */
+dse::DseOptions
+everyOptionSet()
+{
+    dse::DseOptions o;
+    o.maxIters = 11;
+    o.noImproveExit = 12;
+    o.infeasibleExit = 13;
+    o.seed = 0xfedcba9876543210ull;
+    o.schedIters = 14;
+    o.initSchedIters = 15;
+    o.useRepair = false;
+    o.areaBudgetMm2 = 3.25;
+    o.powerBudgetMw = 900.5;
+    o.unrollFactors = {2, 8, 16};
+    o.threads = 3;
+    o.candidateBatch = 5;
+    o.schedChains = 4;
+    o.checkpointPath = "run.ckpt";
+    o.checkpointEvery = 6;
+    o.wallBudgetMs = -7; // int64s keep their sign bits too
+    o.candidateTimeMs = int64_t(1) << 40;
+    o.memoize = false;
+    o.dedupBatch = false;
+    o.checkCostOracle = true;
+    o.pareto = true;
+    o.paretoFrontSize = 9;
+    o.structuredMoves = false;
+    o.powerObjectiveWeight = 0.1;
+    o.workers = 2;
+    o.cacheStoreDir = "store.d";
+    o.workerRequestTimeoutMs = 12345;
+    return o;
+}
+
+void
+expectSameOptions(const dse::DseOptions &a, const dse::DseOptions &b)
+{
+#define EXPECT_FIELD_EQ(f) EXPECT_EQ(a.f, b.f) << #f;
+    DSE_SERIALIZED_OPTIONS(EXPECT_FIELD_EQ)
+#undef EXPECT_FIELD_EQ
+}
+
+TEST(DseOptionsRecord, EveryFieldSurvivesCheckpointAndInitFrame)
+{
+    const dse::DseOptions set = everyOptionSet();
+    const dse::DseOptions defaults;
+#define EXPECT_FIELD_NE(f) EXPECT_NE(set.f, defaults.f) << #f;
+    DSE_SERIALIZED_OPTIONS(EXPECT_FIELD_NE)
+#undef EXPECT_FIELD_NE
+
+    std::string path = tmpPath("options");
+    ASSERT_TRUE(
+        dse::saveCheckpoint({"mm"}, set, stateWithFront(set), path).ok());
+    auto ck = dse::loadCheckpoint(path);
+    ASSERT_TRUE(ck.ok()) << ck.status().toString();
+    expectSameOptions(ck.value().options, set);
+    std::remove(path.c_str());
+
+    dse::WorkerFrame init;
+    init.type = dse::FrameType::Init;
+    init.workloads = {"mm"};
+    init.options = set;
+    auto frame = dse::decodeFrame(dse::encodeFrame(init));
+    ASSERT_TRUE(frame.ok()) << frame.status().toString();
+    expectSameOptions(frame.value().options, set);
 }
 
 // ---------------------------------------------------------------------
@@ -621,15 +804,16 @@ TEST(CheckpointResume, CrashedRunResumesBitIdentically)
     EXPECT_EQ(refRes.checkpointsWritten, resRes.checkpointsWritten);
 
     // And the final checkpoints of both runs are byte-identical up to
-    // the recorded checkpointPath option itself.
+    // the recorded checkpointPath option itself: its text and the
+    // one-byte count in front of it.
     std::string a = readAll(refOpts.checkpointPath);
     std::string b = readAll(crashOpts.checkpointPath);
     size_t pa = a.find(tmpPath("ref"));
     size_t pb = b.find(tmpPath("crash"));
     ASSERT_NE(pa, std::string::npos);
     ASSERT_NE(pb, std::string::npos);
-    a.replace(pa, tmpPath("ref").size(), "X");
-    b.replace(pb, tmpPath("crash").size(), "X");
+    a.replace(pa - 1, 1 + tmpPath("ref").size(), "X");
+    b.replace(pb - 1, 1 + tmpPath("crash").size(), "X");
     EXPECT_EQ(a, b);
     std::remove(refOpts.checkpointPath.c_str());
     std::remove(crashOpts.checkpointPath.c_str());
@@ -893,6 +1077,66 @@ TEST(CacheStore, TruncatedTailQuarantinesOnlyLastRecord)
     rmTree(dir);
 }
 
+TEST(CacheStore, SegmentTruncationsAndByteFlipsLoadOnlyWrittenRecords)
+{
+    // Every prefix and every one-byte flip (all bits, the low bit, the
+    // high bit) of a three-record segment: loadInto never fails or
+    // crashes, and every record it loads is one that was written.
+    std::string dir = "robustness_store_sweep";
+    rmTree(dir);
+    std::vector<std::string> written;
+    {
+        dse::CacheStore store(dir);
+        ASSERT_TRUE(store.open().ok());
+        for (uint64_t i = 0; i < 3; ++i) {
+            ASSERT_TRUE(store.append(synthKey(i), synthEntry(i)).ok());
+            written.push_back(dse::encodeEvalEntry(synthKey(i),
+                                                   synthEntry(i)));
+        }
+    }
+    auto segs = segFiles(dir);
+    ASSERT_EQ(segs.size(), 1u);
+    const std::string path = dir + "/" + segs[0];
+    const std::string good = readAll(path);
+    size_t recordsSeen = 0;
+    auto loadOnlyWritten = [&](const std::string &bytes) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << bytes;
+        }
+        dse::CacheStore reader(dir);
+        dse::EvalCache cache;
+        ASSERT_TRUE(reader.open().ok());
+        ASSERT_TRUE(reader.loadInto(cache).ok());
+        size_t found = 0;
+        for (uint64_t i = 0; i < 3; ++i) {
+            if (auto hit = cache.find(synthKey(i))) {
+                ++found;
+                EXPECT_EQ(dse::encodeEvalEntry(synthKey(i), *hit),
+                          written[i]);
+            }
+        }
+        // Nothing was loaded under a key that was not written.
+        EXPECT_EQ(cache.size(), found);
+        recordsSeen += found;
+    };
+    // Each corrupt region logs a warning; keep the test log readable.
+    testing::internal::CaptureStderr();
+    for (size_t n = 0; n <= good.size(); ++n)
+        loadOnlyWritten(good.substr(0, n));
+    std::string flipped = good;
+    for (size_t i = 0; i < good.size(); ++i) {
+        for (unsigned mask : {0xffu, 0x01u, 0x80u}) {
+            flipped[i] = static_cast<char>(good[i] ^ mask);
+            loadOnlyWritten(flipped);
+        }
+        flipped[i] = good[i];
+    }
+    testing::internal::GetCapturedStderr();
+    EXPECT_GT(recordsSeen, 0u);
+    rmTree(dir);
+}
+
 TEST(CacheStore, StaleLeaseOfDeadOwnerIsTakenOver)
 {
     std::string dir = "robustness_store_lease";
@@ -1030,8 +1274,8 @@ TEST(CacheStore, JsonPayloadSegmentFromOlderBuildIsQuarantinedAndRetired)
 }
 
 // ---------------------------------------------------------------------
-// Binary entry codec and hex text: every corruption decodes or is
-// DataLoss (store records and worker frames carry these bytes)
+// Binary entry codec: every corruption decodes or is DataLoss (store
+// records and worker frames carry these bytes)
 // ---------------------------------------------------------------------
 
 /** A real MachSuite evaluation with schedules, and the repair cache it
@@ -1209,7 +1453,7 @@ frameOfEachType()
     std::vector<dse::WorkerFrame> frames(6);
     frames[0].type = dse::FrameType::Init;
     frames[0].workloads = {"mm", "crs"};
-    frames[0].options = dse::dseOptionsToText(tinyDse());
+    frames[0].options = tinyDse();
     frames[1].type = dse::FrameType::Ready;
     frames[2].type = dse::FrameType::Error;
     frames[2].message = "not-found: worker: no workload 'x'";
@@ -1248,9 +1492,7 @@ TEST(WorkerFrame, RoundTripKeepsEveryField)
     auto init = dse::decodeFrame(dse::encodeFrame(frames[0]));
     ASSERT_TRUE(init.ok()) << init.status().toString();
     EXPECT_EQ(init.value().workloads, frames[0].workloads);
-    auto opts = dse::dseOptionsFromText(init.value().options);
-    ASSERT_TRUE(opts.ok()) << opts.status().toString();
-    EXPECT_EQ(dse::dseOptionsToText(opts.value()), frames[0].options);
+    expectSameOptions(init.value().options, frames[0].options);
 
     auto eval = dse::decodeFrame(dse::encodeFrame(frames[3]));
     ASSERT_TRUE(eval.ok()) << eval.status().toString();
@@ -1297,24 +1539,6 @@ TEST(WorkerFrame, CraftedFramesAreDataLoss)
     EXPECT_NE(loss("\x05" + id + "\x02\x01" + std::string(1, '\0'))
                   .find("exceeds"),
               npos);
-}
-
-TEST(Hex, RoundTripsAndRejectsMalformedText)
-{
-    std::string all;
-    for (int b = 0; b < 256; ++b)
-        all.push_back(static_cast<char>(b));
-    std::string hex = toHex(all);
-    EXPECT_EQ(hex.size(), 512u);
-    EXPECT_EQ(hex.substr(0, 6), "000102");
-    EXPECT_EQ(hex.substr(506), "fdfeff");
-    ASSERT_TRUE(fromHex(hex).has_value());
-    EXPECT_EQ(*fromHex(hex), all);
-    EXPECT_EQ(fromHex("ABcd").value_or("?"), std::string("\xab\xcd", 2));
-    EXPECT_EQ(fromHex("").value_or("?"), std::string());
-    for (const char *bad : {"0", "abc", "zz", "0g", "g0", " 0", "0-", "0x00"})
-        EXPECT_FALSE(fromHex(bad).has_value()) << bad;
-    EXPECT_FALSE(fromHex(std::string("0\0", 2)).has_value());
 }
 
 TEST(CacheStoreDse, CorruptSegmentsQuarantinedTraceUnchanged)

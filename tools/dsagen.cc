@@ -422,8 +422,8 @@ finishDse(const dse::DseResult &res, const std::string &savePath,
     if (!res.simSpeedups.empty()) {
         std::printf(
             "simulator validation on best design (dense==sparse=="
-            "compiled==jit, wall-clock dense/jit, fastest of 3 runs "
-            "each):\n");
+            "compiled==jit, wall-clock dense/jit, fastest run of "
+            "each engine):\n");
         for (const auto &[name, sx] : res.simSpeedups)
             std::printf("  %-12s %.2fx\n", name.c_str(), sx);
     }
