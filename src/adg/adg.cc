@@ -35,7 +35,7 @@ nodeKindFromName(const std::string &name)
     // Thrown, not fatal: mangled ADG text can come from a corrupt
     // checkpoint, which must surface as a Status, not kill the run.
     throw StatusException(Status::invalidArgument(
-        "unknown node kind '" + name + "' " +
+        "unknown node kind '" + name + "'" +
         suggestName(name, {"pe", "switch", "mem", "sync", "delay"})));
 }
 
@@ -51,7 +51,7 @@ schedulingFromName(const std::string &name)
     if (name == "static") return Scheduling::Static;
     if (name == "dynamic") return Scheduling::Dynamic;
     throw StatusException(Status::invalidArgument(
-        "unknown scheduling '" + name + "' " +
+        "unknown scheduling '" + name + "'" +
         suggestName(name, {"static", "dynamic"})));
 }
 
@@ -67,7 +67,7 @@ sharingFromName(const std::string &name)
     if (name == "dedicated") return Sharing::Dedicated;
     if (name == "shared") return Sharing::Shared;
     throw StatusException(Status::invalidArgument(
-        "unknown sharing '" + name + "' " +
+        "unknown sharing '" + name + "'" +
         suggestName(name, {"dedicated", "shared"})));
 }
 
@@ -359,7 +359,7 @@ opFromText(const std::string &name)
     std::vector<std::string> valid;
     for (int i = 0; i < kNumOpCodes; ++i)
         valid.emplace_back(opName(static_cast<OpCode>(i)));
-    malformed("unknown opcode '" + name + "' " + suggestName(name, valid));
+    malformed("unknown opcode '" + name + "'" + suggestName(name, valid));
 }
 
 OpSet

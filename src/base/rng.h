@@ -125,17 +125,22 @@ class Rng
         return os.str();
     }
 
-    /** Restore a state from saveState(); false on malformed input. */
+    /**
+     * Restore a state from saveState(); false on malformed input and
+     * on any text saveState() would not write back (trailing text,
+     * extra spaces, leading zeros), so a loaded state re-saves to
+     * exactly @p state.
+     */
     bool
     loadState(const std::string &state)
     {
         std::istringstream is(state);
         is.imbue(std::locale::classic());
-        std::mt19937_64 restored;
-        is >> restored;
-        if (is.fail())
+        Rng restored;
+        is >> restored.engine_;
+        if (is.fail() || restored.saveState() != state)
             return false;
-        engine_ = restored;
+        engine_ = restored.engine_;
         return true;
     }
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,14 +16,15 @@ namespace {
 constexpr uint8_t kLowered = 1;
 constexpr uint8_t kLegal = 2;
 
+/** Encoding primitives over const values (see Reader for the checks). */
 class Writer
 {
   public:
-    void
-    u8(uint8_t v)
-    {
-        out_.push_back(static_cast<char>(v));
-    }
+    static constexpr bool kDecoding = false;
+
+    void bits(uint8_t v, uint8_t) { out_.push_back(static_cast<char>(v)); }
+
+    void flag(bool v) { bits(v ? 1 : 0, 1); }
 
     void
     u64(uint64_t v)
@@ -30,6 +32,8 @@ class Writer
         for (int i = 0; i < 8; ++i)
             out_.push_back(static_cast<char>(v >> (8 * i)));
     }
+
+    void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
 
     void f64(double v) { u64(std::bit_cast<uint64_t>(v)); }
 
@@ -42,19 +46,11 @@ class Writer
     }
 
     void
-    i32(int32_t v)
+    i32(int32_t v, int32_t = INT32_MIN, const char * = nullptr)
     {
         int64_t w = v;
         count((static_cast<uint64_t>(w) << 1) ^
               static_cast<uint64_t>(w >> 63));
-    }
-
-    void
-    ints(const std::vector<int32_t> &v)
-    {
-        count(v.size());
-        for (int32_t x : v)
-            i32(x);
     }
 
     void
@@ -64,185 +60,36 @@ class Writer
         out_.append(s);
     }
 
+    template <typename E>
     void
-    texts(const std::vector<std::string> &v)
+    code(E c)
+    {
+        bits(static_cast<uint8_t>(c), 0xff);
+    }
+
+    template <typename T, typename Each>
+    void
+    seq(const std::vector<T> &v, size_t, Each each)
     {
         count(v.size());
-        for (const std::string &s : v)
-            text(s);
+        for (const T &x : v)
+            each(x);
     }
 
+    template <typename Map, typename Key, typename Val>
     void
-    key(const EvalKey &k)
+    map(const Map &m, size_t, Key key, Val val)
     {
-        u64(k.structural.hi);
-        u64(k.structural.lo);
-        u64(k.labeling);
-        u64(k.context);
-    }
-
-    void
-    schedule(const mapper::Schedule &s)
-    {
-        count(s.regions.size());
-        for (const mapper::RegionSchedule &r : s.regions) {
-            u8(r.serialized ? 1 : 0);
-            ints(r.vertexMap);
-            ints(r.streamMap);
-            ints(r.vertexTime);
-            count(r.routes.size());
-            for (const auto &[use, route] : r.routes) {
-                i32(use.first);
-                i32(use.second);
-                ints(route);
-            }
-            count(r.recurrenceRoutes.size());
-            for (const auto &[sid, route] : r.recurrenceRoutes) {
-                i32(sid);
-                ints(route);
-            }
-        }
-        count(s.forwardRoutes.size());
-        for (const auto &[fi, route] : s.forwardRoutes) {
-            i32(fi);
-            ints(route);
-        }
-        for (int v : {s.cost.unplaced, s.cost.overuse, s.cost.violations,
-                      s.cost.maxIi, s.cost.recurrenceLatency,
-                      s.cost.wirelength})
-            i32(v);
-    }
-
-    void
-    entry(const EvalKey &k, const EvalCacheEntry &e)
-    {
-        key(k);
-        f64(e.objective);
-        f64(e.perf);
-        cost(e.cost);
-        count(e.tasks.size());
-        for (const EvalTaskOutcome &t : e.tasks) {
-            u8((t.lowered ? kLowered : 0) | (t.legal ? kLegal : 0));
-            f64(t.cycles);
-            if (t.legal)
-                schedule(t.sched);
+        count(m.size());
+        for (const auto &[k, v] : m) {
+            key(k);
+            val(v);
         }
     }
 
-    void
-    cache(const ScheduleCache &c)
-    {
-        count(c.size());
-        for (const auto &[version, e] : c) {
-            i32(version.first);
-            i32(version.second);
-            u8(e.hasLegal ? 1 : 0);
-            if (e.hasLegal)
-                schedule(e.sched);
-        }
-    }
+    void adg(const adg::Adg &g, const char *) { text(g.toText()); }
 
-    void
-    options(const DseOptions &o)
-    {
-        i32(o.maxIters);
-        i32(o.noImproveExit);
-        i32(o.infeasibleExit);
-        u64(o.seed);
-        i32(o.schedIters);
-        i32(o.initSchedIters);
-        u8(o.useRepair);
-        f64(o.areaBudgetMm2);
-        f64(o.powerBudgetMw);
-        ints(o.unrollFactors);
-        i32(o.threads);
-        i32(o.candidateBatch);
-        i32(o.schedChains);
-        text(o.checkpointPath);
-        i32(o.checkpointEvery);
-        u64(static_cast<uint64_t>(o.wallBudgetMs));
-        u64(static_cast<uint64_t>(o.candidateTimeMs));
-        u8(o.memoize);
-        u8(o.dedupBatch);
-        u8(o.checkCostOracle);
-        u8(o.pareto);
-        i32(o.paretoFrontSize);
-        u8(o.structuredMoves);
-        f64(o.powerObjectiveWeight);
-        i32(o.workers);
-        text(o.cacheStoreDir);
-        u64(static_cast<uint64_t>(o.workerRequestTimeoutMs));
-    }
-
-    void
-    cost(const model::ComponentCost &c)
-    {
-        f64(c.areaMm2);
-        f64(c.powerMw);
-    }
-
-    void
-    result(const DseResult &r)
-    {
-        text(r.best.toText());
-        f64(r.bestObjective);
-        f64(r.bestPerf);
-        cost(r.bestCost);
-        f64(r.initialObjective);
-        cost(r.initialCost);
-        count(r.history.size());
-        for (const DseIterRecord &h : r.history) {
-            i32(h.iter);
-            f64(h.areaMm2);
-            f64(h.powerMw);
-            f64(h.perf);
-            f64(h.objective);
-            u8(h.accepted);
-            f64(h.hypervolume);
-        }
-        i32(r.evalFailures);
-        i32(r.checkpointsWritten);
-        text(r.stopReason);
-        u8(static_cast<uint8_t>(r.status.code()));
-        text(r.status.message());
-    }
-
-    void
-    front(const ParetoFront &f)
-    {
-        f64(f.refAreaMm2());
-        f64(f.refPowerMw());
-        i32(f.maxSize());
-        count(f.points().size());
-        for (const ParetoPoint &p : f.points()) {
-            text(p.adg.toText());
-            f64(p.perf);
-            f64(p.areaMm2);
-            f64(p.powerMw);
-            f64(p.objective);
-            i32(p.iter);
-            u64(p.seq);
-        }
-    }
-
-    void
-    checkpoint(const std::vector<std::string> &workloads,
-               const DseOptions &o, const DseRunState &st)
-    {
-        texts(workloads);
-        options(o);
-        text(st.current.toText());
-        f64(st.curObj);
-        i32(st.iter);
-        i32(st.noImprove);
-        i32(st.infeasibleStreak);
-        i32(st.acceptedSinceCkpt);
-        text(st.rng.saveState());
-        cache(st.schedules);
-        result(st.result);
-        if (o.pareto)
-            front(st.front);
-    }
+    void rng(const Rng &r) { text(r.saveState()); }
 
     std::string take() { return std::move(out_); }
 
@@ -250,10 +97,16 @@ class Writer
     std::string out_;
 };
 
-/** Checked reader: the first error wins, later reads return zeros. */
+/**
+ * Decoding primitives over the values they fill in, with every check
+ * of the file comment of dse/entry_codec.h. The first error wins;
+ * later reads fill in zeros and empties.
+ */
 class Reader
 {
   public:
+    static constexpr bool kDecoding = true;
+
     Reader(std::string_view bytes, const char *what)
         : bytes_(bytes), what_(what)
     {
@@ -261,45 +114,65 @@ class Reader
 
     bool ok() const { return err_.ok(); }
 
-    /** Record @p why as the error unless one is recorded; false. */
-    bool
+    /** Record @p why as the error unless one is recorded. */
+    void
     fail(const std::string &why)
     {
         if (ok())
             err_ = Status::dataLoss(std::string(what_) + ": " + why +
                                     " at byte " + std::to_string(pos_) +
                                     " of " + std::to_string(bytes_.size()));
-        return false;
     }
 
     /** One byte that may only set bits of @p mask. */
-    uint8_t
-    u8(uint8_t mask)
+    void
+    bits(uint8_t &v, uint8_t mask)
     {
+        v = 0;
         if (!need(1))
-            return 0;
-        auto v = static_cast<uint8_t>(bytes_[pos_]);
-        if (v & ~mask) {
-            fail("flag byte " + std::to_string(v) + " sets undefined bits");
-            return 0;
-        }
+            return;
+        auto b = static_cast<uint8_t>(bytes_[pos_]);
+        if (b & ~mask)
+            return fail("flag byte " + std::to_string(b) +
+                        " sets undefined bits");
         ++pos_;
-        return v;
+        v = b;
     }
 
-    uint64_t
-    u64()
+    void
+    flag(bool &v)
     {
+        uint8_t b = 0;
+        bits(b, 1);
+        v = b != 0;
+    }
+
+    void
+    u64(uint64_t &v)
+    {
+        v = 0;
         if (!need(8))
-            return 0;
-        uint64_t v = 0;
+            return;
         for (int i = 0; i < 8; ++i)
             v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_++]))
                  << (8 * i);
-        return v;
     }
 
-    double f64() { return std::bit_cast<double>(u64()); }
+    void
+    i64(int64_t &v)
+    {
+        uint64_t u = 0;
+        u64(u);
+        v = static_cast<int64_t>(u);
+    }
+
+    void
+    f64(double &v)
+    {
+        uint64_t u = 0;
+        u64(u);
+        v = std::bit_cast<double>(u);
+    }
 
     /** A count of elements that take at least @p minBytes each. */
     size_t
@@ -314,301 +187,97 @@ class Reader
         return static_cast<size_t>(n);
     }
 
-    int32_t
-    i32()
+    /** A 32-bit int; one below @p min is corrupt, named @p field. */
+    void
+    i32(int32_t &v, int32_t min = INT32_MIN, const char *field = nullptr)
     {
         uint64_t z = varint();
-        int64_t v = static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
-        if (v < INT32_MIN || v > INT32_MAX) {
-            fail("id " + std::to_string(v) + " does not fit 32 bits");
-            return 0;
-        }
-        return static_cast<int32_t>(v);
+        int64_t w = static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
+        v = 0;
+        if (w < INT32_MIN || w > INT32_MAX)
+            return fail("id " + std::to_string(w) + " does not fit 32 bits");
+        if (w < min)
+            return fail(std::string(field) + " " + std::to_string(w) +
+                        " is below " + std::to_string(min));
+        v = static_cast<int32_t>(w);
     }
 
     void
-    ints(std::vector<int32_t> &out)
-    {
-        out.resize(count(1));
-        for (int32_t &x : out)
-            x = i32();
-    }
-
-    EvalKey
-    key()
-    {
-        EvalKey k;
-        k.structural.hi = u64();
-        k.structural.lo = u64();
-        k.labeling = u64();
-        k.context = u64();
-        return k;
-    }
-
-    mapper::Schedule
-    schedule()
-    {
-        mapper::Schedule s;
-        // Smallest region: the flag byte and five empty counts.
-        s.regions.resize(count(6));
-        for (mapper::RegionSchedule &r : s.regions) {
-            r.serialized = flag();
-            ints(r.vertexMap);
-            ints(r.streamMap);
-            ints(r.vertexTime);
-            size_t nRoutes = count(3);
-            for (size_t i = 0; i < nRoutes && ok(); ++i) {
-                int32_t vertex = i32();
-                int32_t operand = i32();
-                auto *route = slot(r.routes, std::make_pair(vertex, operand));
-                if (route)
-                    ints(*route);
-            }
-            size_t nRec = count(2);
-            for (size_t i = 0; i < nRec && ok(); ++i)
-                if (auto *route = slot(r.recurrenceRoutes, i32()))
-                    ints(*route);
-        }
-        size_t nFwd = count(2);
-        for (size_t i = 0; i < nFwd && ok(); ++i)
-            if (auto *route = slot(s.forwardRoutes, i32()))
-                ints(*route);
-        s.cost.unplaced = i32();
-        s.cost.overuse = i32();
-        s.cost.violations = i32();
-        s.cost.maxIi = i32();
-        s.cost.recurrenceLatency = i32();
-        s.cost.wirelength = i32();
-        return s;
-    }
-
-    std::string
-    text()
+    text(std::string &s)
     {
         size_t n = count(1);
-        std::string s(bytes_.substr(pos_, n));
+        s.assign(bytes_.substr(pos_, n));
         pos_ += n;
-        return s;
     }
 
-    std::vector<std::string>
-    texts()
+    void
+    code(StatusCode &c)
     {
-        std::vector<std::string> v(count(1));
-        for (std::string &s : v)
-            s = text();
-        return v;
+        code(c, StatusCode::Ok, StatusCode::Internal, "unknown status code");
     }
 
-    bool flag() { return u8(1) != 0; }
-
-    /** A status code byte, then the message. */
-    Status
-    status()
+    void
+    code(FrameType &t)
     {
-        auto code = static_cast<StatusCode>(u8(0xff));
-        if (code > StatusCode::Internal) {
-            fail("unknown status code");
-            return Status();
-        }
-        return Status(code, text());
+        code(t, FrameType::Init, FrameType::Shutdown, "unknown frame type");
     }
 
-    /** ADG text, parsed; a parse error names @p field and the line. */
-    adg::Adg
-    adg(const char *field)
+    /** A count, then @p each over as many elements of at least
+     *  @p minBytes. */
+    template <typename T, typename Each>
+    void
+    seq(std::vector<T> &v, size_t minBytes, Each each)
     {
-        std::string t = text();
-        if (!ok())
-            return adg::Adg();
-        try {
-            return adg::Adg::fromText(t);
-        } catch (...) {
-            fail(std::string(field) + " holds unparseable ADG text: " +
-                 Status::fromCurrentException().message());
-            return adg::Adg();
-        }
-    }
-
-    EvalStoreRecord
-    entry()
-    {
-        EvalStoreRecord rec;
-        rec.key = key();
-        auto e = std::make_shared<EvalCacheEntry>();
-        e->objective = f64();
-        e->perf = f64();
-        e->cost = cost();
-        // Smallest task: the flag byte and the cycle count.
-        e->tasks.resize(count(9));
-        for (EvalTaskOutcome &t : e->tasks) {
-            uint8_t flags = u8(kLowered | kLegal);
-            t.lowered = flags & kLowered;
-            t.legal = flags & kLegal;
-            t.cycles = f64();
-            if (t.legal)
-                t.sched = schedule();
-        }
-        rec.entry = std::move(e);
-        return rec;
-    }
-
-    ScheduleCache
-    cache()
-    {
-        ScheduleCache c;
-        // Smallest entry: kernel, unroll and the flag byte.
-        size_t n = count(3);
-        for (size_t i = 0; i < n && ok(); ++i) {
-            int32_t kernel = i32();
-            int32_t unroll = i32();
-            ScheduleCacheEntry *e = slot(c, std::make_pair(kernel, unroll));
-            if (!e)
-                break;
-            e->hasLegal = flag();
-            if (e->hasLegal)
-                e->sched = schedule();
-        }
-        return c;
-    }
-
-    DseOptions
-    options()
-    {
-        DseOptions o;
-        o.maxIters = i32();
-        o.noImproveExit = i32();
-        o.infeasibleExit = i32();
-        o.seed = u64();
-        o.schedIters = i32();
-        o.initSchedIters = i32();
-        o.useRepair = flag();
-        o.areaBudgetMm2 = f64();
-        o.powerBudgetMw = f64();
-        ints(o.unrollFactors);
-        o.threads = i32();
-        o.candidateBatch = i32();
-        o.schedChains = i32();
-        o.checkpointPath = text();
-        o.checkpointEvery = i32();
-        o.wallBudgetMs = static_cast<int64_t>(u64());
-        o.candidateTimeMs = static_cast<int64_t>(u64());
-        o.memoize = flag();
-        o.dedupBatch = flag();
-        o.checkCostOracle = flag();
-        o.pareto = flag();
-        o.paretoFrontSize = i32();
-        o.structuredMoves = flag();
-        o.powerObjectiveWeight = f64();
-        o.workers = i32();
-        o.cacheStoreDir = text();
-        o.workerRequestTimeoutMs = static_cast<int64_t>(u64());
-        return o;
-    }
-
-    model::ComponentCost
-    cost()
-    {
-        model::ComponentCost c;
-        c.areaMm2 = f64();
-        c.powerMw = f64();
-        return c;
-    }
-
-    DseResult
-    result()
-    {
-        DseResult r;
-        r.best = adg("result best");
-        r.bestObjective = f64();
-        r.bestPerf = f64();
-        r.bestCost = cost();
-        r.initialObjective = f64();
-        r.initialCost = cost();
-        // Smallest record: the iteration, five doubles and the flag.
-        r.history.resize(count(42));
-        for (DseIterRecord &h : r.history) {
-            h.iter = i32();
-            h.areaMm2 = f64();
-            h.powerMw = f64();
-            h.perf = f64();
-            h.objective = f64();
-            h.accepted = flag();
-            h.hypervolume = f64();
-        }
-        r.evalFailures = i32();
-        r.checkpointsWritten = i32();
-        r.stopReason = text();
-        r.status = status();
-        return r;
-    }
-
-    ParetoFront
-    front()
-    {
-        double refArea = f64();
-        double refPower = f64();
-        int maxSize = i32();
-        // Smallest point: empty text, four doubles, iteration, seq.
-        std::vector<ParetoPoint> points(count(42));
-        for (ParetoPoint &p : points) {
-            p.adg = adg("pareto point");
-            p.perf = f64();
-            p.areaMm2 = f64();
-            p.powerMw = f64();
-            p.objective = f64();
-            p.iter = i32();
-            p.seq = u64();
-        }
-        // What the ParetoFront constructor asserts.
-        if (ok() && !(refArea > 0 && refPower > 0 && maxSize >= 2))
-            fail("pareto front header is malformed");
-        if (!ok())
-            return ParetoFront();
-        return ParetoFront::restore(refArea, refPower, maxSize,
-                                    std::move(points));
-    }
-
-    DseCheckpoint
-    checkpoint()
-    {
-        DseCheckpoint ck;
-        ck.workloadNames = texts();
-        ck.options = options();
-        DseRunState &st = ck.state;
-        st.current = adg("state current");
-        st.curObj = f64();
-        st.iter = i32();
-        st.noImprove = i32();
-        st.infeasibleStreak = i32();
-        st.acceptedSinceCkpt = i32();
-        std::string rng = text();
-        if (ok() && !st.rng.loadState(rng))
-            fail("state rng stream is malformed");
-        st.schedules = cache();
-        st.result = result();
-        if (ck.options.pareto)
-            st.front = front();
-        return ck;
+        v.resize(count(minBytes));
+        for (T &x : v)
+            each(x);
     }
 
     /**
-     * The value slot for @p key, appended at the end of @p map, or
-     * null (and an error) unless @p key sorts after every key there:
-     * the encoder writes maps in order, so anything else is corrupt.
+     * A count, then @p key and @p val per entry of at least
+     * @p minBytes. The encoder writes maps in order, so a key that
+     * does not sort after every earlier one is corrupt.
      */
-    template <typename Map>
-    typename Map::mapped_type *
-    slot(Map &map, const typename Map::key_type &key)
+    template <typename Map, typename Key, typename Val>
+    void
+    map(Map &m, size_t minBytes, Key key, Val val)
     {
-        if (!ok())
-            return nullptr;
-        if (!map.empty() && !(std::prev(map.end())->first < key)) {
-            fail("map keys out of order");
-            return nullptr;
+        size_t n = count(minBytes);
+        for (size_t i = 0; i < n && ok(); ++i) {
+            typename Map::key_type k{};
+            key(k);
+            if (ok() && !m.empty() && !(std::prev(m.end())->first < k))
+                fail("map keys out of order");
+            if (!ok())
+                return;
+            val(m.emplace_hint(m.end(), k, typename Map::mapped_type())
+                    ->second);
         }
-        return &map.emplace_hint(map.end(), key, typename Map::mapped_type())
-                    ->second;
+    }
+
+    /** ADG text, parsed; a parse error names @p field and the line. */
+    void
+    adg(adg::Adg &g, const char *field)
+    {
+        std::string t;
+        text(t);
+        if (!ok())
+            return;
+        try {
+            g = adg::Adg::fromText(t);
+        } catch (...) {
+            fail(std::string(field) + " holds unparseable ADG text: " +
+                 Status::fromCurrentException().message());
+        }
+    }
+
+    void
+    rng(Rng &r)
+    {
+        std::string state;
+        text(state);
+        if (ok() && !r.loadState(state))
+            fail("state rng stream is malformed");
     }
 
     /** OK iff every read succeeded and consumed the input exactly. */
@@ -621,13 +290,28 @@ class Reader
     }
 
   private:
+    template <typename E>
+    void
+    code(E &v, E first, E last, const char *unknown)
+    {
+        uint8_t b = 0;
+        bits(b, 0xff);
+        if (ok() && (b < static_cast<uint8_t>(first) ||
+                     b > static_cast<uint8_t>(last)))
+            fail(unknown);
+        if (ok())
+            v = static_cast<E>(b);
+    }
+
     bool
     need(size_t n)
     {
         if (!ok())
             return false;
-        if (bytes_.size() - pos_ < n)
-            return fail("truncated");
+        if (bytes_.size() - pos_ < n) {
+            fail("truncated");
+            return false;
+        }
         return true;
     }
 
@@ -660,147 +344,360 @@ class Reader
     Status err_;
 };
 
+/*
+ * One walk per record, in the field order of the layout in
+ * dse/entry_codec.h: a Writer walk encodes the record, a Reader walk
+ * fills it in. A walk branches on IO::kDecoding only where the two
+ * directions differ in kind, not in order.
+ */
+
+/** The record a walk over @p IO visits: const when encoding. */
+template <typename IO, typename T>
+using Ref = std::conditional_t<IO::kDecoding, T &, const T &>;
+
+template <typename IO, typename V>
+void
+ints(IO &io, V &v)
+{
+    io.seq(v, 1, [&io](auto &x) { io.i32(x); });
+}
+
+template <typename IO, typename V>
+void
+texts(IO &io, V &v)
+{
+    io.seq(v, 1, [&io](auto &s) { io.text(s); });
+}
+
+/** A status's message; a decoded status takes @p code with it. */
+template <typename IO>
+void
+message(IO &io, Ref<IO, Status> s, StatusCode code)
+{
+    if constexpr (IO::kDecoding) {
+        std::string m;
+        io.text(m);
+        s = Status(code, std::move(m));
+    } else {
+        io.text(s.message());
+    }
+}
+
+template <typename IO>
+void
+schedule(IO &io, Ref<IO, mapper::Schedule> s)
+{
+    auto id = [&io](auto &v) { io.i32(v); };
+    auto route = [&io](auto &r) { ints(io, r); };
+    // Smallest region: the flag byte and five empty counts.
+    io.seq(s.regions, 6, [&](auto &r) {
+        io.flag(r.serialized);
+        ints(io, r.vertexMap);
+        ints(io, r.streamMap);
+        ints(io, r.vertexTime);
+        io.map(r.routes, 3, [&io](auto &use) {
+            io.i32(use.first);
+            io.i32(use.second);
+        }, route);
+        io.map(r.recurrenceRoutes, 2, id, route);
+    });
+    io.map(s.forwardRoutes, 2, id, route);
+    io.i32(s.cost.unplaced);
+    io.i32(s.cost.overuse);
+    io.i32(s.cost.violations);
+    io.i32(s.cost.maxIi);
+    io.i32(s.cost.recurrenceLatency);
+    io.i32(s.cost.wirelength);
+}
+
+template <typename IO>
+void
+entry(IO &io, Ref<IO, EvalKey> k, Ref<IO, EvalCacheEntry> e)
+{
+    io.u64(k.structural.hi);
+    io.u64(k.structural.lo);
+    io.u64(k.labeling);
+    io.u64(k.context);
+    io.f64(e.objective);
+    io.f64(e.perf);
+    io.f64(e.cost.areaMm2);
+    io.f64(e.cost.powerMw);
+    // Smallest task: the flag byte and the cycle count.
+    io.seq(e.tasks, 9, [&io](auto &t) {
+        uint8_t flags = (t.lowered ? kLowered : 0) | (t.legal ? kLegal : 0);
+        io.bits(flags, kLowered | kLegal);
+        if constexpr (IO::kDecoding) {
+            t.lowered = flags & kLowered;
+            t.legal = flags & kLegal;
+        }
+        io.f64(t.cycles);
+        if (t.legal)
+            schedule(io, t.sched);
+    });
+}
+
+/** An entry under its key; decoding allocates the shared entry. */
+template <typename IO>
+void
+record(IO &io, Ref<IO, EvalStoreRecord> rec)
+{
+    if constexpr (IO::kDecoding) {
+        auto e = std::make_shared<EvalCacheEntry>();
+        entry(io, rec.key, *e);
+        rec.entry = std::move(e);
+    } else {
+        DSA_ASSERT(rec.entry, "an OK outcome carries its entry");
+        entry(io, rec.key, *rec.entry);
+    }
+}
+
+template <typename IO>
+void
+cache(IO &io, Ref<IO, ScheduleCache> c)
+{
+    // Smallest entry: kernel, unroll and the flag byte.
+    io.map(c, 3, [&io](auto &version) {
+        io.i32(version.first);
+        io.i32(version.second);
+    }, [&io](auto &e) {
+        io.flag(e.hasLegal);
+        if (e.hasLegal)
+            schedule(io, e.sched);
+    });
+}
+
+template <typename IO>
+void
+options(IO &io, Ref<IO, DseOptions> o)
+{
+    io.i32(o.maxIters);
+    io.i32(o.noImproveExit);
+    io.i32(o.infeasibleExit);
+    io.u64(o.seed);
+    io.i32(o.schedIters);
+    io.i32(o.initSchedIters);
+    io.flag(o.useRepair);
+    io.f64(o.areaBudgetMm2);
+    io.f64(o.powerBudgetMw);
+    // The explorer cannot run a version below unroll 1.
+    io.seq(o.unrollFactors, 1,
+           [&io](auto &u) { io.i32(u, 1, "unroll factor"); });
+    io.i32(o.threads);
+    io.i32(o.candidateBatch);
+    io.i32(o.schedChains);
+    io.text(o.checkpointPath);
+    io.i32(o.checkpointEvery);
+    io.i64(o.wallBudgetMs);
+    io.i64(o.candidateTimeMs);
+    io.flag(o.memoize);
+    io.flag(o.dedupBatch);
+    io.flag(o.checkCostOracle);
+    io.flag(o.pareto);
+    io.i32(o.paretoFrontSize);
+    io.flag(o.structuredMoves);
+    io.f64(o.powerObjectiveWeight);
+    io.i32(o.workers);
+    io.text(o.cacheStoreDir);
+    io.i64(o.workerRequestTimeoutMs);
+}
+
+template <typename IO>
+void
+result(IO &io, Ref<IO, DseResult> r)
+{
+    io.adg(r.best, "result best");
+    io.f64(r.bestObjective);
+    io.f64(r.bestPerf);
+    io.f64(r.bestCost.areaMm2);
+    io.f64(r.bestCost.powerMw);
+    io.f64(r.initialObjective);
+    io.f64(r.initialCost.areaMm2);
+    io.f64(r.initialCost.powerMw);
+    // Smallest record: the iteration, five doubles and the flag.
+    io.seq(r.history, 42, [&io](auto &h) {
+        io.i32(h.iter);
+        io.f64(h.areaMm2);
+        io.f64(h.powerMw);
+        io.f64(h.perf);
+        io.f64(h.objective);
+        io.flag(h.accepted);
+        io.f64(h.hypervolume);
+    });
+    io.i32(r.evalFailures);
+    io.i32(r.checkpointsWritten);
+    io.text(r.stopReason);
+    StatusCode code = r.status.code();
+    io.code(code);
+    message(io, r.status, code);
+}
+
+template <typename IO>
+void
+front(IO &io, Ref<IO, ParetoFront> f)
+{
+    double refArea = f.refAreaMm2();
+    double refPower = f.refPowerMw();
+    int32_t maxSize = f.maxSize();
+    io.f64(refArea);
+    io.f64(refPower);
+    io.i32(maxSize);
+    // Smallest point: empty text, four doubles, iteration, seq.
+    auto point = [&io](auto &p) {
+        io.adg(p.adg, "pareto point");
+        io.f64(p.perf);
+        io.f64(p.areaMm2);
+        io.f64(p.powerMw);
+        io.f64(p.objective);
+        io.i32(p.iter);
+        io.u64(p.seq);
+    };
+    if constexpr (IO::kDecoding) {
+        std::vector<ParetoPoint> points;
+        io.seq(points, 42, point);
+        // What the ParetoFront constructor asserts.
+        if (io.ok() && !(refArea > 0 && refPower > 0 && maxSize >= 2))
+            io.fail("pareto front header is malformed");
+        if (io.ok())
+            f = ParetoFront::restore(refArea, refPower, maxSize,
+                                     std::move(points));
+    } else {
+        io.seq(f.points(), 42, point);
+    }
+}
+
+template <typename IO>
+void
+checkpoint(IO &io, Ref<IO, std::vector<std::string>> workloadNames,
+           Ref<IO, DseOptions> o, Ref<IO, DseRunState> st)
+{
+    texts(io, workloadNames);
+    options(io, o);
+    io.adg(st.current, "state current");
+    io.f64(st.curObj);
+    io.i32(st.iter);
+    io.i32(st.noImprove);
+    io.i32(st.infeasibleStreak);
+    io.i32(st.acceptedSinceCkpt);
+    io.rng(st.rng);
+    cache(io, st.schedules);
+    result(io, st.result);
+    if (o.pareto)
+        front(io, st.front);
+}
+
+template <typename IO>
+void
+frame(IO &io, Ref<IO, WorkerFrame> f)
+{
+    io.code(f.type);
+    switch (f.type) {
+    case FrameType::Init:
+        texts(io, f.workloads);
+        options(io, f.options);
+        break;
+    case FrameType::Error:
+        io.text(f.message);
+        break;
+    case FrameType::Eval:
+        io.u64(f.id);
+        io.flag(f.repair);
+        cache(io, f.schedules);
+        texts(io, f.cands);
+        break;
+    case FrameType::Result:
+        io.u64(f.id);
+        // Smallest outcome: an error code and an empty message.
+        io.seq(f.outcomes, 2, [&io](auto &o) {
+            StatusCode code = o.status.code();
+            io.code(code);
+            if (code == StatusCode::Ok)
+                record(io, o.record);
+            else
+                message(io, o.status, code);
+        });
+        break;
+    default: // ready, shutdown: the type byte alone
+        break;
+    }
+}
+
+/** The bytes of @p walk over @p values. */
+template <typename Walk, typename... T>
+std::string
+encode(Walk walk, const T &...values)
+{
+    Writer w;
+    walk(w, values...);
+    return w.take();
+}
+
+/** A @p T filled in by @p walk from all of @p bytes, or DataLoss
+ *  naming @p what. */
+template <typename T, typename Walk>
+Result<T>
+decode(std::string_view bytes, const char *what, Walk walk)
+{
+    Reader rd(bytes, what);
+    T value;
+    walk(rd, value);
+    Status s = rd.finish();
+    if (!s.ok())
+        return s;
+    return value;
+}
+
 } // namespace
 
 std::string
-encodeEvalEntry(const EvalKey &key, const EvalCacheEntry &entry)
+encodeEvalEntry(const EvalKey &k, const EvalCacheEntry &e)
 {
-    Writer w;
-    w.entry(key, entry);
-    return w.take();
+    return encode(entry<Writer>, k, e);
 }
 
 Result<EvalStoreRecord>
 decodeEvalEntry(std::string_view bytes)
 {
-    Reader rd(bytes, "eval entry");
-    EvalStoreRecord rec = rd.entry();
-    Status s = rd.finish();
-    if (!s.ok())
-        return s;
-    return rec;
+    return decode<EvalStoreRecord>(bytes, "eval entry", record<Reader>);
 }
 
 std::string
-encodeScheduleCache(const ScheduleCache &cache)
+encodeScheduleCache(const ScheduleCache &c)
 {
-    Writer w;
-    w.cache(cache);
-    return w.take();
+    return encode(cache<Writer>, c);
 }
 
 Result<ScheduleCache>
 decodeScheduleCache(std::string_view bytes)
 {
-    Reader rd(bytes, "schedule cache");
-    ScheduleCache cache = rd.cache();
-    Status s = rd.finish();
-    if (!s.ok())
-        return s;
-    return cache;
+    return decode<ScheduleCache>(bytes, "schedule cache", cache<Reader>);
 }
 
 std::string
 encodeFrame(const WorkerFrame &f)
 {
-    Writer w;
-    w.u8(static_cast<uint8_t>(f.type));
-    switch (f.type) {
-    case FrameType::Init:
-        w.texts(f.workloads);
-        w.options(f.options);
-        break;
-    case FrameType::Error:
-        w.text(f.message);
-        break;
-    case FrameType::Eval:
-        w.u64(f.id);
-        w.u8(f.repair ? 1 : 0);
-        w.cache(f.schedules);
-        w.texts(f.cands);
-        break;
-    case FrameType::Result:
-        w.u64(f.id);
-        w.count(f.outcomes.size());
-        for (const FrameOutcome &o : f.outcomes) {
-            w.u8(static_cast<uint8_t>(o.status.code()));
-            if (o.status.ok()) {
-                DSA_ASSERT(o.record.entry, "an OK outcome carries its entry");
-                w.entry(o.record.key, *o.record.entry);
-            } else {
-                w.text(o.status.message());
-            }
-        }
-        break;
-    default: // ready, shutdown: the type byte alone
-        break;
-    }
-    return w.take();
+    return encode(frame<Writer>, f);
 }
 
 Result<WorkerFrame>
 decodeFrame(std::string_view bytes)
 {
-    Reader rd(bytes, "worker frame");
-    WorkerFrame f;
-    f.type = static_cast<FrameType>(rd.u8(0xff));
-    if (f.type < FrameType::Init || f.type > FrameType::Shutdown)
-        rd.fail("unknown frame type");
-    switch (f.type) {
-    case FrameType::Init:
-        f.workloads = rd.texts();
-        f.options = rd.options();
-        break;
-    case FrameType::Error:
-        f.message = rd.text();
-        break;
-    case FrameType::Eval:
-        f.id = rd.u64();
-        f.repair = rd.flag();
-        f.schedules = rd.cache();
-        f.cands = rd.texts();
-        break;
-    case FrameType::Result:
-        f.id = rd.u64();
-        // Smallest outcome: an error code and an empty message.
-        f.outcomes.resize(rd.count(2));
-        for (FrameOutcome &o : f.outcomes) {
-            auto code = static_cast<StatusCode>(rd.u8(0xff));
-            if (code > StatusCode::Internal)
-                rd.fail("unknown status code");
-            else if (code == StatusCode::Ok)
-                o.record = rd.entry();
-            else
-                o.status = Status(code, rd.text());
-        }
-        break;
-    default:
-        break;
-    }
-    Status s = rd.finish();
-    if (!s.ok())
-        return s;
-    return f;
+    return decode<WorkerFrame>(bytes, "worker frame", frame<Reader>);
 }
 
 std::string
 encodeCheckpoint(const std::vector<std::string> &workloadNames,
                  const DseOptions &opts, const DseRunState &state)
 {
-    Writer w;
-    w.checkpoint(workloadNames, opts, state);
-    return w.take();
+    return encode(checkpoint<Writer>, workloadNames, opts, state);
 }
 
 Result<DseCheckpoint>
 decodeCheckpoint(std::string_view bytes)
 {
-    Reader rd(bytes, "record");
-    DseCheckpoint ck = rd.checkpoint();
-    Status s = rd.finish();
-    if (!s.ok())
-        return s;
-    return ck;
+    return decode<DseCheckpoint>(
+        bytes, "record", [](Reader &rd, DseCheckpoint &ck) {
+            checkpoint(rd, ck.workloadNames, ck.options, ck.state);
+        });
 }
 
 } // namespace dsa::dse

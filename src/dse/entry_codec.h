@@ -13,6 +13,11 @@
  * checkpoints as raw codec bytes. Round-trips are exact — the
  * bit-identity of multi-process runs and resumes rests on it.
  *
+ * One walk per record writes and reads each layout below: a function
+ * template that visits the record's fields once, in order, over
+ * either the encoder's primitives or the checking decoder's. So the
+ * two directions cannot list a record's fields differently.
+ *
  * Layout, field by field in this order:
  *
  *   entry    = key, f64 objective, f64 perf, f64 area, f64 power,
@@ -79,15 +84,17 @@
  * that remain (times its element's smallest encoding) before anything
  * is sized; varints must be minimal and fit, ints must fit 32 bits,
  * flags may only set their defined bits, frame types and status
- * codes must be defined values, map keys must strictly ascend, and a
- * payload that ends early or has bytes left over is
- * DataLoss. Any byte string therefore decodes to exactly the entry,
- * cache or frame that encodes to it, or to DataLoss — never a crash,
- * and never an allocation larger than the input justifies. A
- * checkpoint also holds text that other parsers read (ADG text, the
- * RNG state), so it decodes or is DataLoss, naming the line of bad
- * ADG text; its Pareto front must have a positive reference point and
- * room for two points.
+ * codes must be defined values, map keys must strictly ascend, an
+ * options record's unroll factors must be at least 1 (the explorer
+ * cannot run a smaller one), and a payload that ends early or has
+ * bytes left over is DataLoss. Any byte string therefore decodes to
+ * exactly the entry, cache or frame that encodes to it, or to
+ * DataLoss — never a crash, and never an allocation larger than the
+ * input justifies. A checkpoint also holds ADG text, which the ADG
+ * parser reads, so it decodes or is DataLoss, naming the line of bad
+ * ADG text; its RNG state must be exactly the text Rng::saveState
+ * writes, and its Pareto front must have a positive reference point
+ * and room for two points.
  */
 
 #ifndef DSA_DSE_ENTRY_CODEC_H

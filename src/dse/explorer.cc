@@ -311,14 +311,8 @@ Explorer::evaluateDesign(const Adg &adg, const ScheduleCache &scheds,
     // share across candidates through the compile cache when enabled.
     std::vector<std::shared_ptr<const compiler::Placement>> placements(
         workloads_.size());
-    for (size_t k = 0; k < workloads_.size(); ++k) {
-        const auto &w = *workloads_[k];
-        placements[k] = compileCache_
-            ? compileCache_->placementFor(w.name, w.kernel, features,
-                                          featuresFp)
-            : std::make_shared<const compiler::Placement>(
-                  compiler::Placement::autoLayout(w.kernel, features));
-    }
+    for (size_t k = 0; k < workloads_.size(); ++k)
+        placements[k] = placementFor(*workloads_[k], features, featuresFp);
 
     std::vector<TaskOut> outs(tasks.size());
 
@@ -355,13 +349,8 @@ Explorer::evaluateDesign(const Adg &adg, const ScheduleCache &scheds,
             // so candidates sharing features reuse lowered programs
             // (shared immutable values, keyed by features + options).
             std::shared_ptr<const compiler::LowerResult> lowered =
-                compileCache_
-                    ? compileCache_->lowerFor(w.name, w.kernel, placement,
-                                              features, copts, task.u,
-                                              featuresFp, coptsFp)
-                    : std::make_shared<const compiler::LowerResult>(
-                          compiler::lowerKernel(w.kernel, placement,
-                                                features, copts, task.u));
+                lowerFor(w, placement, features, copts, task.u, featuresFp,
+                         coptsFp);
             if (!lowered->ok)
                 return;
             auto key = std::make_pair(task.k, task.u);
@@ -566,6 +555,32 @@ Explorer::evaluateCandidates(std::vector<Candidate> &cands,
     });
 }
 
+std::shared_ptr<const compiler::Placement>
+Explorer::placementFor(const workloads::Workload &w,
+                       const compiler::HwFeatures &features,
+                       uint64_t featuresFp) const
+{
+    if (compileCache_)
+        return compileCache_->placementFor(w.name, w.kernel, features,
+                                           featuresFp);
+    return std::make_shared<const compiler::Placement>(
+        compiler::Placement::autoLayout(w.kernel, features));
+}
+
+std::shared_ptr<const compiler::LowerResult>
+Explorer::lowerFor(const workloads::Workload &w,
+                   const compiler::Placement &placement,
+                   const compiler::HwFeatures &features,
+                   const compiler::CompileOptions &copts, int unroll,
+                   uint64_t featuresFp, uint64_t coptsFp) const
+{
+    if (compileCache_)
+        return compileCache_->lowerFor(w.name, w.kernel, placement, features,
+                                       copts, unroll, featuresFp, coptsFp);
+    return std::make_shared<const compiler::LowerResult>(
+        compiler::lowerKernel(w.kernel, placement, features, copts, unroll));
+}
+
 void
 Explorer::pruneUnused(Adg &adg) const
 {
@@ -579,20 +594,10 @@ Explorer::pruneUnused(Adg &adg) const
     bool needsJoin = false, needsIndirect = false, needsAtomic = false;
     for (const auto *w : workloads_) {
         std::shared_ptr<const compiler::Placement> placement =
-            compileCache_
-                ? compileCache_->placementFor(w->name, w->kernel, features,
-                                              featuresFp)
-                : std::make_shared<const compiler::Placement>(
-                      compiler::Placement::autoLayout(w->kernel, features));
+            placementFor(*w, features, featuresFp);
         for (int u : opts_.unrollFactors) {
-            std::shared_ptr<const compiler::LowerResult> lowered =
-                compileCache_
-                    ? compileCache_->lowerFor(w->name, w->kernel,
-                                              *placement, features, copts,
-                                              u, featuresFp, coptsFp)
-                    : std::make_shared<const compiler::LowerResult>(
-                          compiler::lowerKernel(w->kernel, *placement,
-                                                features, copts, u));
+            std::shared_ptr<const compiler::LowerResult> lowered = lowerFor(
+                *w, *placement, features, copts, u, featuresFp, coptsFp);
             if (!lowered->ok)
                 continue;
             for (const auto &reg : lowered->version.program.regions) {

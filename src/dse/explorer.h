@@ -623,6 +623,19 @@ class Explorer
 
     /** Main exploration loop, shared by run() and resume(). */
     DseResult runLoop(DseRunState &st);
+    /** @p w's placement on @p features: through the compile cache
+     *  when memoizing, computed otherwise. */
+    std::shared_ptr<const compiler::Placement>
+    placementFor(const workloads::Workload &w,
+                 const compiler::HwFeatures &features,
+                 uint64_t featuresFp) const;
+    /** @p w lowered at @p unroll, likewise. */
+    std::shared_ptr<const compiler::LowerResult>
+    lowerFor(const workloads::Workload &w,
+             const compiler::Placement &placement,
+             const compiler::HwFeatures &features,
+             const compiler::CompileOptions &copts, int unroll,
+             uint64_t featuresFp, uint64_t coptsFp) const;
     /**
      * The one evaluation step of run() and runLoop(): evaluate
      * cands[i] for each i in @p leaders against the repair cache

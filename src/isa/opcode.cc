@@ -73,7 +73,7 @@ opFromName(const std::string &name)
     std::vector<std::string> valid;
     for (int i = 0; i < kNumOpCodes; ++i)
         valid.push_back(kOpTable[i].name);
-    DSA_FATAL("unknown opcode name '", name, "' ",
+    DSA_FATAL("unknown opcode name '", name, "'",
               suggestName(name, valid));
 }
 

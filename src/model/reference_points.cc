@@ -38,7 +38,7 @@ referencePoint(const std::string &name)
     std::vector<std::string> valid;
     for (const auto &p : referencePoints())
         valid.push_back(p.name);
-    DSA_FATAL("unknown reference point '", name, "' ",
+    DSA_FATAL("unknown reference point '", name, "'",
               suggestName(name, valid));
 }
 

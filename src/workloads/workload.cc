@@ -34,7 +34,7 @@ findWorkload(const std::string &name)
     std::vector<std::string> valid;
     for (const auto &w : allWorkloads())
         valid.push_back(w.name);
-    return Status::notFound("unknown workload '" + name + "' " +
+    return Status::notFound("unknown workload '" + name + "'" +
                             suggestName(name, valid));
 }
 

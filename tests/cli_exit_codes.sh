@@ -18,6 +18,7 @@ expect_config_error() {
     local out rc
     out="$("$dsagen" "$@" 2>&1 >/dev/null)"
     rc=$?
+    last_err="$out"
     if [ "$rc" -ne 2 ]; then
         echo "FAIL: dsagen $* exited $rc, expected 2" >&2
         fail=1
@@ -104,6 +105,17 @@ expect_config_error dse --resume version-3.json
 expect_config_error dse --resume version-5.ckpt
 LC_ALL=C sed '1s/^\(.\{7\}\)./\1~/' ck.orig > unknown-workload.ckpt
 expect_config_error dse --resume unknown-workload.ckpt
+# The name suggestion follows the quoted name directly: no double
+# space, no " ;".
+want="dsagen: not-found: checkpoint 'unknown-workload.ckpt': unknown"
+want+=" workload '~-mm'; did you mean 'p-mm'? (valid: md, crs, ellpack,"
+want+=" mm, stencil-2d, stencil-3d, histogram, join, qr, chol, fft, fir,"
+want+=" solver, p-mm, 2mm, 3mm, conv, pool, classifier, sparse-cnn,"
+want+=" prodcons, repupdate)"
+if [ "$last_err" != "$want" ]; then
+    echo "FAIL: unknown-workload message is '$last_err'" >&2
+    fail=1
+fi
 
 expect_runtime_error() {
     local out err rc

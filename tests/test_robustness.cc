@@ -117,6 +117,19 @@ TEST(Status, SuggestNameProposesNearMiss)
     EXPECT_NE(s.find("valid:"), std::string::npos);
 }
 
+TEST(Status, SuggestNameSuffixFollowsTheNameDirectly)
+{
+    // The suffix brings its own separator; callers add none.
+    try {
+        (void)adg::schedulingFromName("statik");
+        ADD_FAILURE() << "an unknown scheduling was accepted";
+    } catch (const StatusException &e) {
+        EXPECT_EQ(e.status().message(),
+                  "unknown scheduling 'statik'; did you mean 'static'? "
+                  "(valid: static, dynamic)");
+    }
+}
+
 // ---------------------------------------------------------------------
 // JSON exactness (the checkpoint substrate)
 // ---------------------------------------------------------------------
@@ -158,6 +171,14 @@ TEST(Rng, StateRoundTripContinuesStream)
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(a.uniformInt(0, 1 << 30), b.uniformInt(0, 1 << 30));
     EXPECT_FALSE(b.loadState("not an engine state"));
+    // Only the exact text saveState() writes loads: a checkpoint's RNG
+    // field decodes to the bytes that encode it.
+    for (const std::string &inexact :
+         {saved + " 12345 junk", saved + " ", " " + saved, "0" + saved}) {
+        EXPECT_FALSE(b.loadState(inexact)) << inexact.substr(0, 24);
+    }
+    // A refused load leaves the stream where it was.
+    EXPECT_EQ(a.uniformInt(0, 1 << 30), b.uniformInt(0, 1 << 30));
 }
 
 // ---------------------------------------------------------------------
@@ -612,35 +633,46 @@ TEST(Checkpoint, ParetoStateWithoutValidFrontIsDataLoss)
         << nan.status().toString();
 }
 
+/**
+ * Whether @p bytes, a corrupted copy of the checkpoint file @p good,
+ * load; a refusal must be DataLoss or InvalidArgument. A copy whose
+ * file header ("DSCK" and the version byte) is intact is decoded in
+ * memory, as loadCheckpoint decodes the rest of such a file; the
+ * others are written to @p path and go through loadCheckpoint itself.
+ */
+bool
+corruptCheckpointLoads(const std::string &path, const std::string &good,
+                       const std::string &bytes)
+{
+    const size_t header = 5;
+    bool intact = bytes.size() > header &&
+                  bytes.compare(0, header, good, 0, header) == 0;
+    if (!intact)
+        writeBytes(path, bytes);
+    auto r = intact
+        ? dse::decodeCheckpoint(std::string_view(bytes).substr(header))
+        : dse::loadCheckpoint(path);
+    if (!r.ok()) {
+        EXPECT_TRUE(r.status().code() == StatusCode::DataLoss ||
+                    r.status().code() == StatusCode::InvalidArgument)
+            << r.status().toString();
+    }
+    return r.ok();
+}
+
 TEST(Checkpoint, TruncationsAndByteFlipsLoadOrAreRefused)
 {
     // Every prefix and every one-byte flip (all bits, the low bit, the
     // high bit) of a small Pareto checkpoint loads or is refused with
-    // DataLoss or InvalidArgument; none crashes. A copy whose file
-    // header ("DSCK" and the version byte) is intact is decoded in
-    // memory, as loadCheckpoint decodes the rest of such a file; the
-    // others go through loadCheckpoint itself.
+    // DataLoss or InvalidArgument; none crashes.
     auto opts = tinyDse();
     opts.pareto = true;
     std::string path = tmpPath("sweep");
     ASSERT_TRUE(
         dse::saveCheckpoint({"mm"}, opts, stateWithFront(opts), path).ok());
     const std::string good = readAll(path);
-    const size_t header = 5;
     auto loads = [&](const std::string &bytes) {
-        bool intact = bytes.size() > header &&
-                      bytes.compare(0, header, good, 0, header) == 0;
-        if (!intact)
-            writeBytes(path, bytes);
-        auto r = intact ? dse::decodeCheckpoint(
-                              std::string_view(bytes).substr(header))
-                        : dse::loadCheckpoint(path);
-        if (!r.ok()) {
-            EXPECT_TRUE(r.status().code() == StatusCode::DataLoss ||
-                        r.status().code() == StatusCode::InvalidArgument)
-                << r.status().toString();
-        }
-        return r.ok();
+        return corruptCheckpointLoads(path, good, bytes);
     };
     for (size_t n = 0; n < good.size(); ++n)
         EXPECT_FALSE(loads(good.substr(0, n))) << n;
@@ -714,6 +746,39 @@ expectSameOptions(const dse::DseOptions &a, const dse::DseOptions &b)
 #define EXPECT_FIELD_EQ(f) EXPECT_EQ(a.f, b.f) << #f;
     DSE_SERIALIZED_OPTIONS(EXPECT_FIELD_EQ)
 #undef EXPECT_FIELD_EQ
+}
+
+TEST(DseOptionsRecord, UnrollFactorsBelowOneAreDataLoss)
+{
+    // The explorer cannot run a version below unroll 1 (0 divides by
+    // zero, a negative factor fails an assertion), so a checkpoint or
+    // an init frame that holds one is corrupt, and says which factor.
+    for (int bad : {0, -2}) {
+        SCOPED_TRACE(bad);
+        dse::DseOptions opts = tinyDse();
+        opts.unrollFactors = {1, bad};
+        const std::string named = "unroll factor " + std::to_string(bad);
+
+        std::string path = tmpPath("unroll");
+        ASSERT_TRUE(
+            dse::saveCheckpoint({"mm"}, opts, dse::DseRunState{}, path).ok());
+        auto ck = dse::loadCheckpoint(path);
+        std::remove(path.c_str());
+        ASSERT_FALSE(ck.ok());
+        EXPECT_EQ(ck.status().code(), StatusCode::DataLoss);
+        EXPECT_NE(ck.status().message().find(named), std::string::npos)
+            << ck.status().toString();
+
+        dse::WorkerFrame init;
+        init.type = dse::FrameType::Init;
+        init.workloads = {"mm"};
+        init.options = opts;
+        auto frame = dse::decodeFrame(dse::encodeFrame(init));
+        ASSERT_FALSE(frame.ok());
+        EXPECT_EQ(frame.status().code(), StatusCode::DataLoss);
+        EXPECT_NE(frame.status().message().find(named), std::string::npos)
+            << frame.status().toString();
+    }
 }
 
 TEST(DseOptionsRecord, EveryFieldSurvivesCheckpointAndInitFrame)
@@ -1539,6 +1604,268 @@ TEST(WorkerFrame, CraftedFramesAreDataLoss)
     EXPECT_NE(loss("\x05" + id + "\x02\x01" + std::string(1, '\0'))
                   .find("exceeds"),
               npos);
+}
+
+// ---------------------------------------------------------------------
+// The codec's byte layout, pinned. Hand-built values, not scheduler
+// output, so no scheduler change can move the hashes. Within each
+// record, no two fields of one type hold the same value, so a walk
+// that writes two fields in swapped order changes a hash.
+// ---------------------------------------------------------------------
+
+/** A schedule with two regions, every kind of route and -1 ids. */
+mapper::Schedule
+handBuiltSchedule()
+{
+    mapper::Schedule s;
+    s.regions.resize(2);
+    mapper::RegionSchedule &a = s.regions[0];
+    a.vertexMap = {3, -1, 5};
+    a.streamMap = {7, 8};
+    a.vertexTime = {0, 2, 4, 6};
+    a.routes[{2, 1}] = {11, 12, 13};
+    a.routes[{4, 0}] = {};
+    a.recurrenceRoutes[1] = {21, 22};
+    s.regions[1].serialized = true;
+    s.regions[1].vertexMap = {-1};
+    s.forwardRoutes[0] = {31};
+    s.forwardRoutes[3] = {32, 33};
+    s.cost = {.unplaced = 1, .overuse = 2, .violations = 3, .maxIi = 4,
+              .recurrenceLatency = 5, .wirelength = 6};
+    return s;
+}
+
+/** Tasks lowered but not legal, legal with a schedule, and neither. */
+dse::EvalCacheEntry
+handBuiltEntry()
+{
+    dse::EvalCacheEntry e;
+    e.objective = 0.75;
+    e.perf = 1.25;
+    e.cost = {2.5, 350.0};
+    e.tasks.resize(3);
+    e.tasks[0].lowered = true;
+    e.tasks[0].cycles = 900;
+    e.tasks[1] = {true, true, 400, handBuiltSchedule()};
+    return e;
+}
+
+/** A legal version and an attempted-but-illegal marker. */
+dse::ScheduleCache
+handBuiltCache()
+{
+    dse::ScheduleCache c;
+    c[{0, 4}] = {handBuiltSchedule(), true};
+    c[{2, 1}].hasLegal = false;
+    return c;
+}
+
+/** One frame of each type, the init frame with every option set. */
+std::vector<dse::WorkerFrame>
+handBuiltFrames()
+{
+    std::vector<dse::WorkerFrame> frames(6);
+    frames[0].type = dse::FrameType::Init;
+    frames[0].workloads = {"mm", "crs"};
+    frames[0].options = everyOptionSet();
+    frames[1].type = dse::FrameType::Ready;
+    frames[2].type = dse::FrameType::Error;
+    frames[2].message = "not-found: worker: no workload 'x'";
+    frames[3].type = dse::FrameType::Eval;
+    frames[3].id = 7;
+    frames[3].repair = true;
+    frames[3].schedules = handBuiltCache();
+    frames[3].cands = {"candidate 0", ""};
+    frames[4].type = dse::FrameType::Result;
+    frames[4].id = 9;
+    frames[4].outcomes = {
+        {Status(),
+         {synthKey(5),
+          std::make_shared<dse::EvalCacheEntry>(handBuiltEntry())}},
+        {Status::deadlineExceeded("candidate time cap"), {}},
+    };
+    frames[5].type = dse::FrameType::Shutdown;
+    return frames;
+}
+
+/** A Pareto run state on default ADGs with every field set. */
+dse::DseRunState
+handBuiltState(const dse::DseOptions &opts)
+{
+    dse::DseRunState st;
+    st.curObj = 0.625;
+    st.iter = 17;
+    st.noImprove = 3;
+    st.infeasibleStreak = 4;
+    st.acceptedSinceCkpt = 5;
+    st.rng = Rng(99);
+    st.schedules = handBuiltCache();
+    dse::DseResult &r = st.result;
+    r.bestObjective = 1.5;
+    r.bestPerf = 2.25;
+    r.bestCost = {3.5, 450.0};
+    r.initialObjective = 0.5;
+    r.initialCost = {4.5, 550.0};
+    r.history = {{2, 1.1, 120.0, 1.3, 1.4, true, 60.5},
+                 {3, 1.6, 130.0, 1.7, 1.8, false, 61.5}};
+    r.evalFailures = 6;
+    r.checkpointsWritten = 7;
+    r.stopReason = "wall-clock";
+    r.status = Status::deadlineExceeded("candidate time cap");
+    st.front = dse::ParetoFront(opts.areaBudgetMm2, opts.powerBudgetMw,
+                                opts.paretoFrontSize);
+    st.front.add({adg::Adg(), 1.5, 2.0, 300.0, 0.5625, 7});
+    st.front.add({adg::Adg(), 2.5, 3.0, 200.0, 0.75, 8});
+    return st;
+}
+
+std::string
+hashHex(const std::string &bytes)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(
+                      xxhash64(bytes.data(), bytes.size())));
+    return buf;
+}
+
+TEST(EntryCodec, LayoutIsPinned)
+{
+    const dse::DseOptions opts = everyOptionSet();
+    ASSERT_TRUE(opts.pareto);
+    std::vector<std::pair<std::string, std::string>> encodings = {
+        {"entry", dse::encodeEvalEntry(synthKey(5), handBuiltEntry())},
+        {"cache", dse::encodeScheduleCache(handBuiltCache())},
+        {"checkpoint",
+         dse::encodeCheckpoint({"mm", "crs"}, opts, handBuiltState(opts))},
+    };
+    for (const dse::WorkerFrame &f : handBuiltFrames())
+        encodings.emplace_back(
+            "frame " + std::to_string(static_cast<int>(f.type)),
+            dse::encodeFrame(f));
+    // everyOptionSet() gives several flags one value: flip each alone.
+    dse::WorkerFrame init = handBuiltFrames()[0];
+    std::string flips;
+    for (bool dse::DseOptions::*flag :
+         {&dse::DseOptions::useRepair, &dse::DseOptions::memoize,
+          &dse::DseOptions::dedupBatch, &dse::DseOptions::checkCostOracle,
+          &dse::DseOptions::pareto, &dse::DseOptions::structuredMoves}) {
+        init.options.*flag = !(opts.*flag);
+        flips += dse::encodeFrame(init);
+        init.options.*flag = opts.*flag;
+    }
+    encodings.emplace_back("option flags", flips);
+
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"entry", "d9d5c872afa49318"},
+        {"cache", "2d17510a3584d6a3"},
+        {"checkpoint", "928353dd252bca1c"},
+        {"frame 1", "70fccb98aa59a0ad"},
+        {"frame 2", "4b79b8c95732b0e7"},
+        {"frame 3", "030706c84a3fb737"},
+        {"frame 4", "5c8a8785d26c81c4"},
+        {"frame 5", "04e6af9905cd6016"},
+        {"frame 6", "5896bb9a27ab7ba5"},
+        {"option flags", "8dbfe81d0db13eef"},
+    };
+    ASSERT_EQ(encodings.size(), pinned.size());
+    for (size_t i = 0; i < pinned.size(); ++i) {
+        EXPECT_EQ(encodings[i].first, pinned[i].first);
+        EXPECT_EQ(hashHex(encodings[i].second), pinned[i].second)
+            << encodings[i].first;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation sweep: beyond the one-byte flips above, multi-byte
+// overwrites, insertions and deletions, drawn from a fixed seed in a
+// fixed count, so every run checks the same inputs
+// ---------------------------------------------------------------------
+
+constexpr int kSeededMutations = 4000;
+
+/** @p bytes with 1 to 8 bytes overwritten, inserted or deleted at a
+ *  position drawn from @p rng. */
+std::string
+mutant(const std::string &bytes, Rng &rng)
+{
+    std::string m = bytes;
+    auto len = static_cast<size_t>(rng.uniformInt(1, 8));
+    auto at = static_cast<size_t>(rng.uniformInt(0, int64_t(m.size()) - 1));
+    std::string fresh(len, '\0');
+    for (char &c : fresh)
+        c = static_cast<char>(rng.uniformInt(0, 255));
+    switch (rng.uniformInt(0, 2)) {
+    case 0:
+        fresh.resize(std::min(len, m.size() - at));
+        m.replace(at, fresh.size(), fresh);
+        break;
+    case 1:
+        m.insert(at, fresh);
+        break;
+    default:
+        m.erase(at, len);
+        break;
+    }
+    return m;
+}
+
+/** kSeededMutations mutants of @p bytes from @p seed each decode to a
+ *  value that encodes back to exactly the mutant, or are DataLoss. */
+template <typename Decode, typename Reencode>
+void
+sweepSeededMutations(const std::string &bytes, uint64_t seed, Decode decode,
+                     Reencode reencode)
+{
+    Rng rng(seed);
+    for (int i = 0; i < kSeededMutations; ++i) {
+        std::string m = mutant(bytes, rng);
+        auto r = decode(m);
+        if (r.ok()) {
+            EXPECT_EQ(reencode(r.value()), m) << "mutant " << i;
+        } else {
+            EXPECT_EQ(r.status().code(), StatusCode::DataLoss)
+                << "mutant " << i << ": " << r.status().toString();
+        }
+    }
+}
+
+TEST(EntryCodec, SeededMutationsDecodeOrAreRefused)
+{
+    const RealEval &real = realMachSuiteEval();
+    ASSERT_NE(real.entry, nullptr);
+    sweepSeededMutations(
+        dse::encodeEvalEntry(real.key, *real.entry), 1,
+        [](std::string_view b) { return dse::decodeEvalEntry(b); },
+        [](const dse::EvalStoreRecord &rec) {
+            return dse::encodeEvalEntry(rec.key, *rec.entry);
+        });
+    sweepSeededMutations(
+        dse::encodeScheduleCache(real.schedules), 2,
+        [](std::string_view b) { return dse::decodeScheduleCache(b); },
+        [](const dse::ScheduleCache &c) {
+            return dse::encodeScheduleCache(c);
+        });
+    for (const dse::WorkerFrame &f : frameOfEachType()) {
+        SCOPED_TRACE("frame type " + std::to_string(static_cast<int>(f.type)));
+        sweepSeededMutations(
+            dse::encodeFrame(f), 10 + static_cast<uint64_t>(f.type),
+            [](std::string_view b) { return dse::decodeFrame(b); },
+            [](const dse::WorkerFrame &g) { return dse::encodeFrame(g); });
+    }
+
+    // A checkpoint holds text other parsers read, so a mutant that
+    // loads need not save back to the same bytes.
+    auto opts = tinyDse();
+    opts.pareto = true;
+    std::string path = tmpPath("seeded");
+    ASSERT_TRUE(
+        dse::saveCheckpoint({"mm"}, opts, stateWithFront(opts), path).ok());
+    const std::string good = readAll(path);
+    Rng rng(3);
+    for (int i = 0; i < kSeededMutations; ++i)
+        corruptCheckpointLoads(path, good, mutant(good, rng));
+    std::remove(path.c_str());
 }
 
 TEST(CacheStoreDse, CorruptSegmentsQuarantinedTraceUnchanged)

@@ -90,7 +90,7 @@ loadTarget(const std::string &name)
     if (name == "diannao")
         return adg::buildDianNaoLike();
     throw StatusException(Status::notFound(
-        "unknown target '" + name + "' (and no such ADG file exists) " +
+        "unknown target '" + name + "' (and no such ADG file exists)" +
         suggestName(name, {"softbrain", "maeri", "triggered", "spu",
                            "revel", "dse_initial", "diannao"})));
 }
@@ -634,7 +634,7 @@ cmdDse(int argc, char **argv)
             if (std::find(suites.begin(), suites.end(), w.suite) ==
                 suites.end())
                 suites.push_back(w.suite);
-        std::fprintf(stderr, "unknown suite '%s' %s\n", suite.c_str(),
+        std::fprintf(stderr, "unknown suite '%s'%s\n", suite.c_str(),
                      suggestName(suite, suites).c_str());
         return 2; // a configuration error, not a runtime fault
     }
